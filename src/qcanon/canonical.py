@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qarith import RatFunc, sym_truncate
+from .qarith import rf_solve, sym_truncate
 from . import cartan
 from . import crystalgraph
 
@@ -101,7 +101,7 @@ class CanonicalBasis:
                             f"nonzero candidate at {nu} with self-pairing {sp}")
                     elem = CBElement(nu, cand, mod.coordinates(cand),
                                      (i, t, (low, parent_pos)), self_pairing=sp)
-                    if not self._bar_fixed(elem):
+                    if not verify_bar_invariant(mod, elem):
                         raise CompletionError(
                             f"accepted element at {nu} is not bar-invariant")
                     accepted.append(elem)
@@ -127,10 +127,6 @@ class CanonicalBasis:
                 raise OrthogonalizationError(
                     f"offending degree did not decrease ({prev_max} -> {worst})")
             prev_max = worst
-
-    def _bar_fixed(self, elem):
-        barred = elem.vector.map_coeffs(lambda c: c.bar())
-        return self.module.coordinates(barred) == elem.coords
 
     # -- views -------------------------------------------------------------
 
@@ -196,20 +192,9 @@ def transition_matrix(module, cb_elements, vectors):
         rhs = list(module.coordinates(vec))
         if len(rhs) != r:
             raise ValueError("vector does not live in the spanned weight space")
-        sol = rf_solve_strict(rows, rhs)
+        sol = rf_solve(rows, rhs)
+        if sol is None:
+            raise ValueError("inconsistent linear system in transition matrix")
         cols.append(sol)
     return [[cols[t][s] for t in range(len(vectors))] for s in range(r)]
 
-
-def rf_solve_strict(rows, rhs):
-    from .qarith import rf_solve
-    sol = rf_solve(rows, rhs)
-    if sol is None:
-        raise ValueError("inconsistent linear system in transition matrix")
-    return sol
-
-
-def specialize_v1(x):
-    """Forwarded here because transition matrices are the main consumer."""
-    from .qarith import specialize_v1 as _s
-    return _s(x)

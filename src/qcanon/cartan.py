@@ -207,7 +207,7 @@ def parse_quiver_dict(data):
     for key, val in hw_raw.items():
         if str(key) not in idx:
             raise QuiverError(f"highest_weight key {key!r} is not a vertex")
-        if not isinstance(val, int) or val < 0:
+        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
             raise QuiverError(f"highest_weight[{key!r}] must be a non-negative integer")
         d[idx[str(key)]] = val
     return Quiver(vertices, edges), HighestWeight(d)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qarith import RatFunc, RF_ONE, rf_rank, rf_solve
+from .qarith import RF_ONE, rf_rank, rf_solve
 from .hwmodule import InternalCheckError
 from . import cartan
 

@@ -4,9 +4,10 @@ A ``ModuleVector`` is a content-homogeneous combination of words applied to
 the highest weight vector.  ``HighestWeightModule`` carries the operator
 actions E_i, F_i^(n), K_i^{+-}, the contravariant bilinear form normalized
 by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
-(spanning monomials, Gram matrix, greedy basis, rank), and an independent
-Freudenthal multiplicity oracle driven by Peterson's root-multiplicity
-recursion.
+(spanning monomials, Gram matrix, and one fraction-free symmetric
+elimination of it that yields the basis, the rank and the factor every
+word's coordinates are solved from), and an independent Freudenthal
+multiplicity oracle driven by Peterson's root-multiplicity recursion.
 
 Everything is exact; a non-polynomial value surfacing anywhere in the form
 computation raises ExactDivisionError and means a genuine bug.
@@ -18,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qarith import (LaurentPoly, ZERO, ONE, RatFunc, RF_ZERO, RF_ONE,
-                     qint, qfact, lp_rank, rf_solve)
+from .qarith import (LaurentPoly, ZERO, ONE, RatFunc, RF_ZERO, PivotBreakdown,
+                     qint, qfact, lp_sym_echelon, lp_sym_solve)
 from .uminus import EMPTY_WORD, concat_words, word_content
 from . import cartan
 
@@ -50,10 +51,6 @@ class ModuleVector:
             for w, c in terms.items():
                 if c:
                     self.terms[w] = c
-
-    def is_zero_combination(self):
-        """True when there are no terms at all (stronger than zero in L)."""
-        return not self.terms
 
     def __add__(self, other):
         if not other.terms:
@@ -101,13 +98,19 @@ class ModuleVector:
 
 @dataclass
 class WeightSpaceModel:
-    """Selected monomial model of one weight space."""
+    """Selected monomial model of one weight space.
+
+    ``factor`` is the upper triangle of the fraction-free symmetric
+    elimination of the Gram matrix, restricted to the basis columns (see
+    ``qarith.lp_sym_echelon``); word coordinates are solved from it.
+    """
 
     content: tuple
     spanning: list
     gram: list
     basis_index: list
     rank: int
+    factor: list
     _word_coords: dict = field(default_factory=dict, repr=False)
 
 
@@ -322,45 +325,6 @@ class HighestWeightModule:
                         f"Gram asymmetry at {spanning[s]} / {spanning[t]}")
         return rows
 
-    def _select_basis(self, gram):
-        """Greedy prefix whose Gram principal minor stays invertible.
-
-        Orthogonalizes against the already-kept rows; the contravariant
-        form is anisotropic on the module, so a vanishing self-pairing
-        forces the whole pairing row to vanish (checked, never assumed).
-        """
-        n = len(gram)
-        sel = []
-        ortho = []
-        for s in range(n):
-            vec = [RF_ZERO] * n
-            vec[s] = RF_ONE
-            prow = [RatFunc.from_laurent(g) for g in gram[s]]
-            for ovec, oprow, osp in ortho:
-                lam = RF_ZERO
-                for t in range(n):
-                    if ovec[t] and prow[t]:
-                        lam = lam + ovec[t] * prow[t]
-                if not lam:
-                    continue
-                lam = lam / osp
-                for t in range(n):
-                    if ovec[t]:
-                        vec[t] = vec[t] - lam * ovec[t]
-                    if oprow[t]:
-                        prow[t] = prow[t] - lam * oprow[t]
-            sp = RF_ZERO
-            for t in range(n):
-                if vec[t] and prow[t]:
-                    sp = sp + vec[t] * prow[t]
-            if sp:
-                sel.append(s)
-                ortho.append((vec, prow, sp))
-            elif any(prow):
-                raise InternalCheckError(
-                    "isotropic nonzero row in Gram matrix; form degeneracy")
-        return sel
-
     def weight_space(self, nu):
         nu = tuple(nu)
         hit = self._spaces.get(nu)
@@ -370,12 +334,14 @@ class HighestWeightModule:
             raise ValueError(f"content {nu} has negative entries")
         spanning = self.spanning_words(nu)
         gram = self._gram(spanning)
-        sel = self._select_basis(gram)
-        rank = lp_rank(gram)
-        if rank != len(sel):
+        try:
+            sel, factor = lp_sym_echelon(gram)
+        except PivotBreakdown as exc:
+            # the form is anisotropic on the module, so a vanishing
+            # self-pairing must force the whole pairing row to vanish
             raise InternalCheckError(
-                f"rank mismatch at {nu}: Bareiss {rank} vs greedy {len(sel)}")
-        model = WeightSpaceModel(nu, spanning, gram, sel, rank)
+                f"isotropic nonzero row in Gram matrix at {nu}; form degeneracy") from exc
+        model = WeightSpaceModel(nu, spanning, gram, sel, len(sel), factor)
         self._spaces[nu] = model
         return model
 
@@ -415,11 +381,8 @@ class HighestWeightModule:
         if space.rank == 0:
             coords = ()
         else:
-            basis = space.basis_index
-            gb = [[RatFunc.from_laurent(space.gram[s][t]) for t in basis] for s in basis]
-            rhs = [RatFunc.from_laurent(self.pair_words(word, space.spanning[t]))
-                   for t in basis]
-            sol = rf_solve(gb, rhs)
+            rhs = [self.pair_words(word, space.spanning[t]) for t in space.basis_index]
+            sol = lp_sym_solve(space.factor, rhs)
             if sol is None:
                 raise InternalCheckError("basis Gram matrix is singular")
             coords = tuple(sol)

@@ -11,7 +11,8 @@ the two scalar types defined here:
 The module also provides the quantum combinatorial numbers [n], [n]!,
 Gaussian binomials, the bar involution v -> v^-1, the symmetric truncation
 used by the basis orthogonalization, and fraction-free (Bareiss) linear
-algebra for rank and solving over the fraction field.
+algebra for rank and solving over the fraction field, including the
+symmetric elimination with diagonal pivots that weight spaces are built on.
 """
 
 from __future__ import annotations
@@ -611,6 +612,98 @@ def lp_rank(rows):
     if not rows or not rows[0]:
         return 0
     return len(lp_echelon(rows)[1])
+
+
+class PivotBreakdown(ArithmeticError):
+    """Diagonal pivoting met a zero residual diagonal over a nonzero row."""
+
+
+def lp_sym_echelon(rows):
+    """Fraction-free elimination of a symmetric LaurentPoly matrix with
+    diagonal pivots taken in row order (Bareiss 1968).
+
+    Row s is reduced against the pivot rows kept so far and becomes a pivot
+    when its residual diagonal is nonzero.  Returns (pivots, factor):
+    pivots are the kept indices, and factor[j] is pivot row j as reduced
+    when it was kept, restricted to the pivot columns pivots[j:].  So
+    factor[j][0] is the leading principal minor of order j + 1 of the pivot
+    block, and factor[-1][0] is its determinant.  A zero residual diagonal
+    over a nonzero residual row raises PivotBreakdown; otherwise the
+    pivots are the greedy prefix of independent rows.
+
+    Every division is exact: after j stages the entry (s, t) is the
+    bordered minor det A[P_j + s, P_j + t] of the first j pivots P_j, and
+    Sylvester's identity makes d_{j-1} times the stage-j entry equal to
+    d_j * old - old[p_j] * pivot[t] (d_j is the j-th pivot).
+    Symmetry halves the work: the bordered minors are symmetric in (s, t),
+    so the residual of row s at an earlier non-pivot column t equals the
+    residual of row t at column s, which vanished when t was rejected.
+    Only pivot columns and columns >= s are carried.
+    """
+    n = len(rows)
+    pivots = []
+    kept = []  # pivot row p as {column: entry} over columns > p
+    diag = []
+    for s in range(n):
+        cols = pivots + list(range(s, n))
+        row = {t: rows[s][t] for t in cols}
+        for j, p in enumerate(pivots):
+            d, fac, prow = diag[j], row.pop(p), kept[j]
+            for t in cols[j + 1:]:
+                e = row[t] * d if row[t] else ZERO
+                if fac and prow[t]:
+                    e = e - fac * prow[t]
+                if e and j:
+                    e = e.divexact(diag[j - 1])
+                row[t] = e
+        d = row.pop(s)
+        if d:
+            pivots.append(s)
+            kept.append(row)
+            diag.append(d)
+        elif any(row.values()):
+            raise PivotBreakdown(f"zero residual diagonal over a nonzero row at {s}")
+    factor = [[diag[j]] + [kept[j][q] for q in pivots[j + 1:]]
+              for j in range(len(pivots))]
+    return pivots, factor
+
+
+def lp_sym_solve(factor, rhs):
+    """Solve A x = b over Q(v) from the factor of lp_sym_echelon, where A is
+    the symmetric pivot block and b a list of LaurentPoly.  Returns a list
+    of RatFunc, or None when a pivot of the factor vanishes (A singular).
+
+    The forward stages run Bareiss on the column b, and by symmetry the
+    multiplier of row i at stage j is factor[j][i - j]; each new entry is a
+    bordered minor of [A | b], so the division by the previous pivot is
+    exact.  Back substitution then works with y = det(A) x, which lies in
+    Z[v, v^-1] by Cramer's rule: pivot_i * y_i = det * b_i - sum_m
+    factor[i][m - i] * y_m, so the division by pivot_i is exact too.
+    """
+    r = len(factor)
+    if any(not f[0] for f in factor):
+        return None
+    b = list(rhs)
+    for j in range(r):
+        d, bj, fj = factor[j][0], b[j], factor[j]
+        for i in range(j + 1, r):
+            e = b[i] * d if b[i] else ZERO
+            if bj and fj[i - j]:
+                e = e - fj[i - j] * bj
+            if e and j:
+                e = e.divexact(factor[j - 1][0])
+            b[i] = e
+    det = factor[-1][0] if r else ONE
+    y = [ZERO] * r
+    for i in range(r - 1, -1, -1):
+        acc = det * b[i] if b[i] else ZERO
+        fi = factor[i]
+        for m in range(i + 1, r):
+            if fi[m - i] and y[m]:
+                acc = acc - fi[m - i] * y[m]
+        if acc:
+            y[i] = acc.divexact(fi[0])
+    return [RatFunc(yi, det) for yi in y]
 
 
 def rf_rank(rows):

@@ -39,6 +39,10 @@ def test_parse_rejects_bad_input():
     with pytest.raises(QuiverError):
         parse_quiver_dict({"vertices": ["1"], "edges": [],
                            "highest_weight": {"x": 1}})
+    for flag in (True, False):
+        with pytest.raises(QuiverError):
+            parse_quiver_dict({"vertices": ["1"], "edges": [],
+                               "highest_weight": {"1": flag}})
 
 
 def test_coroot_pairing_examples(a2_adjoint):

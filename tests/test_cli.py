@@ -186,6 +186,20 @@ def test_input_errors_exit_2(qfile, capsys, tmp_path):
     assert code == 2
 
 
+def test_boolean_highest_weight_exits_2(qfile, capsys):
+    doc = {"vertices": ["1"], "edges": [], "highest_weight": {"1": True}}
+    code, out, err = run_cli(capsys, "dims", "--quiver", qfile(doc))
+    assert code == 2 and "highest_weight" in err and not out
+
+
+def test_verify_at_height_zero_passes(qfile, capsys):
+    code, out, _ = run_cli(capsys, "verify", "--quiver", qfile(A2ADJ),
+                           "--max-height", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "all suites passed"
+    assert "contravariance   PASS  (0 checks)" in out
+
+
 def test_resource_cap_exit_3(qfile, capsys, monkeypatch):
     capped = functools.partial(HighestWeightModule, spanning_cap=1)
     monkeypatch.setattr(cli, "HighestWeightModule", capped)

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qfact, qbinom
-from qcanon.cartan import HighestWeight, contents_of_height, contents_up_to
+from qcanon.qarith import (LaurentPoly, RatFunc, ZERO, ONE, qint, qfact, qbinom,
+                           lp_rank, rf_solve)
+from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
+                           parse_quiver_dict)
 from qcanon.hwmodule import (HighestWeightModule, ModuleVector,
                              ResourceCapError, weight_space_report)
 
@@ -308,3 +310,45 @@ def test_weight_space_report_schema(a2_adjoint):
     assert rep["rank"] == 2
     assert rep["basis"] == ["1^1.2^1", "2^1.1^1"]
     assert rep["gram"][0][0] == [[-2, "1"], [0, "1"]]
+
+
+# -- the symmetric elimination against independent references -------------------
+
+# name -> (quiver document, height bound)
+ELIMINATION_DATA = {
+    "a2_adjoint": ({"vertices": ["1", "2"], "edges": [["1", "2"]],
+                    "highest_weight": {"1": 1, "2": 1}}, 5),
+    "kronecker": ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 2,
+                   "highest_weight": {"1": 1, "2": 0}}, 6),
+    "kronecker3": ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
+                    "highest_weight": {"1": 1, "2": 0}}, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELIMINATION_DATA))
+def test_elimination_matches_reference_on_every_spanning_word(name):
+    datum, hmax = ELIMINATION_DATA[name]
+    q, hw = parse_quiver_dict(datum)
+    m = HighestWeightModule(q, hw)
+    rf = RatFunc.from_laurent
+    for nu in contents_up_to(q.n, hmax):
+        space = m.weight_space(nu)
+        # the rank agrees with a plain Bareiss echelon of the whole Gram matrix
+        assert lp_rank(space.gram) == space.rank == len(space.basis_index)
+        # the basis is the greedy prefix: s is kept iff its Gram row raises
+        # the rank of the rows kept before it
+        kept = []
+        for s, row in enumerate(space.gram):
+            raises = lp_rank(kept + [row]) > len(kept)
+            assert (s in space.basis_index) == raises
+            if raises:
+                kept.append(row)
+        # every word's coordinates equal the rf_solve reference on G_B
+        basis = space.basis_index
+        gb = [[rf(space.gram[s][t]) for t in basis] for s in basis]
+        for w in space.spanning:
+            expect = ()
+            if basis:
+                rhs = [rf(m.pair_words(w, space.spanning[t])) for t in basis]
+                expect = tuple(rf_solve(gb, rhs))
+            assert m.word_coordinates(nu, w) == expect

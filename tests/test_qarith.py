@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qcanon.qarith import (LaurentPoly, RatFunc, ZERO, ONE, RF_ONE, bar,
                            sym_truncate, qint, qfact, qbinom, lp_gcd, lp_rank,
-                           rf_rank, rf_solve, specialize_v1,
-                           ExactDivisionError, PoleAtOne)
+                           rf_rank, rf_solve, specialize_v1, lp_sym_echelon,
+                           lp_sym_solve, ExactDivisionError, PivotBreakdown,
+                           PoleAtOne)
 
 PRIME = 2147483647
 
@@ -237,6 +238,101 @@ def test_solve_verifies_on_random_systems():
             for j in range(n):
                 acc = acc + A[i][j] * sol[j]
             assert acc == b[i]
+
+
+# -- symmetric elimination against the rf_solve reference --------------------
+
+
+def _transpose_times(m, d):
+    """m^T diag(d) m."""
+    n = len(m)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ZERO
+            for k in range(n):
+                if m[k][i] and m[k][j]:
+                    acc = acc + m[k][i] * d[k] * m[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _check_against_reference(a, rhs):
+    n = len(a)
+    try:
+        pivots, factor = lp_sym_echelon(a)
+    except PivotBreakdown:
+        return None
+    assert len(pivots) == lp_rank(a)
+    assert [f[0] for f in factor] == [
+        _det([[a[s][t] for t in pivots[:k + 1]] for s in pivots[:k + 1]])
+        for k in range(len(pivots))]
+    if len(pivots) == n:
+        sol = lp_sym_solve(factor, rhs)
+        ref = rf_solve([[rf(e) for e in row] for row in a], [rf(e) for e in rhs])
+        assert ref is not None and sol == ref
+    return pivots
+
+
+def _det(m):
+    """Cofactor expansion (small matrices only), independent of Bareiss."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = ZERO
+    for j, e in enumerate(m[0]):
+        if e:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = e * _det(minor)
+            acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+sym_sizes = st.integers(1, 4)
+sym_entries = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                              max_size=3).map(LaurentPoly)
+positive_scales = st.tuples(st.integers(1, 5), st.integers(-3, 3)).map(
+    lambda ck: LaurentPoly({ck[1]: ck[0]}))
+
+
+@given(st.data(), sym_sizes)
+@settings(max_examples=60, deadline=None)
+def test_sym_elimination_matches_rf_solve_on_gram_matrices(data, n):
+    # m^T D m with D positive at every real v > 0 is positive semidefinite
+    # there, so a vanishing residual diagonal forces a vanishing residual
+    # row: diagonal pivoting never breaks down
+    m = [data.draw(st.lists(sym_entries, min_size=n, max_size=n)) for _ in range(n)]
+    d = data.draw(st.lists(positive_scales, min_size=n, max_size=n))
+    rhs = data.draw(st.lists(sym_entries, min_size=n, max_size=n))
+    a = _transpose_times(m, d)
+    pivots = _check_against_reference(a, rhs)
+    assert pivots is not None
+    # a repeated row of m makes the matrix singular: reported as a lost pivot
+    if n > 1:
+        m[-1] = list(m[0])
+        singular = _transpose_times(m, d)
+        pivots = lp_sym_echelon(singular)[0]
+        assert len(pivots) < n and len(pivots) == lp_rank(singular)
+
+
+@given(st.data(), sym_sizes)
+@settings(max_examples=60, deadline=None)
+def test_sym_elimination_matches_rf_solve_on_symmetric_matrices(data, n):
+    upper = {(i, j): data.draw(sym_entries) for i in range(n) for j in range(i, n)}
+    a = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    rhs = data.draw(st.lists(sym_entries, min_size=n, max_size=n))
+    _check_against_reference(a, rhs)
+
+
+def test_sym_elimination_reports_breakdown_and_singular_factor():
+    v = LaurentPoly.v_power(1)
+    with pytest.raises(PivotBreakdown):
+        lp_sym_echelon([[ZERO, v], [v, ONE]])
+    # a zero row is dependent, not a breakdown
+    assert lp_sym_echelon([[ZERO, ZERO], [ZERO, ONE]]) == ([1], [[ONE]])
+    assert lp_sym_solve([[ONE, v], [ZERO]], [ONE, ONE]) is None
+    assert lp_sym_solve([], []) == []
 
 
 def test_gcd_divides_both():
