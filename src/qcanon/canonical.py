@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qarith import rf_solve, sym_truncate
+from .qarith import sym_truncate
 from . import cartan
 from . import crystalgraph
 
@@ -57,6 +57,7 @@ class CanonicalBasis:
         self.store = {}
         self.max_height = -1
         self._canon_cache = {}
+        self.graph_cache = {}  # crystalgraph's t_i image rows and sbar paths
 
     def elements(self, nu):
         nu = tuple(nu)
@@ -178,23 +179,9 @@ def verify_bar_invariant(module, b):
 
 
 def transition_matrix(module, cb_elements, vectors):
-    """Columns are the canonical-basis coordinates of the given vectors.
-
-    Solves against the coordinate matrix of the basis elements; raises on
-    an inconsistent system.
-    """
-    r = len(cb_elements)
-    if r == 0:
+    """Columns are the canonical-basis coordinates of the given vectors."""
+    if not cb_elements:
         return []
-    rows = [[cb_elements[t].coords[s] for t in range(r)] for s in range(r)]
-    cols = []
-    for vec in vectors:
-        rhs = list(module.coordinates(vec))
-        if len(rhs) != r:
-            raise ValueError("vector does not live in the spanned weight space")
-        sol = rf_solve(rows, rhs)
-        if sol is None:
-            raise ValueError("inconsistent linear system in transition matrix")
-        cols.append(sol)
-    return [[cols[t][s] for t in range(len(vectors))] for s in range(r)]
-
+    cols = [crystalgraph.expand_in_cb(cb_elements, module.coordinates(vec))
+            for vec in vectors]
+    return [[col[s] for col in cols] for s in range(len(cb_elements))]

@@ -2,7 +2,7 @@
 
 All machine output is JSON (DOT for graphs) printed to stdout and built
 deterministically: identical configuration yields byte-identical bytes
-across runs, thread counts, and cache hits.  Exit codes: 0 success,
+across runs and cache hits.  Exit codes: 0 success,
 1 verification failure, 2 input error, 3 resource cap exceeded.
 """
 
@@ -48,8 +48,8 @@ def build_parser():
         c.add_argument("--format", dest="fmt", default=None,
                        choices=["json", "dot", "table"])
         c.add_argument("--cache", default=None, help="path to the result cache file")
-        c.add_argument("--threads", type=int, default=0,
-                       help="worker threads (default: available parallelism)")
+        c.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility and ignored")
         c.add_argument("--suite", default=None,
                        help="comma-separated suite names (verify only)")
     return p
@@ -72,31 +72,27 @@ def run(args):
     if args.max_height < 0:
         raise QuiverError("--max-height must be >= 0")
     order = _parse_order(quiver, args.order)
-    threads = args.threads if args.threads and args.threads > 0 else (os.cpu_count() or 1)
     fmt = args.fmt
     if args.command == "dims":
         fmt = fmt or "table"
         if fmt == "dot":
             raise QuiverError("dims has no dot format")
         return _cached_emit(args, quiver, hw, order, fmt,
-                            lambda: _dims_payload(quiver, hw, order, args.max_height,
-                                                  threads, fmt))
+                            lambda: _dims_payload(quiver, hw, order, args.max_height, fmt))
     if args.command == "basis":
         fmt = fmt or "json"
         if fmt != "json":
             raise QuiverError("basis output is JSON only")
         return _cached_emit(args, quiver, hw, order, fmt,
-                            lambda: _basis_payload(quiver, hw, order, args.max_height,
-                                                   threads))
+                            lambda: _basis_payload(quiver, hw, order, args.max_height))
     if args.command == "graph":
         fmt = fmt or "dot"
         if fmt == "table":
             raise QuiverError("graph has no table format")
         return _cached_emit(args, quiver, hw, order, fmt,
-                            lambda: _graph_payload(quiver, hw, order, args.max_height,
-                                                   threads, fmt))
+                            lambda: _graph_payload(quiver, hw, order, args.max_height, fmt))
     if args.command == "verify":
-        return _run_verify(args, quiver, hw, order, threads)
+        return _run_verify(args, quiver, hw, order)
     raise QuiverError(f"unknown command {args.command}")
 
 
@@ -127,29 +123,59 @@ def _cache_key(args, quiver, hw, order, fmt):
     return hashlib.sha256(blob.encode()).hexdigest(), datum
 
 
+def _load_store(path):
+    """The cache store at path, or an empty one.
+
+    A file that cannot be read as ``{"version": str, "entries": {...}}`` is
+    reported on stderr and replaced on the next write; a store of another
+    version is dropped silently (a version bump invalidates the cache).
+    """
+    fresh = {"version": __version__, "entries": {}}
+    if not os.path.exists(path):
+        return fresh
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            store = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"warning: cache file {path} is unreadable ({exc}); recomputing",
+              file=sys.stderr)
+        return fresh
+    if not (isinstance(store, dict) and isinstance(store.get("version"), str)
+            and isinstance(store.get("entries"), dict)):
+        print(f"warning: cache file {path} has an unexpected layout; recomputing",
+              file=sys.stderr)
+        return fresh
+    return store if store["version"] == __version__ else fresh
+
+
+def _write_store(path, store):
+    """Write through a temporary file in the same directory, then rename, so
+    an interrupted write leaves the previous file intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(store, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _cached_emit(args, quiver, hw, order, fmt, producer):
     if not args.cache:
         sys.stdout.write(producer())
         return EXIT_OK
     key, datum = _cache_key(args, quiver, hw, order, fmt)
-    store = {}
-    if os.path.exists(args.cache):
-        try:
-            with open(args.cache, "r", encoding="utf-8") as fh:
-                store = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            store = {}
-    if store.get("version") != __version__:
-        store = {"version": __version__, "entries": {}}
-    entry = store.get("entries", {}).get(key)
-    if entry is not None and entry.get("key") == datum:
+    store = _load_store(args.cache)
+    entry = store["entries"].get(key)
+    if (isinstance(entry, dict) and entry.get("key") == datum
+            and isinstance(entry.get("payload"), str)):
         sys.stdout.write(entry["payload"])
         return EXIT_OK
     payload = producer()
-    store.setdefault("entries", {})[key] = {"key": datum, "payload": payload}
-    with open(args.cache, "w", encoding="utf-8") as fh:
-        json.dump(store, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    store["entries"][key] = {"key": datum, "payload": payload}
+    _write_store(args.cache, store)
     sys.stdout.write(payload)
     return EXIT_OK
 
@@ -170,29 +196,21 @@ def _metadata(quiver, hw, order, max_height):
     }
 
 
-def _poly_json(p):
-    return p.to_terms()
-
-
 def _vector_json(quiver, vec):
-    return [[word_str(w, quiver), _poly_json(c)] for w, c in vec.sorted_terms()]
+    return [[word_str(w, quiver), c.to_terms()] for w, c in vec.sorted_terms()]
 
 
 def _dump(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _contents(quiver, hmax):
-    return cartan.contents_up_to(quiver.n, hmax)
-
-
 # -- dims --------------------------------------------------------------------------
 
 
-def _dims_payload(quiver, hw, order, hmax, threads, fmt):
-    module = HighestWeightModule(quiver, hw, threads=threads)
+def _dims_payload(quiver, hw, order, hmax, fmt):
+    module = HighestWeightModule(quiver, hw)
     rows = []
-    for nu in _contents(quiver, hmax):
+    for nu in cartan.contents_up_to(quiver.n, hmax):
         ws = module.weight_space(nu)
         fr = module.freudenthal_multiplicity(nu)
         rows.append({
@@ -219,12 +237,12 @@ def _dims_payload(quiver, hw, order, hmax, threads, fmt):
 # -- basis --------------------------------------------------------------------------
 
 
-def _basis_payload(quiver, hw, order, hmax, threads):
-    module = HighestWeightModule(quiver, hw, threads=threads)
+def _basis_payload(quiver, hw, order, hmax):
+    module = HighestWeightModule(quiver, hw)
     cb = CanonicalBasis(module, order).compute_up_to(hmax)
     graph = cg.build_left_graph(module, cb)
     contents_doc = []
-    for nu in _contents(quiver, hmax):
+    for nu in cartan.contents_up_to(quiver.n, hmax):
         elems = cb.elements(nu)
         block = {
             "content": cartan.content_to_dict(quiver, nu),
@@ -241,7 +259,7 @@ def _basis_payload(quiver, hw, order, hmax, threads):
             block["elements"].append({
                 "id": f"{cartan.content_str(quiver, nu)}/{idx}",
                 "vector": _vector_json(quiver, b.vector),
-                "self_pairing": _poly_json(b.self_pairing),
+                "self_pairing": b.self_pairing.to_terms(),
                 "provenance": {
                     "i": quiver.vertex_id(i) if i is not None else None,
                     "t": t,
@@ -258,7 +276,7 @@ def _basis_payload(quiver, hw, order, hmax, threads):
             ordered = [elems[p] for p in positions]
             T = transition_matrix(module, ordered, vectors)
             block["transition_monomial_to_cb"] = [
-                [_poly_json(entry.as_laurent()) for entry in row] for row in T]
+                [entry.as_laurent().to_terms() for entry in row] for row in T]
             block["transition_v1"] = [
                 [int(entry.at_one()) for entry in row] for row in T]
         contents_doc.append(block)
@@ -269,8 +287,8 @@ def _basis_payload(quiver, hw, order, hmax, threads):
 # -- graph --------------------------------------------------------------------------
 
 
-def _graph_payload(quiver, hw, order, hmax, threads, fmt):
-    module = HighestWeightModule(quiver, hw, threads=threads)
+def _graph_payload(quiver, hw, order, hmax, fmt):
+    module = HighestWeightModule(quiver, hw)
     cb = CanonicalBasis(module, order).compute_up_to(hmax)
     graph = cg.build_left_graph(module, cb)
     if fmt == "dot":
@@ -305,7 +323,7 @@ def _graph_payload(quiver, hw, order, hmax, threads, fmt):
 # -- verify --------------------------------------------------------------------------
 
 
-def _run_verify(args, quiver, hw, order, threads):
+def _run_verify(args, quiver, hw, order):
     fmt = args.fmt or "table"
     if args.suite is None:
         names = list(verify_mod.DEFAULT_SUITES)
@@ -315,7 +333,7 @@ def _run_verify(args, quiver, hw, order, threads):
         if name not in verify_mod.SUITES:
             raise QuiverError(f"unknown suite {name!r}; known: "
                               f"{', '.join(sorted(verify_mod.SUITES))}")
-    ctx = verify_mod.VerifyContext(quiver, hw, args.max_height, order, threads)
+    ctx = verify_mod.VerifyContext(quiver, hw, args.max_height, order)
     results = verify_mod.run_suites(ctx, names)
     failed = any(not r.passed for r in results)
     if fmt == "json":

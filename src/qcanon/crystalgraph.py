@@ -47,7 +47,7 @@ def t_stat(module, cb, b, i):
 def _image_rows(module, cb, nu, i, r):
     """Coordinate rows of F_i^(r) applied to every spanning monomial one
     i-string step down, cached on the basis object."""
-    cache = _graph_cache(cb).setdefault("images", {})
+    cache = cb.graph_cache.setdefault("images", {})
     key = (nu, i, r)
     hit = cache.get(key)
     if hit is not None:
@@ -62,25 +62,23 @@ def _image_rows(module, cb, nu, i, r):
     return rows, rank
 
 
-def _graph_cache(cb):
-    if not hasattr(cb, "_crystal_cache"):
-        cb._crystal_cache = {}
-    return cb._crystal_cache
+def expand_in_cb(elems, coords):
+    """Coefficients of a weight vector against the canonical basis elements.
 
-
-def expand_in_cb(module, cb, nu, vector):
-    """Coefficients of a weight vector against the canonical basis at nu."""
-    elems = cb.elements(nu)
+    ``coords`` are the vector's weight-space coordinates; the result x
+    satisfies sum_t x_t elems[t].coords = coords.  The canonical basis is a
+    basis, so a singular or inconsistent system is an internal error.
+    """
     r = len(elems)
-    coords = list(module.coordinates(vector, nu))
+    if len(coords) != r:
+        raise ValueError("vector does not live in the spanned weight space")
     if r == 0:
-        if any(coords):
-            raise InternalCheckError("nonzero vector in a rank-0 space")
         return []
     rows = [[elems[t].coords[s] for t in range(r)] for s in range(r)]
     sol = rf_solve(rows, coords)
     if sol is None:
-        raise InternalCheckError("canonical basis coordinate matrix singular")
+        raise InternalCheckError(
+            "canonical basis coordinate system is singular or inconsistent")
     return sol
 
 
@@ -100,8 +98,8 @@ def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
         raise GraphError("pi_arrow seed must have t_i = 0")
     target = tuple(x + (t if k == i else 0) for k, x in enumerate(bprime.content))
     image = module.apply_F(i, t, bprime.vector)
-    coeffs = expand_in_cb(module, cb, target, image)
     elems = cb.elements(target)
+    coeffs = expand_in_cb(elems, module.coordinates(image, target))
     leader = None
     for pos, c in enumerate(coeffs):
         if not c:
@@ -179,7 +177,7 @@ def build_left_graph(module, cb):
 def sbar(module, cb, graph, nu, pos, order):
     """Admissible path of the element: repeatedly take the arrow whose
     color is maximal in the vertex order among the colors with t_i > 0."""
-    cache = _graph_cache(cb).setdefault(("sbar", tuple(order)), {})
+    cache = cb.graph_cache.setdefault(("sbar", tuple(order)), {})
     key = (nu, pos)
     hit = cache.get(key)
     if hit is not None:

@@ -15,7 +15,6 @@ computation raises ExactDivisionError and means a genuine bug.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -117,11 +116,10 @@ class WeightSpaceModel:
 class HighestWeightModule:
     """Exact model of L(Lambda) for one quiver and dominant weight."""
 
-    def __init__(self, quiver, hw, spanning_cap=200000, threads=1):
+    def __init__(self, quiver, hw, spanning_cap=200000):
         self.quiver = quiver
         self.hw = hw
         self.spanning_cap = spanning_cap
-        self.threads = threads
         self._e_cache = {}
         self._pair = {}
         self._spanning = {}
@@ -212,21 +210,6 @@ class HighestWeightModule:
         k = sign * self.coroot_pairing(u.content, i)
         return u.scale(LaurentPoly.v_power(k))
 
-    def act(self, x, u):
-        """Left action of a word-algebra element on a module vector."""
-        content = cartan.vec_add(x.content, u.content)
-        out = {}
-        for wx, cx in x.terms.items():
-            for wu, cu in u.terms.items():
-                w, scal = concat_words(wx, wu)
-                c = cx * cu * scal
-                s = out.get(w, ZERO) + c
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return ModuleVector(content, out)
-
     # -- contravariant form ----------------------------------------------
 
     def pair_words(self, w1, w2):
@@ -306,18 +289,7 @@ class HighestWeightModule:
 
     def _gram(self, spanning):
         n = len(spanning)
-        if self.threads > 1 and n > 1:
-            jobs = [(s, t) for s in range(n) for t in range(n)]
-
-            def work(st):
-                s, t = st
-                return self.pair_words(spanning[s], spanning[t])
-
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                vals = list(pool.map(work, jobs))
-            rows = [[vals[s * n + t] for t in range(n)] for s in range(n)]
-        else:
-            rows = [[self.pair_words(ws, wt) for wt in spanning] for ws in spanning]
+        rows = [[self.pair_words(ws, wt) for wt in spanning] for ws in spanning]
         for s in range(n):
             for t in range(s + 1, n):
                 if rows[s][t] != rows[t][s]:

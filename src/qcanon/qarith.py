@@ -715,8 +715,8 @@ def rf_rank(rows):
 
 
 def rf_solve(rows, rhs):
-    """Solve A x = b over Q(v).  Returns a list of RatFunc or None when the
-    system is inconsistent; free variables (if any) are set to zero."""
+    """Solve A x = b over Q(v).  Returns the solution as a list of RatFunc,
+    or None when the system is inconsistent or its solution is not unique."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     if m != len(rhs):
@@ -724,6 +724,8 @@ def rf_solve(rows, rhs):
     aug = [_clear_row(list(rows[i]) + [rhs[i]]) for i in range(m)]
     ech, pivots = lp_echelon(aug)
     pivots = [(r, c) for r, c in pivots if c < n]
+    if len(pivots) < n:
+        return None
     used_rows = {r for r, _ in pivots}
     for r in range(m):
         if r not in used_rows and ech[r][n]:

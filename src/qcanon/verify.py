@@ -48,12 +48,12 @@ class SuiteResult:
 class VerifyContext:
     """Shared lazily-built state for the suites of one datum."""
 
-    def __init__(self, quiver, hw, max_height, order=None, threads=1):
+    def __init__(self, quiver, hw, max_height, order=None):
         self.quiver = quiver
         self.hw = hw
         self.max_height = max_height
         self.order = tuple(order) if order is not None else tuple(range(quiver.n))
-        self.module = HighestWeightModule(quiver, hw, threads=threads)
+        self.module = HighestWeightModule(quiver, hw)
         self._cb = None
         self._graph = None
 
@@ -595,9 +595,7 @@ SUITES = {
     "crystal": suite_crystal,
 }
 
-DEFAULT_SUITES = ("relations", "serre", "contravariance", "derivation",
-                  "coproduct", "counts", "barinv", "orthogonality",
-                  "triangularity", "crystal")
+DEFAULT_SUITES = tuple(SUITES)
 
 
 def run_suites(ctx, names):

@@ -125,6 +125,80 @@ def test_cache_round_trip(qfile, capsys, tmp_path):
     assert out != "tampered\n" and json.loads(out)
 
 
+@pytest.mark.parametrize("content", [
+    "[]",
+    '{"version": "0.1.0", "entries": []}',
+    '{"version": 1, "entries": {}}',
+    '{"entries": {}}',
+    "null",
+    "{not json",
+    "",
+], ids=["list", "entries-list", "version-int", "no-version", "null",
+        "unparsable", "empty"])
+def test_corrupt_cache_is_reported_and_rewritten(qfile, capsys, tmp_path, content):
+    path = qfile(A2ADJ)
+    code, fresh, _ = run_cli(capsys, "basis", "--quiver", path, "--max-height", "2")
+    assert code == 0
+    cache = tmp_path / "cache.json"
+    cache.write_text(content)
+    code, out, err = run_cli(capsys, "basis", "--quiver", path,
+                             "--max-height", "2", "--cache", str(cache))
+    assert code == 0
+    assert out == fresh
+    assert "warning: cache file" in err
+    store = json.loads(cache.read_text())
+    assert store["version"] == cli.__version__
+    (entry,) = store["entries"].values()
+    assert entry["payload"] == fresh
+    # the rewritten store is served without a warning
+    code, out, err = run_cli(capsys, "basis", "--quiver", path,
+                             "--max-height", "2", "--cache", str(cache))
+    assert (code, out, err) == (0, fresh, "")
+
+
+def test_malformed_cache_entry_is_recomputed(qfile, capsys, tmp_path):
+    path = qfile(A2ADJ)
+    cache = tmp_path / "cache.json"
+    code, fresh, _ = run_cli(capsys, "basis", "--quiver", path,
+                             "--max-height", "2", "--cache", str(cache))
+    store = json.loads(cache.read_text())
+    (key,) = store["entries"]
+    for entry in ([], {"key": store["entries"][key]["key"]}):
+        store["entries"][key] = entry
+        cache.write_text(json.dumps(store))
+        code, out, _ = run_cli(capsys, "basis", "--quiver", path,
+                               "--max-height", "2", "--cache", str(cache))
+        assert (code, out) == (0, fresh)
+        assert json.loads(cache.read_text())["entries"][key]["payload"] == fresh
+
+
+def test_failed_cache_write_keeps_previous_file(qfile, capsys, tmp_path, monkeypatch):
+    path = qfile(A2ADJ)
+    cache = tmp_path / "cache.json"
+    code, _, _ = run_cli(capsys, "basis", "--quiver", path,
+                         "--max-height", "2", "--cache", str(cache))
+    assert code == 0
+    before = cache.read_bytes()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"version": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["basis", "--quiver", path, "--max-height", "3",
+                  "--cache", str(cache)])
+    assert cache.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "q.json"]
+
+
+def test_threads_flag_is_an_accepted_no_op(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["dims", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--threads THREADS accepted for compatibility and ignored" in help_text
+
+
 def test_graph_dot_invariant_under_order_override(qfile, capsys):
     path = qfile(A2ADJ)
     code, dot1, _ = run_cli(capsys, "graph", "--quiver", path, "--max-height", "4")

@@ -229,3 +229,38 @@ def test_dot_export_is_deterministic_and_wellformed(a2_adjoint):
     for line in body:
         assert line.startswith('  "') and line.endswith(";")
     assert dot1.count('->') == len(g.arrows)
+
+
+# -- string-length oracle ----------------------------------------------------------
+
+A3_Q = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
+        "highest_weight": {"1": 1, "2": 0, "3": 1}}
+KRON_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 2,
+          "highest_weight": {"1": 1, "2": 0}}
+KRON3_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
+           "highest_weight": {"1": 1, "2": 0}}
+A2_ADJ_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]],
+            "highest_weight": {"1": 1, "2": 1}}
+
+
+@pytest.mark.parametrize("data,hmax", [(A2_ADJ_Q, 5), (A3_Q, 5), (KRON_Q, 6),
+                                       (KRON3_Q, 5)],
+                         ids=["a2_adjoint", "a3", "kronecker", "kronecker3"])
+def test_string_length_axiom(data, hmax):
+    # Kashiwara's string axiom, independent of the t_i membership test: an
+    # element b heading its i-string (t_i(b) = 0) has a t-th arrow image
+    # iff 1 <= t <= <wt b, alpha_i^vee>.  Only t reaching a computed content
+    # can be checked.
+    m, cb = build(parse_quiver_dict(data), hmax)
+    cases = 0
+    for nu in cb.contents():
+        for b in cb.elements(nu):
+            for i in range(m.quiver.n):
+                if cg.t_stat(m, cb, b, i) != 0:
+                    continue
+                length = m.coroot_pairing(nu, i)
+                for t in range(1, hmax - sum(nu) + 1):
+                    hit = cg.pi_arrow(m, cb, i, t, b, missing_ok=True)
+                    assert (hit is not None) == (t <= length), (nu, i, t)
+                    cases += 1
+    assert cases > 0

@@ -1,8 +1,9 @@
 """Output bytes pinned by sha256.
 
-The digests were recorded from `qcanon basis` and `qcanon graph --format
-json` before the weight-space elimination was rewritten; every later change
-that is meant to keep the output must keep these bytes.
+The `basis` and `graph --format json` digests were recorded before the
+weight-space elimination was rewritten, the `dims` and `verify` digests
+before the Gram thread pool was deleted; every later change that is meant
+to keep the output must keep these bytes.
 """
 
 import hashlib
@@ -35,6 +36,12 @@ GOLDEN = [
      "a6076b4c18d9343f264c0d15d8f483dd51b844a20f322ebd75c942bf1db7c768"),
     ("kronecker3", 5, ("graph", "--format", "json"),
      "3a83d25b294804032fd9eb738bfe265a05d4cdd1250cf7b5c8b87851e212e4c2"),
+    ("kronecker", 8, ("dims", "--format", "json"),
+     "dfb4bf2acc974ef19ba18bb16402cdfdd5ba541268c1c5b6732f21c4873b7504"),
+    ("a2_adjoint", 6, ("dims", "--format", "json"),
+     "f84aea3310d2daa2bc56fdc638c63584e279492827e405fa7b93a4884fede567"),
+    ("kronecker3", 4, ("verify", "--format", "json"),
+     "7ee67a819d0e1e0fcf92daa8a173e813a2f74e1018d3b11b5628119ed6a97ca9"),
 ]
 
 

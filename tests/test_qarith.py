@@ -186,6 +186,8 @@ def test_solve_identity_and_inconsistent():
     assert sol == [rf(qint(2)), rf(ZERO)]
     bad = [[rf(ONE), rf(ONE)], [rf(ONE), rf(ONE)]]
     assert rf_solve(bad, [rf(ONE), rf(ZERO)]) is None
+    # consistent but singular: the solution is not unique
+    assert rf_solve(bad, [rf(ONE), rf(ONE)]) is None
 
 
 def int_rank_mod_p(rows, a):
