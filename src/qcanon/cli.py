@@ -19,7 +19,7 @@ from . import cartan
 from .cartan import QuiverError, load_quiver
 from .qarith import LaurentPoly
 from .uminus import word_str
-from .hwmodule import HighestWeightModule, ResourceCapError
+from .hwmodule import HighestWeightModule, ResourceCapError, check_content_count
 from .canonical import CanonicalBasis, transition_matrix
 from . import crystalgraph as cg
 from . import verify as verify_mod
@@ -47,7 +47,8 @@ def build_parser():
                        help="comma-separated vertex ids fixing the path order")
         c.add_argument("--format", dest="fmt", default=None,
                        choices=["json", "dot", "table"])
-        c.add_argument("--cache", default=None, help="path to the result cache file")
+        c.add_argument("--cache", default=None,
+                       help="path to the result cache file (not verify)")
         c.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility and ignored")
         c.add_argument("--suite", default=None,
@@ -68,9 +69,15 @@ def main(argv=None):
 
 
 def run(args):
+    if args.command == "verify":
+        if args.cache is not None:
+            raise QuiverError("verify does not use --cache")
+    elif args.suite is not None:
+        raise QuiverError(f"{args.command} does not use --suite (verify only)")
     quiver, hw = load_quiver(args.quiver)
     if args.max_height < 0:
         raise QuiverError("--max-height must be >= 0")
+    check_content_count(quiver.n, args.max_height)
     order = _parse_order(quiver, args.order)
     fmt = args.fmt
     if args.command == "dims":
@@ -175,7 +182,13 @@ def _cached_emit(args, quiver, hw, order, fmt, producer):
         return EXIT_OK
     payload = producer()
     store["entries"][key] = {"key": datum, "payload": payload}
-    _write_store(args.cache, store)
+    try:
+        _write_store(args.cache, store)
+    except OSError as exc:
+        # the result is computed; a cache that cannot be written only costs
+        # the next run a recomputation
+        print(f"warning: cache file {args.cache} not written ({exc})",
+              file=sys.stderr)
     sys.stdout.write(payload)
     return EXIT_OK
 
@@ -215,7 +228,7 @@ def _dims_payload(quiver, hw, order, hmax, fmt):
         fr = module.freudenthal_multiplicity(nu)
         rows.append({
             "content": cartan.content_to_dict(quiver, nu),
-            "spanning": len(ws.spanning),
+            "spanning": len(module.spanning_words(nu)),
             "rank": ws.rank,
             "freudenthal": fr,
             "agree": ws.rank == fr,
@@ -325,6 +338,8 @@ def _graph_payload(quiver, hw, order, hmax, fmt):
 
 def _run_verify(args, quiver, hw, order):
     fmt = args.fmt or "table"
+    if fmt == "dot":
+        raise QuiverError("verify has no dot format")
     if args.suite is None:
         names = list(verify_mod.DEFAULT_SUITES)
     else:

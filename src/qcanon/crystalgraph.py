@@ -45,8 +45,8 @@ def t_stat(module, cb, b, i):
 
 
 def _image_rows(module, cb, nu, i, r):
-    """Coordinate rows of F_i^(r) applied to every spanning monomial one
-    i-string step down, cached on the basis object."""
+    """Coordinate rows of F_i^(r) applied to the basis words one i-string
+    step down (they span that weight space), cached on the basis object."""
     cache = cb.graph_cache.setdefault("images", {})
     key = (nu, i, r)
     hit = cache.get(key)
@@ -54,7 +54,7 @@ def _image_rows(module, cb, nu, i, r):
         return hit
     low = tuple(x - (r if k == i else 0) for k, x in enumerate(nu))
     rows = []
-    for m in module.spanning_words(low):
+    for m in module.weight_space(low).basis:
         vec = module.apply_F(i, r, module.monomial_vector(m))
         rows.append(list(module.coordinates(vec, nu)))
     rank = rf_rank(rows) if rows else 0

@@ -4,10 +4,23 @@ A ``ModuleVector`` is a content-homogeneous combination of words applied to
 the highest weight vector.  ``HighestWeightModule`` carries the operator
 actions E_i, F_i^(n), K_i^{+-}, the contravariant bilinear form normalized
 by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
-(spanning monomials, Gram matrix, and one fraction-free symmetric
+(a candidate spanning set, its Gram matrix, and one fraction-free symmetric
 elimination of it that yields the basis, the rank and the factor every
 word's coordinates are solved from), and an independent Freudenthal
 multiplicity oracle driven by Peterson's root-multiplicity recursion.
+
+The module is generated from v_L by the divided powers, so
+L_nu = sum_{i, a} F_i^(a) L_{nu - a alpha_i}, and the weight space of nu is
+spanned by the candidates F_i^(a) b, with 1 <= a <= nu_i and b a basis word
+of nu - a alpha_i that does not start with vertex i.  Their number grows
+with the module, not with the number of normalized words of nu.  The basis
+is still the greedy prefix of independent words in ``spanning_words``
+order: a word (i, a) w' whose tail w' is not a basis word of
+nu - a alpha_i lies in the span of earlier words of nu, namely F_i^(a)
+applied to earlier words of the lower content, where an earlier word
+starting with (i, b) turns into the word (i, a + b) ..., and higher
+multiplicities sort first.  So every greedy basis word is a candidate, and
+the greedy prefix of the candidates in the same order is the same basis.
 
 Everything is exact; a non-polynomial value surfacing anywhere in the form
 computation raises ExactDivisionError and means a genuine bug.
@@ -15,6 +28,7 @@ computation raises ExactDivisionError and means a genuine bug.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +44,19 @@ class ResourceCapError(RuntimeError):
 
 class InternalCheckError(AssertionError):
     """An exact-arithmetic self-check failed; escalate, do not fall back."""
+
+
+# Most contents of height <= max height a run may enumerate.
+CONTENT_CAP = 100_000
+
+
+def check_content_count(n, hmax):
+    """Raise ResourceCapError when n vertices have more than CONTENT_CAP
+    contents of height <= hmax (there are C(hmax + n, n) of them)."""
+    count = math.comb(hmax + n, n)
+    if count > CONTENT_CAP:
+        raise ResourceCapError(
+            f"{count} contents up to height {hmax} exceed cap {CONTENT_CAP}")
 
 
 class ModuleVector:
@@ -99,15 +126,20 @@ class ModuleVector:
 class WeightSpaceModel:
     """Selected monomial model of one weight space.
 
-    ``factor`` is the upper triangle of the fraction-free symmetric
-    elimination of the Gram matrix, restricted to the basis columns (see
-    ``qarith.lp_sym_echelon``); word coordinates are solved from it.
+    ``spanning`` is the candidate spanning set (F_i^(a) applied to the basis
+    words of each nu - a alpha_i, in ``spanning_words`` order; see the
+    module docstring), ``gram`` its Gram matrix, and ``basis`` the words
+    the greedy prefix of that Gram keeps, which is the greedy-prefix basis
+    of all normalized words of nu.  ``factor`` is the upper triangle of the
+    fraction-free symmetric elimination of the Gram matrix, restricted to
+    the basis columns (see ``qarith.lp_sym_echelon``); word coordinates are
+    solved from it.
     """
 
     content: tuple
     spanning: list
     gram: list
-    basis_index: list
+    basis: list
     rank: int
     factor: list
     _word_coords: dict = field(default_factory=dict, repr=False)
@@ -257,7 +289,12 @@ class HighestWeightModule:
 
     def spanning_words(self, nu):
         """All normalized words of content nu; vertex order lexicographic,
-        higher multiplicities first."""
+        higher multiplicities first.
+
+        The weight-space build does not read this list; it serves the
+        ``dims`` spanning count, the pairing rows behind the canonical
+        element ids, and the zero test.
+        """
         nu = tuple(nu)
         hit = self._spanning.get(nu)
         if hit is not None:
@@ -287,6 +324,20 @@ class HighestWeightModule:
         self._spanning[nu] = out
         return out
 
+    def _candidates(self, nu):
+        """F_i^(a) applied to the basis words of every nu - a alpha_i,
+        sorted like ``spanning_words``; [()] at nu = 0."""
+        if not any(nu):
+            return [EMPTY_WORD]
+        out = []
+        for i, top in enumerate(nu):
+            for a in range(1, top + 1):
+                low = nu[:i] + (top - a,) + nu[i + 1:]
+                out.extend(((i, a),) + b for b in self.weight_space(low).basis
+                           if not b or b[0][0] != i)
+        out.sort(key=lambda w: [(i, -a) for i, a in w])
+        return out
+
     def _gram(self, spanning):
         n = len(spanning)
         rows = [[self.pair_words(ws, wt) for wt in spanning] for ws in spanning]
@@ -304,7 +355,7 @@ class HighestWeightModule:
             return hit
         if any(x < 0 for x in nu):
             raise ValueError(f"content {nu} has negative entries")
-        spanning = self.spanning_words(nu)
+        spanning = self._candidates(nu)
         gram = self._gram(spanning)
         try:
             sel, factor = lp_sym_echelon(gram)
@@ -313,7 +364,8 @@ class HighestWeightModule:
             # self-pairing must force the whole pairing row to vanish
             raise InternalCheckError(
                 f"isotropic nonzero row in Gram matrix at {nu}; form degeneracy") from exc
-        model = WeightSpaceModel(nu, spanning, gram, sel, len(sel), factor)
+        model = WeightSpaceModel(nu, spanning, gram, [spanning[s] for s in sel],
+                                 len(sel), factor)
         self._spaces[nu] = model
         return model
 
@@ -353,7 +405,7 @@ class HighestWeightModule:
         if space.rank == 0:
             coords = ()
         else:
-            rhs = [self.pair_words(word, space.spanning[t]) for t in space.basis_index]
+            rhs = [self.pair_words(word, b) for b in space.basis]
             sol = lp_sym_solve(space.factor, rhs)
             if sol is None:
                 raise InternalCheckError("basis Gram matrix is singular")
@@ -485,7 +537,7 @@ def weight_space_report(module, nu):
         "content": cartan.content_to_dict(q, nu),
         "spanning_count": len(space.spanning),
         "rank": space.rank,
-        "basis": [word_str(space.spanning[t], q) for t in space.basis_index],
+        "basis": [word_str(w, q) for w in space.basis],
         "gram": [[entry.to_terms() for entry in row] for row in space.gram],
     }
 

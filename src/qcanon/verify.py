@@ -19,7 +19,7 @@ from .cartan import contents_of_height, contents_up_to, unit_vector, vec_add, ve
 from .uminus import (UMinusElement, EMPTY_WORD, concat_words, word_content,
                      word_str, restriction_coproduct, rbar, ibar,
                      rbar_derivation, ibar_derivation)
-from .hwmodule import HighestWeightModule, ModuleVector
+from .hwmodule import HighestWeightModule, ModuleVector, check_content_count
 from .canonical import CanonicalBasis, verify_bar_invariant, transition_matrix
 from . import crystalgraph as cg
 
@@ -49,6 +49,7 @@ class VerifyContext:
     """Shared lazily-built state for the suites of one datum."""
 
     def __init__(self, quiver, hw, max_height, order=None):
+        check_content_count(quiver.n, max_height)
         self.quiver = quiver
         self.hw = hw
         self.max_height = max_height
@@ -71,7 +72,7 @@ class VerifyContext:
 
     def basis_vectors(self, nu):
         ws = self.module.weight_space(nu)
-        return [self.module.monomial_vector(ws.spanning[t]) for t in ws.basis_index]
+        return [self.module.monomial_vector(w) for w in ws.basis]
 
     def all_contents(self):
         return contents_up_to(self.quiver.n, self.max_height)

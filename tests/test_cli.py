@@ -5,7 +5,10 @@ import os
 import pytest
 
 from qcanon import cli
-from qcanon.hwmodule import HighestWeightModule
+from qcanon.cartan import parse_quiver_dict
+from qcanon.hwmodule import (CONTENT_CAP, HighestWeightModule, ResourceCapError,
+                             check_content_count)
+from qcanon.verify import VerifyContext
 
 
 A1D3 = {"vertices": ["1"], "edges": [], "highest_weight": {"1": 3}}
@@ -184,12 +187,61 @@ def test_failed_cache_write_keeps_previous_file(qfile, capsys, tmp_path, monkeyp
         fh.write('{"version": ')
         raise OSError("disk full")
 
+    code, fresh, _ = run_cli(capsys, "basis", "--quiver", path, "--max-height", "3")
+    assert code == 0
     monkeypatch.setattr(cli.json, "dump", broken_dump)
-    with pytest.raises(OSError, match="disk full"):
-        cli.main(["basis", "--quiver", path, "--max-height", "3",
-                  "--cache", str(cache)])
+    code, out, err = run_cli(capsys, "basis", "--quiver", path, "--max-height", "3",
+                             "--cache", str(cache))
+    assert (code, out) == (0, fresh)
+    assert "warning: cache file" in err and "disk full" in err
     assert cache.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json", "q.json"]
+
+
+def test_unwritable_cache_still_prints_the_result(qfile, capsys, tmp_path):
+    path = qfile(A2ADJ)
+    code, fresh, _ = run_cli(capsys, "dims", "--quiver", path, "--max-height", "3")
+    assert code == 0
+    cache = tmp_path / "no" / "such" / "dir" / "c.json"
+    code, out, err = run_cli(capsys, "dims", "--quiver", path, "--max-height", "3",
+                             "--cache", str(cache))
+    assert (code, out) == (0, fresh)
+    assert "warning: cache file" in err and "Traceback" not in err
+    assert not cache.parent.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--cache", "vc.json"), "--cache"),
+    (("verify", "--format", "dot"), "dot"),
+    (("dims", "--suite", "counts"), "--suite"),
+    (("basis", "--suite", "counts"), "--suite"),
+    (("graph", "--suite", "counts"), "--suite"),
+], ids=["verify-cache", "verify-dot", "dims-suite", "basis-suite", "graph-suite"])
+def test_unused_options_are_rejected(qfile, capsys, tmp_path, monkeypatch,
+                                     argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv[0], "--quiver", qfile(A2ADJ),
+                             "--max-height", "2", *argv[1:])
+    assert code == 2 and not out
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "vc.json").exists()
+
+
+def test_content_enumeration_cap_exits_3(qfile, capsys):
+    d4 = {"vertices": ["c", "1", "2", "3"],
+          "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+          "highest_weight": {"c": 1}}
+    for command in ("dims", "basis", "graph", "verify"):
+        code, out, err = run_cli(capsys, command, "--quiver", qfile(d4),
+                                 "--max-height", "1000")
+        assert code == 3 and not out
+        assert "resource cap" in err and "contents" in err
+    # the cap counts contents exactly: C(hmax + n, n) of them
+    check_content_count(1, CONTENT_CAP - 1)
+    with pytest.raises(ResourceCapError):
+        check_content_count(1, CONTENT_CAP)
+    with pytest.raises(ResourceCapError):
+        VerifyContext(*parse_quiver_dict(d4), 1000)
 
 
 def test_threads_flag_is_an_accepted_no_op(capsys):

@@ -2,8 +2,9 @@
 
 The `basis` and `graph --format json` digests were recorded before the
 weight-space elimination was rewritten, the `dims` and `verify` digests
-before the Gram thread pool was deleted; every later change that is meant
-to keep the output must keep these bytes.
+before the Gram thread pool was deleted, and the D4 and A3 `basis` digests
+before the weight spaces were built from candidate spanning sets; every
+later change that is meant to keep the output must keep these bytes.
 """
 
 import hashlib
@@ -20,6 +21,11 @@ DATA = {
                   "highest_weight": {"1": 1, "2": 0}},
     "kronecker3": {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
                    "highest_weight": {"1": 1, "2": 0}},
+    "d4": {"vertices": ["c", "1", "2", "3"],
+           "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+           "highest_weight": {"c": 1, "1": 0, "2": 0, "3": 0}},
+    "a3": {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
+           "highest_weight": {"1": 1, "2": 0, "3": 1}},
 }
 
 # (datum, max height, subcommand arguments) -> sha256 of stdout
@@ -42,6 +48,10 @@ GOLDEN = [
      "f84aea3310d2daa2bc56fdc638c63584e279492827e405fa7b93a4884fede567"),
     ("kronecker3", 4, ("verify", "--format", "json"),
      "7ee67a819d0e1e0fcf92daa8a173e813a2f74e1018d3b11b5628119ed6a97ca9"),
+    ("d4", 4, ("basis",),
+     "41bc31319e0c395a4d5a09a5b566a31f942ddb577562500e7ea322e28c51e328"),
+    ("a3", 5, ("basis",),
+     "bc2c75802bad0e571dd06861cb1a6ebe5e61d878f28eafd6df2ba45f1dd5bd81"),
 ]
 
 

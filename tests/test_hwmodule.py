@@ -120,11 +120,12 @@ def test_form_is_symmetric(a2_adjoint, kronecker):
     for q, hw in (a2_adjoint, kronecker):
         m = HighestWeightModule(q, hw)
         for nu in contents_up_to(q.n, 4):
-            ws = m.weight_space(nu)
-            n = len(ws.spanning)
+            words = m.spanning_words(nu)
+            gram = [[m.pair_words(s, t) for t in words] for s in words]
+            n = len(words)
             for s in range(n):
                 for t in range(n):
-                    assert ws.gram[s][t] == ws.gram[t][s]
+                    assert gram[s][t] == gram[t][s]
 
 
 def test_contravariance_on_random_pairs(a2_adjoint):
@@ -214,8 +215,8 @@ def test_integrability_bounds(a2_adjoint):
     m = HighestWeightModule(q, hw)
     for nu in contents_up_to(2, 3):
         ws = m.weight_space(nu)
-        for t in ws.basis_index:
-            u = m.monomial_vector(ws.spanning[t])
+        for w in ws.basis:
+            u = m.monomial_vector(w)
             for i in range(2):
                 bound = max(m.coroot_pairing(nu, i), 0) + nu[i]
                 assert m.is_zero_vector(m.apply_F(i, bound + 1, u))
@@ -289,10 +290,20 @@ def test_serre_elements_annihilate_the_module(a2_adjoint, kronecker):
                 rel = serre_element(q, i, j)
                 for nu in contents_up_to(2, 3):
                     ws = m.weight_space(nu)
-                    for t in ws.basis_index:
-                        u = m.monomial_vector(ws.spanning[t])
+                    for w in ws.basis:
+                        u = m.monomial_vector(w)
                         x = mono_mul(q, rel, u)
                         assert m.is_zero_vector(ModuleVector(x.content, x.terms))
+
+
+def test_weight_spaces_pair_only_candidate_words(a2_adjoint):
+    # the Gram matrices run over F_i^(a)-images of the lower bases: 154
+    # memoized pairings here, against 250,952 for a Gram over every word
+    q, hw = a2_adjoint
+    m = HighestWeightModule(q, hw)
+    for nu in contents_up_to(2, 10):
+        m.weight_space(nu)
+    assert len(m._pair) < 1000
 
 
 def test_resource_cap(kronecker):
@@ -323,6 +334,11 @@ ELIMINATION_DATA = {
                    "highest_weight": {"1": 1, "2": 0}}, 6),
     "kronecker3": ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
                     "highest_weight": {"1": 1, "2": 0}}, 6),
+    "d4": ({"vertices": ["c", "1", "2", "3"],
+            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+            "highest_weight": {"c": 1}}, 5),
+    "a3": ({"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
+            "highest_weight": {"1": 1, "3": 1}}, 5),
 }
 
 
@@ -334,22 +350,25 @@ def test_elimination_matches_reference_on_every_spanning_word(name):
     rf = RatFunc.from_laurent
     for nu in contents_up_to(q.n, hmax):
         space = m.weight_space(nu)
+        # the reference Gram matrix over every normalized word of nu
+        words = m.spanning_words(nu)
+        gram = [[m.pair_words(s, t) for t in words] for s in words]
         # the rank agrees with a plain Bareiss echelon of the whole Gram matrix
-        assert lp_rank(space.gram) == space.rank == len(space.basis_index)
-        # the basis is the greedy prefix: s is kept iff its Gram row raises
-        # the rank of the rows kept before it
-        kept = []
-        for s, row in enumerate(space.gram):
-            raises = lp_rank(kept + [row]) > len(kept)
-            assert (s in space.basis_index) == raises
-            if raises:
+        assert lp_rank(gram) == space.rank == len(space.basis)
+        # the basis is the greedy prefix of all words: s is kept iff its
+        # Gram row raises the rank of the rows kept before it
+        kept, prefix = [], []
+        for w, row in zip(words, gram):
+            if lp_rank(kept + [row]) > len(kept):
                 kept.append(row)
+                prefix.append(w)
+        assert space.basis == prefix
         # every word's coordinates equal the rf_solve reference on G_B
-        basis = space.basis_index
-        gb = [[rf(space.gram[s][t]) for t in basis] for s in basis]
-        for w in space.spanning:
+        basis = [words.index(b) for b in space.basis]
+        gb = [[rf(gram[s][t]) for t in basis] for s in basis]
+        for s, w in enumerate(words):
             expect = ()
             if basis:
-                rhs = [rf(m.pair_words(w, space.spanning[t])) for t in basis]
+                rhs = [rf(gram[s][t]) for t in basis]
                 expect = tuple(rf_solve(gb, rhs))
             assert m.word_coordinates(nu, w) == expect

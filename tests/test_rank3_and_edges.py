@@ -107,8 +107,8 @@ def test_coordinates_residual_pairs_to_zero(a2_adjoint):
             rhs = 0
             from qcanon.qarith import RatFunc
             acc = RatFunc.from_laurent(LaurentPoly(0))
-            for t, bidx in enumerate(space.basis_index):
-                g = m.pair_words(space.spanning[bidx], word)
+            for t, b in enumerate(space.basis):
+                g = m.pair_words(b, word)
                 acc = acc + coords[t] * RatFunc.from_laurent(g)
             assert acc == RatFunc.from_laurent(lhs)
 
