@@ -94,13 +94,14 @@ class CanonicalBasis:
                         continue
                     cand = mod.apply_F(i, t, parent.vector)
                     cand = self._orthogonalize(cand, accepted)
-                    if mod.is_zero_vector(cand):
+                    coords = mod.coordinates(cand)
+                    if not any(coords):
                         continue  # duplicate of an earlier seed
                     sp = mod.form(cand, cand)
                     if not sp.is_one_plus_lower():
                         raise CompletionError(
                             f"nonzero candidate at {nu} with self-pairing {sp}")
-                    elem = CBElement(nu, cand, mod.coordinates(cand),
+                    elem = CBElement(nu, cand, coords,
                                      (i, t, (low, parent_pos)), self_pairing=sp)
                     if not verify_bar_invariant(mod, elem):
                         raise CompletionError(

@@ -56,7 +56,7 @@ def _image_rows(module, cb, nu, i, r):
     rows = []
     for m in module.weight_space(low).basis:
         vec = module.apply_F(i, r, module.monomial_vector(m))
-        rows.append(list(module.coordinates(vec, nu)))
+        rows.append(list(module.coordinates(vec)))
     rank = rf_rank(rows) if rows else 0
     cache[key] = (rows, rank)
     return rows, rank
@@ -99,7 +99,7 @@ def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
     target = tuple(x + (t if k == i else 0) for k, x in enumerate(bprime.content))
     image = module.apply_F(i, t, bprime.vector)
     elems = cb.elements(target)
-    coeffs = expand_in_cb(elems, module.coordinates(image, target))
+    coeffs = expand_in_cb(elems, module.coordinates(image))
     leader = None
     for pos, c in enumerate(coeffs):
         if not c:
@@ -244,7 +244,7 @@ def monomial_basis(module, cb, graph, nu, order):
     paths = [path for _, _, path in items]
     vectors = [module.monomial_vector(tuple(path)) for path in paths]
     if vectors:
-        rows = [list(module.coordinates(vec, nu)) for vec in vectors]
+        rows = [list(module.coordinates(vec)) for vec in vectors]
         if rf_rank(rows) != len(vectors):
             raise GraphError(f"path monomials do not span at {nu}")
     return positions, paths, vectors

@@ -5,8 +5,8 @@ the highest weight vector.  ``HighestWeightModule`` carries the operator
 actions E_i, F_i^(n), K_i^{+-}, the contravariant bilinear form normalized
 by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
 (a candidate spanning set, its Gram matrix, and one fraction-free symmetric
-elimination of it that yields the basis, the rank and the factor every
-word's coordinates are solved from), and an independent Freudenthal
+elimination of it that yields the basis, the rank and the factor that
+vector coordinates are solved from), and an independent Freudenthal
 multiplicity oracle driven by Peterson's root-multiplicity recursion.
 
 The module is generated from v_L by the divided powers, so
@@ -22,6 +22,12 @@ starting with (i, b) turns into the word (i, a + b) ..., and higher
 multiplicities sort first.  So every greedy basis word is a candidate, and
 the greedy prefix of the candidates in the same order is the same basis.
 
+Inside the built range a vector is read through its coordinates: a basis
+word is its own unit vector, and the other words of the vector are solved
+together in one call against the factor.  ``is_zero_vector`` instead pairs
+against every normalized word of the content; ``verify`` uses it because
+it builds no weight space above the height bound.
+
 Everything is exact; a non-polynomial value surfacing anywhere in the form
 computation raises ExactDivisionError and means a genuine bug.
 """
@@ -29,7 +35,7 @@ computation raises ExactDivisionError and means a genuine bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .qarith import (LaurentPoly, ZERO, ONE, RatFunc, RF_ZERO, PivotBreakdown,
@@ -48,6 +54,8 @@ class InternalCheckError(AssertionError):
 
 # Most contents of height <= max height a run may enumerate.
 CONTENT_CAP = 100_000
+# Most normalized words ``spanning_words`` may enumerate at one content.
+SPANNING_CAP = 200_000
 
 
 def check_content_count(n, hmax):
@@ -132,8 +140,8 @@ class WeightSpaceModel:
     the greedy prefix of that Gram keeps, which is the greedy-prefix basis
     of all normalized words of nu.  ``factor`` is the upper triangle of the
     fraction-free symmetric elimination of the Gram matrix, restricted to
-    the basis columns (see ``qarith.lp_sym_echelon``); word coordinates are
-    solved from it.
+    the basis columns (see ``qarith.lp_sym_echelon``); the coordinates of
+    non-basis words are solved from it.
     """
 
     content: tuple
@@ -142,16 +150,14 @@ class WeightSpaceModel:
     basis: list
     rank: int
     factor: list
-    _word_coords: dict = field(default_factory=dict, repr=False)
 
 
 class HighestWeightModule:
     """Exact model of L(Lambda) for one quiver and dominant weight."""
 
-    def __init__(self, quiver, hw, spanning_cap=200000):
+    def __init__(self, quiver, hw):
         self.quiver = quiver
         self.hw = hw
-        self.spanning_cap = spanning_cap
         self._e_cache = {}
         self._pair = {}
         self._spanning = {}
@@ -301,14 +307,13 @@ class HighestWeightModule:
             return hit
         n = self.quiver.n
         out = []
-        cap = self.spanning_cap
 
         def rec(prefix, remaining, last):
             if not any(remaining):
                 out.append(tuple(prefix))
-                if len(out) > cap:
+                if len(out) > SPANNING_CAP:
                     raise ResourceCapError(
-                        f"spanning enumeration at {nu} exceeds cap {cap}")
+                        f"spanning enumeration at {nu} exceeds cap {SPANNING_CAP}")
                 return
             for i in range(n):
                 if i == last or remaining[i] == 0:
@@ -396,39 +401,37 @@ class HighestWeightModule:
             return self.is_zero_vector(u) and self.is_zero_vector(w)
         return self.is_zero_vector(u - w)
 
-    def word_coordinates(self, nu, word):
-        """Coordinates of one word against the weight-space basis."""
-        space = self.weight_space(nu)
-        hit = space._word_coords.get(word)
-        if hit is not None:
-            return hit
+    def coordinates(self, u):
+        """Coordinates of u in the basis of its weight space; empty tuple at
+        rank 0.
+
+        A basis word adds its coefficient to its own coordinate.  The other
+        words are solved together: their pairings with the basis words are
+        summed into one right-hand side for the Gram factor.  Two vectors
+        are equal in the module iff their coordinates agree.
+        """
+        space = self.weight_space(u.content)
         if space.rank == 0:
-            coords = ()
-        else:
-            rhs = [self.pair_words(word, b) for b in space.basis]
+            return ()
+        position = {b: t for t, b in enumerate(space.basis)}
+        out = [RF_ZERO] * space.rank
+        rhs = [ZERO] * space.rank
+        solve = False
+        for w, c in u.terms.items():
+            t = position.get(w)
+            if t is not None:
+                out[t] = out[t] + RatFunc.from_laurent(c)
+                continue
+            solve = True
+            for t, b in enumerate(space.basis):
+                p = self.pair_words(w, b)
+                if p:
+                    rhs[t] = rhs[t] + c * p
+        if solve:
             sol = lp_sym_solve(space.factor, rhs)
             if sol is None:
                 raise InternalCheckError("basis Gram matrix is singular")
-            coords = tuple(sol)
-        space._word_coords[word] = coords
-        return coords
-
-    def coordinates(self, u, nu=None):
-        """Coordinates of u in its weight-space basis; empty tuple at rank 0.
-
-        Two vectors are equal in the module iff their coordinates agree.
-        """
-        nu = u.content if nu is None else tuple(nu)
-        space = self.weight_space(nu)
-        if space.rank == 0:
-            return ()
-        out = [RF_ZERO] * space.rank
-        for w, c in u.terms.items():
-            wc = self.word_coordinates(nu, w)
-            cf = RatFunc.from_laurent(c)
-            for t in range(space.rank):
-                if wc[t]:
-                    out[t] = out[t] + cf * wc[t]
+            out = [o + x for o, x in zip(out, sol)]
         return tuple(out)
 
     # -- Freudenthal / Peterson oracle --------------------------------------
@@ -526,20 +529,6 @@ class HighestWeightModule:
             result = int(val)
         self._weight_mult[nu] = result
         return result
-
-
-def weight_space_report(module, nu):
-    """JSON-ready report of one weight-space model."""
-    from .uminus import word_str
-    space = module.weight_space(nu)
-    q = module.quiver
-    return {
-        "content": cartan.content_to_dict(q, nu),
-        "spanning_count": len(space.spanning),
-        "rank": space.rank,
-        "basis": [word_str(w, q) for w in space.basis],
-        "gram": [[entry.to_terms() for entry in row] for row in space.gram],
-    }
 
 
 def _proper_subvectors(beta):

@@ -250,8 +250,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly(1)
-V = LaurentPoly.v_power(1)
-VINV = LaurentPoly.v_power(-1)
 
 
 # -- dense helpers for division and gcd (exponents shifted to >= 0) -----

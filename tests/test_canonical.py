@@ -160,3 +160,35 @@ def test_completion_error_on_wrong_rank(a1_d3, monkeypatch):
     cb.store[(0,)] = cb._compute_content((0,))
     with pytest.raises(canonical.CompletionError):
         cb._compute_content((1,))
+
+
+# -- Lusztig's closed form in type A2 (independent oracle) ---------------------
+
+
+@pytest.mark.parametrize("hw", [(1, 1), (2, 1), (2, 2), (3, 3)])
+def test_a2_closed_form_monomials_are_the_canonical_basis(hw):
+    # Lusztig (J. AMS 1990): the canonical basis of U^- in type A2 is the
+    # set of F_i^(a) F_j^(b) F_i^(c) with b >= a + c, {i, j} = {1, 2}; its
+    # nonzero images on v are the canonical basis of L(Lambda).  Compared
+    # through the pairing zero test only, never through coordinates.
+    q, h = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]],
+                              "highest_weight": {"1": hw[0], "2": hw[1]}})
+    m, cb = build((q, h), 6)
+    monomials = {}
+    for i, j in [(0, 1), (1, 0)]:
+        for a in range(4):
+            for c in range(4 - a):
+                for b in range(a + c, 4):
+                    u = m.vacuum()
+                    for k, e in [(i, c), (j, b), (i, a)]:
+                        if e:
+                            u = m.apply_F(k, e, u)
+                    if not m.is_zero_vector(u):
+                        monomials.setdefault(u.content, []).append(u)
+    for nu in contents_up_to(2, 6):
+        if max(nu) > 3:
+            continue
+        vectors = [e.vector for e in cb.elements(nu)]
+        mono = monomials.get(nu, [])
+        assert all(any(m.vectors_equal(u, b) for b in vectors) for u in mono)
+        assert all(any(m.vectors_equal(u, b) for u in mono) for b in vectors)

@@ -1,10 +1,9 @@
-import functools
 import json
 import os
 
 import pytest
 
-from qcanon import cli
+from qcanon import cli, hwmodule
 from qcanon.cartan import parse_quiver_dict
 from qcanon.hwmodule import (CONTENT_CAP, HighestWeightModule, ResourceCapError,
                              check_content_count)
@@ -327,8 +326,7 @@ def test_verify_at_height_zero_passes(qfile, capsys):
 
 
 def test_resource_cap_exit_3(qfile, capsys, monkeypatch):
-    capped = functools.partial(HighestWeightModule, spanning_cap=1)
-    monkeypatch.setattr(cli, "HighestWeightModule", capped)
+    monkeypatch.setattr(hwmodule, "SPANNING_CAP", 1)
     code, _, err = run_cli(capsys, "dims", "--quiver", qfile(KRON),
                            "--max-height", "3")
     assert code == 3 and "cap" in err

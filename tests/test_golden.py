@@ -3,7 +3,8 @@
 The `basis` and `graph --format json` digests were recorded before the
 weight-space elimination was rewritten, the `dims` and `verify` digests
 before the Gram thread pool was deleted, and the D4 and A3 `basis` digests
-before the weight spaces were built from candidate spanning sets; every
+before the weight spaces were built from candidate spanning sets, and the
+D4 h=6 `basis` digest before the per-word coordinate memo was deleted; every
 later change that is meant to keep the output must keep these bytes.
 """
 
@@ -52,6 +53,8 @@ GOLDEN = [
      "41bc31319e0c395a4d5a09a5b566a31f942ddb577562500e7ea322e28c51e328"),
     ("a3", 5, ("basis",),
      "bc2c75802bad0e571dd06861cb1a6ebe5e61d878f28eafd6df2ba45f1dd5bd81"),
+    ("d4", 6, ("basis",),
+     "3d1803ff564d9cc87ca6266a6b9d2e7c1baefea9f61974c08151c216a088f77f"),
 ]
 
 

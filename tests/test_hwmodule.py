@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from qcanon.qarith import (LaurentPoly, RatFunc, ZERO, ONE, qint, qfact, qbinom,
-                           lp_rank, rf_solve)
+from qcanon.qarith import (LaurentPoly, RatFunc, ZERO, ONE, RF_ZERO, RF_ONE, qint,
+                           qfact, qbinom, lp_rank, rf_solve)
 from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
                            parse_quiver_dict)
-from qcanon.hwmodule import (HighestWeightModule, ModuleVector,
-                             ResourceCapError, weight_space_report)
+from qcanon import hwmodule
+from qcanon.hwmodule import HighestWeightModule, ModuleVector, ResourceCapError
 
 
 def vp(k):
@@ -306,22 +306,12 @@ def test_weight_spaces_pair_only_candidate_words(a2_adjoint):
     assert len(m._pair) < 1000
 
 
-def test_resource_cap(kronecker):
+def test_resource_cap(kronecker, monkeypatch):
     q, hw = kronecker
-    m = HighestWeightModule(q, hw, spanning_cap=3)
+    monkeypatch.setattr(hwmodule, "SPANNING_CAP", 3)
+    m = HighestWeightModule(q, hw)
     with pytest.raises(ResourceCapError):
         m.spanning_words((3, 3))
-
-
-def test_weight_space_report_schema(a2_adjoint):
-    q, hw = a2_adjoint
-    m = HighestWeightModule(q, hw)
-    rep = weight_space_report(m, (1, 1))
-    assert rep["content"] == {"1": 1, "2": 1}
-    assert rep["spanning_count"] == 2
-    assert rep["rank"] == 2
-    assert rep["basis"] == ["1^1.2^1", "2^1.1^1"]
-    assert rep["gram"][0][0] == [[-2, "1"], [0, "1"]]
 
 
 # -- the symmetric elimination against independent references -------------------
@@ -371,4 +361,24 @@ def test_elimination_matches_reference_on_every_spanning_word(name):
             if basis:
                 rhs = [rf(gram[s][t]) for t in basis]
                 expect = tuple(rf_solve(gb, rhs))
-            assert m.word_coordinates(nu, w) == expect
+            assert m.coordinates(m.monomial_vector(w)) == expect
+
+
+@pytest.mark.parametrize("name,hmax", [("kronecker", 6), ("kronecker3", 5)])
+def test_basis_word_coordinates_are_unit_vectors_without_a_solve(name, hmax,
+                                                                 monkeypatch):
+    # a basis word is read off directly; only other words reach the solver
+    q, hw = parse_quiver_dict(ELIMINATION_DATA[name][0])
+    m = HighestWeightModule(q, hw)
+    for nu in contents_up_to(q.n, hmax):
+        m.weight_space(nu)
+    solves = []
+    real = hwmodule.lp_sym_solve
+    monkeypatch.setattr(hwmodule, "lp_sym_solve",
+                        lambda *args: solves.append(args) or real(*args))
+    for nu in contents_up_to(q.n, hmax):
+        basis = m.weight_space(nu).basis
+        for t, b in enumerate(basis):
+            unit = tuple(RF_ONE if s == t else RF_ZERO for s in range(len(basis)))
+            assert m.coordinates(m.monomial_vector(b)) == unit
+    assert solves == []
