@@ -3,7 +3,9 @@
 All machine output is JSON (DOT for graphs) printed to stdout and built
 deterministically: identical configuration yields byte-identical bytes
 across runs and cache hits.  Exit codes: 0 success,
-1 verification failure, 2 input error, 3 resource cap exceeded.
+1 verification failure, 2 input error, 3 resource cap exceeded, 141
+(128 + SIGPIPE, as a shell reports it) when the reader closed stdout
+before the output was written.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141
 
 
 def build_parser():
@@ -59,13 +62,29 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return run(args)
+        code = run(args)
+        # flush here, so a closed stdout is seen inside this handler rather
+        # than at interpreter shutdown
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _detach_stdout()
+        return EXIT_PIPE
     except QuiverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+
+
+def _detach_stdout():
+    """Point the stdout descriptor at the null device, so the flush at
+    interpreter shutdown drops the unwritten output instead of raising
+    BrokenPipeError a second time."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def run(args):

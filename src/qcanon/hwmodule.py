@@ -24,9 +24,12 @@ the greedy prefix of the candidates in the same order is the same basis.
 
 Inside the built range a vector is read through its coordinates: a basis
 word is its own unit vector, and the other words of the vector are solved
-together in one call against the factor.  ``is_zero_vector`` instead pairs
-against every normalized word of the content; ``verify`` uses it because
-it builds no weight space above the height bound.
+together in one call against the factor.  ``is_zero_vector`` instead tests
+(u, u) = 0: the form is anisotropic on the Z[v, v^-1]-form of the module,
+so the self-pairing of a vector with Laurent coefficients vanishes only
+when the vector does.  It pairs the words of u among themselves, builds no
+weight space and enumerates no words, which is why ``verify`` uses it above
+the height bound.
 
 Everything is exact; a non-polynomial value surfacing anywhere in the form
 computation raises ExactDivisionError and means a genuine bug.
@@ -299,7 +302,8 @@ class HighestWeightModule:
 
         The weight-space build does not read this list; it serves the
         ``dims`` spanning count, the pairing rows behind the canonical
-        element ids, and the zero test.
+        element ids, and the word samples of the low-height ``verify``
+        suites.
         """
         nu = tuple(nu)
         hit = self._spanning.get(nu)
@@ -377,7 +381,12 @@ class HighestWeightModule:
     # -- membership, coordinates ------------------------------------------
 
     def pairing_row(self, u):
-        """Pairings of u against every spanning monomial of its content."""
+        """Pairings of u against every normalized word of its content.
+
+        Enumerates ``spanning_words``; ``canonical.element_key`` reads
+        element ids off this row, and the tests use it as an oracle for
+        ``is_zero_vector`` that shares only ``pair_words`` with it.
+        """
         spanning = self.spanning_words(u.content)
         row = []
         for m in spanning:
@@ -390,11 +399,26 @@ class HighestWeightModule:
         return row
 
     def is_zero_vector(self, u):
-        """Zero in the module: the form is nondegenerate on each weight
-        space, so vanishing against the whole spanning set is equivalent."""
+        """Zero in the module iff (u, u) = 0.
+
+        With Laurent coefficients u lies in the Z[v, v^-1]-form of L(Lambda),
+        and the canonical basis is an almost-orthonormal Z[v, v^-1]-basis
+        of that form: (b, b') lies in delta_{b b'} + v^-1 Z[[v^-1]]
+        (Lusztig, Introduction to Quantum Groups (1993), ch. 19; Kashiwara,
+        Duke Math. J. 63 (1991)).  If D is the largest degree among the
+        coordinates of a nonzero u, then (u, u) has degree 2D and its
+        leading coefficient is a sum of squares, so the form is anisotropic
+        there.  The test pairs the words of u among themselves only: it
+        builds no weight space and enumerates no words.  Other coefficients
+        fall outside the argument and raise InternalCheckError.
+        """
         if not u.terms:
             return True
-        return not any(self.pairing_row(u))
+        for c in u.terms.values():
+            if not isinstance(c, LaurentPoly):
+                raise InternalCheckError(
+                    f"zero test needs Laurent coefficients, got {type(c).__name__}")
+        return not self.form(u, u)
 
     def vectors_equal(self, u, w):
         if u.content != w.content:

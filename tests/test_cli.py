@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qcanon
 from qcanon import cli, hwmodule
 from qcanon.cartan import parse_quiver_dict
 from qcanon.hwmodule import (CONTENT_CAP, HighestWeightModule, ResourceCapError,
@@ -330,3 +333,22 @@ def test_resource_cap_exit_3(qfile, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "dims", "--quiver", qfile(KRON),
                            "--max-height", "3")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("command", ["dims", "basis", "graph", "verify"])
+def test_closed_stdout_exits_quietly(qfile, command):
+    # the read end is closed before the child starts, so its first write
+    # meets a broken pipe: no traceback, and not the verification-failure code
+    src = os.path.dirname(os.path.dirname(qcanon.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcanon.cli", command, "--quiver", qfile(A2ADJ),
+             "--max-height", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PIPE
+    assert proc.stderr == b""

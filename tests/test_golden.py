@@ -4,8 +4,10 @@ The `basis` and `graph --format json` digests were recorded before the
 weight-space elimination was rewritten, the `dims` and `verify` digests
 before the Gram thread pool was deleted, and the D4 and A3 `basis` digests
 before the weight spaces were built from candidate spanning sets, and the
-D4 h=6 `basis` digest before the per-word coordinate memo was deleted; every
-later change that is meant to keep the output must keep these bytes.
+D4 h=6 `basis` digest before the per-word coordinate memo was deleted, and
+the 3-Kronecker h=6 and D4 h=4 `verify` digests before the zero test
+became a self-pairing; every later change that is meant to keep the output
+must keep these bytes.
 """
 
 import hashlib
@@ -55,6 +57,10 @@ GOLDEN = [
      "bc2c75802bad0e571dd06861cb1a6ebe5e61d878f28eafd6df2ba45f1dd5bd81"),
     ("d4", 6, ("basis",),
      "3d1803ff564d9cc87ca6266a6b9d2e7c1baefea9f61974c08151c216a088f77f"),
+    ("kronecker3", 6, ("verify", "--format", "json"),
+     "9204b59e9fd6764ab5e5919b231f56e344e127c46d8556917c6bf6d762323427"),
+    ("d4", 4, ("verify", "--format", "json"),
+     "66800c13c72abb5bd7dd93994f3dc73743a03bc1596addcba4734d1fa54baf1e"),
 ]
 
 

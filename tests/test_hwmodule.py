@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -382,3 +383,64 @@ def test_basis_word_coordinates_are_unit_vectors_without_a_solve(name, hmax,
             unit = tuple(RF_ONE if s == t else RF_ZERO for s in range(len(basis)))
             assert m.coordinates(m.monomial_vector(b)) == unit
     assert solves == []
+
+
+# -- the self-pairing zero test against the pairing-row oracle --------------------
+
+
+def _random_laurent(rng):
+    return LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)
+                        for _ in range(rng.randint(1, 2))})
+
+
+@pytest.mark.parametrize("name", ["a2_adjoint", "kronecker", "kronecker3", "d4"])
+def test_self_pairing_zero_test_matches_pairing_rows(name):
+    # is_zero_vector tests (u, u) = 0; the oracle pairs u with every
+    # normalized word of its content, which the form is nondegenerate on
+    q, hw = parse_quiver_dict(ELIMINATION_DATA[name][0])
+    m = HighestWeightModule(q, hw)
+    rng = random.Random(20261018)
+    verdicts = {True: 0, False: 0}
+
+    def agree(u):
+        zero = m.is_zero_vector(u)
+        assert zero == (not any(m.pairing_row(u))), u
+        if u.terms:
+            verdicts[zero] += 1
+        return zero
+
+    for nu in contents_up_to(q.n, 5):
+        words = m.spanning_words(nu)
+        vectors = []
+        for _ in range(3):
+            picked = rng.sample(words, min(len(words), rng.randint(1, 4)))
+            vectors.append(ModuleVector(nu, {w: _random_laurent(rng) for w in picked}))
+        for u in vectors:
+            agree(u)
+        for u, w in itertools.combinations(vectors, 2):
+            agree(u - w)
+        u = vectors[0]
+        for i in range(q.n):
+            # [E_i, F_i] u - [<wt, a_i^vee>] u vanishes at nu itself
+            comm = (m.apply_E(i, m.apply_F(i, 1, u))
+                    - u.scale(qint(m.coroot_pairing(nu, i))))
+            if nu[i]:
+                comm = comm - m.apply_F(i, 1, m.apply_E(i, u))
+            assert agree(comm)
+            # F_i^(b+1) kills the weight space beyond its i-string bound;
+            # the image's content is far above nu, and the oracle row runs
+            # over every word of it, so only low contents are sent up
+            if sum(nu) <= 3:
+                bound = max(m.coroot_pairing(nu, i), 0) + nu[i]
+                assert agree(m.apply_F(i, bound + 1, u))
+    assert verdicts[True] and verdicts[False]
+
+
+def test_zero_test_refuses_non_laurent_coefficients(a2_adjoint):
+    # anisotropy holds on the Z[v, v^-1]-form only; a rational coefficient
+    # is an input the argument does not cover
+    q, hw = a2_adjoint
+    m = HighestWeightModule(q, hw)
+    u = ModuleVector((1, 0), {((0, 1),): RatFunc.from_laurent(ONE)})
+    with pytest.raises(hwmodule.InternalCheckError):
+        m.is_zero_vector(u)

@@ -1,6 +1,16 @@
-from qcanon.qarith import LaurentPoly
+import copy
+from collections import Counter
+
+from qcanon.qarith import LaurentPoly, qint
+from qcanon.cartan import parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon import verify
+
+KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
+         "highest_weight": {"1": 1, "2": 0}}
+D4 = {"vertices": ["c", "1", "2", "3"],
+      "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+      "highest_weight": {"c": 1}}
 
 
 def ctx_for(datum, hmax):
@@ -57,3 +67,44 @@ def test_injected_pairing_error_is_detected(a2_adjoint, monkeypatch):
     ctx = ctx_for(a2_adjoint, 2)
     res = verify.suite_counts(ctx)
     assert not res.passed
+
+
+def test_wrong_quantum_integer_fails_relations(monkeypatch):
+    # [E_i, F_i] u = [<wt, a_i^vee>] u is compared through the self-pairing
+    # zero test; with [n] off by one every one of these checks must fail
+    monkeypatch.setattr(verify, "qint", lambda n: qint(n) + 1)
+    q, hw = parse_quiver_dict(KRON3)
+    res = verify.suite_relations(verify.VerifyContext(q, hw, 3))
+    assert not res.passed
+    assert res.checks == 90 and len(res.failures) == 30
+    assert sum(msg.startswith("[E") for msg in res.failures) == 10
+
+
+def test_wrong_serre_exponent_fails_serre():
+    # the module keeps the true 3-Kronecker quiver; the suite reads a copy
+    # whose arrow count is one short, so its Serre elements do not vanish
+    q, hw = parse_quiver_dict(KRON3)
+    ctx = verify.VerifyContext(q, hw, 3)
+    assert verify.suite_serre(ctx).passed
+    wrong = copy.deepcopy(q)
+    wrong.a[0][1] -= 1
+    wrong.a[1][0] -= 1
+    ctx.quiver = wrong
+    res = verify.suite_serre(ctx)
+    assert not res.passed
+    assert res.checks == 20 and len(res.failures) == 9
+
+
+def test_coproduct_suite_expands_each_word_split_once(monkeypatch):
+    calls = Counter()
+    real = verify.restriction_coproduct
+
+    def counted(q, word, split):
+        calls[(word, split)] += 1
+        return real(q, word, split)
+
+    monkeypatch.setattr(verify, "restriction_coproduct", counted)
+    q, hw = parse_quiver_dict(D4)
+    res = verify.suite_coproduct(verify.VerifyContext(q, hw, 4))
+    assert res.passed and res.checks == 832
+    assert calls and max(calls.values()) == 1
