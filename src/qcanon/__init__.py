@@ -1,9 +1,8 @@
 """Exact canonical bases of integrable highest weight modules attached to
 symmetric Cartan data given by loop-free quivers."""
 
-from .qarith import (LaurentPoly, RatFunc, bar, sym_truncate, qint, qfact,
-                     qbinom, rf_rank, rf_solve, specialize_v1,
-                     ExactDivisionError, PoleAtOne)
+from .qarith import (LaurentPoly, bar, sym_truncate, qint, qfact, qbinom,
+                     specialize_v1, ExactDivisionError)
 from .cartan import (Quiver, HighestWeight, QuiverError, parse_quiver_dict,
                      load_quiver, coroot_pairing, nu_tilde, height, weight_leq)
 from .uminus import (UMinusElement, mono_mul, restriction_coproduct, rbar,

@@ -7,13 +7,19 @@ with t_i = 0; candidates are orthogonalized against the already-accepted
 elements by subtracting sym_truncate of the offending pairings until every
 pairing drops into v^-1 Z[v^-1].  Convergence is guarded: the maximal
 degree of an offending pairing must strictly decrease on every pass.
+
+The stored elements are the only coordinate system: ``expand`` writes a
+vector in them with Laurent coefficients, from its pairings with the
+elements and one integer recurrence against their Gram matrix I + N, N in
+v^-1 Z[v^-1], checked exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qarith import sym_truncate
+from .qarith import LaurentPoly, ONE, bar, sym_truncate
+from .hwmodule import InternalCheckError
 from . import cartan
 from . import crystalgraph
 
@@ -30,15 +36,15 @@ class CompletionError(RuntimeError):
 class CBElement:
     """One canonical basis element.
 
-    ``vector`` is the exact monomial combination, ``coords`` its weight-space
-    coordinates, ``stats`` a lazily filled map vertex -> t_i value, and
-    ``provenance`` the seeding datum (i, t, parent position in the lower
-    content's list; None for the highest weight vector).
+    ``vector`` is the exact monomial combination, ``stats`` a lazily filled
+    map vertex -> t_i value, and ``provenance`` the seeding datum (i, t,
+    parent position in the lower content's list; None for the highest
+    weight vector).  ``CanonicalBasis.expand`` reads every vector against
+    the content's list of elements, in which each element is a unit vector.
     """
 
     content: tuple
     vector: object
-    coords: tuple
     provenance: tuple
     stats: dict = field(default_factory=dict)
     self_pairing: object = None
@@ -57,6 +63,7 @@ class CanonicalBasis:
         self.store = {}
         self.max_height = -1
         self._canon_cache = {}
+        self._offsets = {}  # content -> N = Gram - I of the stored elements
         self.graph_cache = {}  # crystalgraph's t_i image rows and sbar paths
 
     def elements(self, nu):
@@ -82,7 +89,7 @@ class CanonicalBasis:
         mod = self.module
         if cartan.height(nu) == 0:
             vac = mod.vacuum()
-            return [CBElement(nu, vac, mod.coordinates(vac), (None, 0, None),
+            return [CBElement(nu, vac, (None, 0, None),
                               self_pairing=mod.form(vac, vac))]
         space = mod.weight_space(nu)
         accepted = []
@@ -94,15 +101,14 @@ class CanonicalBasis:
                         continue
                     cand = mod.apply_F(i, t, parent.vector)
                     cand = self._orthogonalize(cand, accepted)
-                    coords = mod.coordinates(cand)
-                    if not any(coords):
-                        continue  # duplicate of an earlier seed
                     sp = mod.form(cand, cand)
+                    if not sp:
+                        continue  # duplicate of an earlier seed (anisotropy)
                     if not sp.is_one_plus_lower():
                         raise CompletionError(
                             f"nonzero candidate at {nu} with self-pairing {sp}")
-                    elem = CBElement(nu, cand, coords,
-                                     (i, t, (low, parent_pos)), self_pairing=sp)
+                    elem = CBElement(nu, cand, (i, t, (low, parent_pos)),
+                                     self_pairing=sp)
                     if not verify_bar_invariant(mod, elem):
                         raise CompletionError(
                             f"accepted element at {nu} is not bar-invariant")
@@ -129,6 +135,76 @@ class CanonicalBasis:
                 raise OrthogonalizationError(
                     f"offending degree did not decrease ({prev_max} -> {worst})")
             prev_max = worst
+
+    # -- coordinates -----------------------------------------------------------
+
+    def expand(self, u):
+        """Laurent coordinates x of u against the stored elements at its
+        content, so that u = sum_t x_t b_t.
+
+        With y_t = (u, b_t) and the Gram matrix I + N of the elements, x
+        solves (I + N) x = y.  N lies in v^-1 Z[v^-1], so reading degree d
+        gives x_d = y_d - sum_{k >= 1} N_k x_{d+k}: integers only, from the
+        top degree max deg y down to -max deg y', where y' is the pairing
+        vector of bar(u) (its coordinates are the bars of x).  The result
+        is checked exactly: a nonzero residual raises InternalCheckError.
+        A passing check is a proof.  The count-vs-rank check of the
+        induction makes the elements as many as the rank, and
+        det(I + N) is 1 mod v^-1, so they are a basis of the weight space;
+        u - sum_t x_t b_t is then orthogonal to a basis, hence 0 by the
+        nondegeneracy of the form.
+        """
+        elems = self.elements(u.content)
+        offsets = self._gram_offsets(u.content)
+        form = self.module.form
+        y = [form(u, b.vector) for b in elems]
+        ubar = u.map_coeffs(bar)
+        ybar = [form(ubar, b.vector) for b in elems]
+        top = max((p.degree() for p in y if p), default=0)
+        bottom = -max((p.degree() for p in ybar if p), default=0)
+        x = [{} for _ in elems]
+        for d in range(top, bottom - 1, -1):
+            for s, row in enumerate(offsets):
+                c = y[s].coeff(d)
+                for t, p in row:
+                    xt = x[t]
+                    for k, a in p.c.items():
+                        c -= a * xt.get(d - k, 0)
+                if c:
+                    x[s][d] = c
+        x = [LaurentPoly(xs) for xs in x]
+        for s, row in enumerate(offsets):
+            acc = x[s]
+            for t, p in row:
+                acc = acc + p * x[t]
+            if acc != y[s]:
+                raise InternalCheckError(
+                    f"canonical-basis expansion at {u.content} leaves a residual")
+        return x
+
+    def _gram_offsets(self, nu):
+        """N = Gram - I of the stored elements at nu, as rows of nonzero
+        (t, N_st); every entry is checked to lie in v^-1 Z[v^-1]."""
+        hit = self._offsets.get(nu)
+        if hit is not None:
+            return hit
+        elems = self.elements(nu)
+        form = self.module.form
+        rows = []
+        for s, b in enumerate(elems):
+            row = []
+            for t, b2 in enumerate(elems):
+                g = form(b.vector, b2.vector)
+                p = g - ONE if s == t else g
+                if not p.in_vinv_span():
+                    raise InternalCheckError(
+                        f"Gram entry ({s},{t}) at {nu} is {g}, "
+                        f"not in delta + v^-1 Z[v^-1]")
+                if p:
+                    row.append((t, p))
+            rows.append(row)
+        self._offsets[nu] = rows
+        return rows
 
     # -- views -------------------------------------------------------------
 
@@ -173,16 +249,13 @@ def element_key(module, elem):
 
 
 def verify_bar_invariant(module, b):
-    """Whether replacing every coefficient by its bar image leaves the
-    coordinates unchanged (word vectors are bar-fixed)."""
-    barred = b.vector.map_coeffs(lambda c: c.bar())
-    return module.coordinates(barred) == b.coords
+    """Whether the bar involution fixes the element: bar(b) - b is zero in
+    the module (word vectors are bar-fixed, so bar acts on coefficients)."""
+    return module.is_zero_vector(b.vector.map_coeffs(bar) - b.vector)
 
 
-def transition_matrix(module, cb_elements, vectors):
-    """Columns are the canonical-basis coordinates of the given vectors."""
-    if not cb_elements:
-        return []
-    cols = [crystalgraph.expand_in_cb(cb_elements, module.coordinates(vec))
-            for vec in vectors]
-    return [[col[s] for col in cols] for s in range(len(cb_elements))]
+def transition_matrix(cb, positions, vectors):
+    """Columns are the canonical-basis coordinates of the given vectors,
+    rows the stored elements at ``positions`` of the vectors' content."""
+    cols = [cb.expand(vec) for vec in vectors]
+    return [[col[p] for col in cols] for p in positions]

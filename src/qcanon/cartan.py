@@ -9,6 +9,7 @@ that order.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 
@@ -111,6 +112,11 @@ def height(nu):
 def weight_leq(nu, nu2):
     """Componentwise order on dimension vectors."""
     return all(a <= b for a, b in zip(nu, nu2))
+
+
+def subvectors(beta):
+    """All 0 <= gamma <= beta in the componentwise order, lexicographically."""
+    return itertools.product(*(range(x + 1) for x in beta))
 
 
 def vec_add(nu, nu2):

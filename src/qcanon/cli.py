@@ -19,7 +19,6 @@ import sys
 from . import __version__
 from . import cartan
 from .cartan import QuiverError, load_quiver
-from .qarith import LaurentPoly
 from .uminus import word_str
 from .hwmodule import HighestWeightModule, ResourceCapError, check_content_count
 from .canonical import CanonicalBasis, transition_matrix
@@ -305,12 +304,11 @@ def _basis_payload(quiver, hw, order, hmax):
                 {"path": [[quiver.vertex_id(i), t] for i, t in path],
                  "vector": _vector_json(quiver, vec)}
                 for path, vec in zip(paths, vectors)]
-            ordered = [elems[p] for p in positions]
-            T = transition_matrix(module, ordered, vectors)
+            T = transition_matrix(cb, positions, vectors)
             block["transition_monomial_to_cb"] = [
-                [entry.as_laurent().to_terms() for entry in row] for row in T]
+                [entry.to_terms() for entry in row] for row in T]
             block["transition_v1"] = [
-                [int(entry.at_one()) for entry in row] for row in T]
+                [entry.at_one() for entry in row] for row in T]
         contents_doc.append(block)
     doc = {"metadata": _metadata(quiver, hw, order, hmax), "contents": contents_doc}
     return _dump(doc)

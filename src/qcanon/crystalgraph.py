@@ -6,15 +6,16 @@ t_i is computed as the largest r with the element inside the image of
 F_i^(r) on the weight space below (a linear-algebra membership test, not an
 E_i-vanishing count).  Arrows jump whole i-strings: an arrow colored (i, t)
 connects an element with t_i = t to the unique lower element with t_i = 0
-whose F_i^(t)-expansion it leads with coefficient exactly 1.
+whose F_i^(t)-expansion it leads with coefficient exactly 1.  Every vector
+is read in canonical-basis coordinates (``CanonicalBasis.expand``), where a
+stored element is its own unit vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qarith import RF_ONE, rf_rank, rf_solve
-from .hwmodule import InternalCheckError
+from .qarith import ZERO, ONE, lp_rank
 from . import cartan
 
 
@@ -34,8 +35,7 @@ def t_stat(module, cb, b, i):
         rows, base_rank = _image_rows(module, cb, nu, i, r)
         if base_rank == 0:
             break
-        aug = rows + [list(b.coords)]
-        if rf_rank(aug) == base_rank:
+        if lp_rank(rows + [_unit_row(cb, b)]) == base_rank:
             t = r
             r += 1
         else:
@@ -44,9 +44,16 @@ def t_stat(module, cb, b, i):
     return t
 
 
+def _unit_row(cb, b):
+    """Canonical-basis coordinates of the stored element b."""
+    elems = cb.elements(b.content)
+    return [ONE if e is b else ZERO for e in elems]
+
+
 def _image_rows(module, cb, nu, i, r):
-    """Coordinate rows of F_i^(r) applied to the basis words one i-string
-    step down (they span that weight space), cached on the basis object."""
+    """Canonical-basis coordinate rows of F_i^(r) applied to the basis words
+    one i-string step down (they span the image of F_i^(r)), cached on the
+    basis object."""
     cache = cb.graph_cache.setdefault("images", {})
     key = (nu, i, r)
     hit = cache.get(key)
@@ -55,31 +62,10 @@ def _image_rows(module, cb, nu, i, r):
     low = tuple(x - (r if k == i else 0) for k, x in enumerate(nu))
     rows = []
     for m in module.weight_space(low).basis:
-        vec = module.apply_F(i, r, module.monomial_vector(m))
-        rows.append(list(module.coordinates(vec)))
-    rank = rf_rank(rows) if rows else 0
+        rows.append(cb.expand(module.apply_F(i, r, module.monomial_vector(m))))
+    rank = lp_rank(rows)
     cache[key] = (rows, rank)
     return rows, rank
-
-
-def expand_in_cb(elems, coords):
-    """Coefficients of a weight vector against the canonical basis elements.
-
-    ``coords`` are the vector's weight-space coordinates; the result x
-    satisfies sum_t x_t elems[t].coords = coords.  The canonical basis is a
-    basis, so a singular or inconsistent system is an internal error.
-    """
-    r = len(elems)
-    if len(coords) != r:
-        raise ValueError("vector does not live in the spanned weight space")
-    if r == 0:
-        return []
-    rows = [[elems[t].coords[s] for t in range(r)] for s in range(r)]
-    sol = rf_solve(rows, coords)
-    if sol is None:
-        raise InternalCheckError(
-            "canonical basis coordinate system is singular or inconsistent")
-    return sol
 
 
 def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
@@ -99,7 +85,7 @@ def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
     target = tuple(x + (t if k == i else 0) for k, x in enumerate(bprime.content))
     image = module.apply_F(i, t, bprime.vector)
     elems = cb.elements(target)
-    coeffs = expand_in_cb(elems, module.coordinates(image))
+    coeffs = cb.expand(image)
     leader = None
     for pos, c in enumerate(coeffs):
         if not c:
@@ -108,7 +94,7 @@ def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
         if ts == t:
             if leader is not None:
                 raise GraphError(f"two leading summands at {target} color ({i},{t})")
-            if c != RF_ONE:
+            if c != ONE:
                 raise GraphError(
                     f"leading summand at {target} has coefficient {c}, expected 1")
             leader = pos
@@ -116,7 +102,7 @@ def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
             if ts < t:
                 raise GraphError(
                     f"summand with t_i = {ts} < {t} in an (i,{t})-expansion")
-            if not c.is_laurent() or not c.num.is_bar_invariant():
+            if not c.is_bar_invariant():
                 raise GraphError(f"non bar-invariant expansion coefficient {c}")
     if leader is None:
         if missing_ok:
@@ -243,10 +229,8 @@ def monomial_basis(module, cb, graph, nu, order):
     positions = [pos for _, pos, _ in items]
     paths = [path for _, _, path in items]
     vectors = [module.monomial_vector(tuple(path)) for path in paths]
-    if vectors:
-        rows = [list(module.coordinates(vec)) for vec in vectors]
-        if rf_rank(rows) != len(vectors):
-            raise GraphError(f"path monomials do not span at {nu}")
+    if lp_rank([cb.expand(vec) for vec in vectors]) != len(vectors):
+        raise GraphError(f"path monomials do not span at {nu}")
     return positions, paths, vectors
 
 

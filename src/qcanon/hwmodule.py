@@ -5,9 +5,9 @@ the highest weight vector.  ``HighestWeightModule`` carries the operator
 actions E_i, F_i^(n), K_i^{+-}, the contravariant bilinear form normalized
 by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
 (a candidate spanning set, its Gram matrix, and one fraction-free symmetric
-elimination of it that yields the basis, the rank and the factor that
-vector coordinates are solved from), and an independent Freudenthal
-multiplicity oracle driven by Peterson's root-multiplicity recursion.
+elimination of it that yields the basis and the rank), and an independent
+Freudenthal multiplicity oracle driven by Peterson's root-multiplicity
+recursion.
 
 The module is generated from v_L by the divided powers, so
 L_nu = sum_{i, a} F_i^(a) L_{nu - a alpha_i}, and the weight space of nu is
@@ -22,14 +22,13 @@ starting with (i, b) turns into the word (i, a + b) ..., and higher
 multiplicities sort first.  So every greedy basis word is a candidate, and
 the greedy prefix of the candidates in the same order is the same basis.
 
-Inside the built range a vector is read through its coordinates: a basis
-word is its own unit vector, and the other words of the vector are solved
-together in one call against the factor.  ``is_zero_vector`` instead tests
-(u, u) = 0: the form is anisotropic on the Z[v, v^-1]-form of the module,
-so the self-pairing of a vector with Laurent coefficients vanishes only
-when the vector does.  It pairs the words of u among themselves, builds no
-weight space and enumerates no words, which is why ``verify`` uses it above
-the height bound.
+Vector coordinates are read against the canonical basis
+(``canonical.CanonicalBasis.expand``), not against these monomial bases.
+``is_zero_vector`` tests (u, u) = 0: the form is anisotropic on the
+Z[v, v^-1]-form of the module, so the self-pairing of a vector with Laurent
+coefficients vanishes only when the vector does.  It pairs the words of u
+among themselves, builds no weight space and enumerates no words, which is
+why ``verify`` uses it above the height bound.
 
 Everything is exact; a non-polynomial value surfacing anywhere in the form
 computation raises ExactDivisionError and means a genuine bug.
@@ -41,8 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qarith import (LaurentPoly, ZERO, ONE, RatFunc, RF_ZERO, PivotBreakdown,
-                     qint, qfact, lp_sym_echelon, lp_sym_solve)
+from .qarith import LaurentPoly, ZERO, ONE, PivotBreakdown, qint, qfact, lp_sym_echelon
 from .uminus import EMPTY_WORD, concat_words, word_content
 from . import cartan
 
@@ -140,11 +138,9 @@ class WeightSpaceModel:
     ``spanning`` is the candidate spanning set (F_i^(a) applied to the basis
     words of each nu - a alpha_i, in ``spanning_words`` order; see the
     module docstring), ``gram`` its Gram matrix, and ``basis`` the words
-    the greedy prefix of that Gram keeps, which is the greedy-prefix basis
-    of all normalized words of nu.  ``factor`` is the upper triangle of the
-    fraction-free symmetric elimination of the Gram matrix, restricted to
-    the basis columns (see ``qarith.lp_sym_echelon``); the coordinates of
-    non-basis words are solved from it.
+    the greedy prefix of that Gram keeps (the pivots of
+    ``qarith.lp_sym_echelon``), which is the greedy-prefix basis of all
+    normalized words of nu.
     """
 
     content: tuple
@@ -152,7 +148,6 @@ class WeightSpaceModel:
     gram: list
     basis: list
     rank: int
-    factor: list
 
 
 class HighestWeightModule:
@@ -367,18 +362,18 @@ class HighestWeightModule:
         spanning = self._candidates(nu)
         gram = self._gram(spanning)
         try:
-            sel, factor = lp_sym_echelon(gram)
+            sel = lp_sym_echelon(gram)
         except PivotBreakdown as exc:
             # the form is anisotropic on the module, so a vanishing
             # self-pairing must force the whole pairing row to vanish
             raise InternalCheckError(
                 f"isotropic nonzero row in Gram matrix at {nu}; form degeneracy") from exc
         model = WeightSpaceModel(nu, spanning, gram, [spanning[s] for s in sel],
-                                 len(sel), factor)
+                                 len(sel))
         self._spaces[nu] = model
         return model
 
-    # -- membership, coordinates ------------------------------------------
+    # -- pairing rows and the zero test --------------------------------------
 
     def pairing_row(self, u):
         """Pairings of u against every normalized word of its content.
@@ -425,39 +420,6 @@ class HighestWeightModule:
             return self.is_zero_vector(u) and self.is_zero_vector(w)
         return self.is_zero_vector(u - w)
 
-    def coordinates(self, u):
-        """Coordinates of u in the basis of its weight space; empty tuple at
-        rank 0.
-
-        A basis word adds its coefficient to its own coordinate.  The other
-        words are solved together: their pairings with the basis words are
-        summed into one right-hand side for the Gram factor.  Two vectors
-        are equal in the module iff their coordinates agree.
-        """
-        space = self.weight_space(u.content)
-        if space.rank == 0:
-            return ()
-        position = {b: t for t, b in enumerate(space.basis)}
-        out = [RF_ZERO] * space.rank
-        rhs = [ZERO] * space.rank
-        solve = False
-        for w, c in u.terms.items():
-            t = position.get(w)
-            if t is not None:
-                out[t] = out[t] + RatFunc.from_laurent(c)
-                continue
-            solve = True
-            for t, b in enumerate(space.basis):
-                p = self.pair_words(w, b)
-                if p:
-                    rhs[t] = rhs[t] + c * p
-        if solve:
-            sol = lp_sym_solve(space.factor, rhs)
-            if sol is None:
-                raise InternalCheckError("basis Gram matrix is singular")
-            out = [o + x for o, x in zip(out, sol)]
-        return tuple(out)
-
     # -- Freudenthal / Peterson oracle --------------------------------------
 
     def _peterson(self, beta):
@@ -472,7 +434,9 @@ class HighestWeightModule:
             self._root_mult[beta] = 1
             return Fraction(1)
         total = Fraction(0)
-        for gamma in _proper_subvectors(beta):
+        for gamma in cartan.subvectors(beta):
+            if not any(gamma) or gamma == beta:
+                continue
             rest = tuple(b - g for b, g in zip(beta, gamma))
             pairing = self.quiver.sym_form(gamma, rest)
             if pairing:
@@ -553,19 +517,3 @@ class HighestWeightModule:
             result = int(val)
         self._weight_mult[nu] = result
         return result
-
-
-def _proper_subvectors(beta):
-    """All 0 < gamma < beta in the componentwise order."""
-    n = len(beta)
-
-    def rec(pos, acc):
-        if pos == n:
-            g = tuple(acc)
-            if any(g) and g != beta:
-                yield g
-            return
-        for x in range(beta[pos] + 1):
-            yield from rec(pos + 1, acc + [x])
-
-    yield from rec(0, [])

@@ -1,32 +1,21 @@
-"""Exact arithmetic in Z[v, v^-1] and its fraction field.
+"""Exact arithmetic in Z[v, v^-1].
 
 Everything downstream (forms, Gram matrices, basis transitions) is built on
-the two scalar types defined here:
-
-* ``LaurentPoly`` -- sparse Laurent polynomial with arbitrary-precision
-  integer coefficients, stored as a map exponent -> nonzero coefficient.
-* ``RatFunc`` -- reduced fraction of two Laurent polynomials, canonical
-  enough that equality is syntactic.
+``LaurentPoly``, a sparse Laurent polynomial with arbitrary-precision
+integer coefficients, stored as a map exponent -> nonzero coefficient.
 
 The module also provides the quantum combinatorial numbers [n], [n]!,
 Gaussian binomials, the bar involution v -> v^-1, the symmetric truncation
-used by the basis orthogonalization, and fraction-free (Bareiss) linear
-algebra for rank and solving over the fraction field, including the
-symmetric elimination with diagonal pivots that weight spaces are built on.
+used by the basis orthogonalization, and fraction-free (Bareiss)
+elimination: the rank of a Laurent matrix, and the symmetric elimination
+with diagonal pivots that weight spaces are built on.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as _int_gcd
-
 
 class ExactDivisionError(ArithmeticError):
     """Division in Z[v,v^-1] left a remainder where none was expected."""
-
-
-class PoleAtOne(ArithmeticError):
-    """Specialization v=1 hit a vanishing denominator."""
 
 
 class LaurentPoly:
@@ -252,7 +241,7 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly(1)
 
 
-# -- dense helpers for division and gcd (exponents shifted to >= 0) -----
+# -- dense helpers for division (exponents shifted to >= 0) -------------
 
 
 def _to_dense(p):
@@ -290,208 +279,11 @@ def _dense_divmod(num, den):
     return quo, _dense_trim(num)
 
 
-def _dense_content(f):
-    g = 0
-    for x in f:
-        g = _int_gcd(g, abs(x))
-        if g == 1:
-            break
-    return g or 1
-
-
-def _dense_primitive(f):
-    c = _dense_content(f)
-    if c != 1:
-        f = [x // c for x in f]
-    return c, f
-
-
-def _dense_gcd(f, g):
-    """GCD in Z[v] by a primitive pseudo-remainder sequence."""
-    f = _dense_trim(list(f))
-    g = _dense_trim(list(g))
-    if not f:
-        return g
-    if not g:
-        return f
-    cf, f = _dense_primitive(f)
-    cg, g = _dense_primitive(g)
-    while g:
-        # pseudo-remainder: lead(g)^(deg f - deg g + 1) * f mod g
-        if len(f) < len(g):
-            f, g = g, f
-            continue
-        lead = g[-1]
-        r = [x * lead ** (len(f) - len(g) + 1) for x in f]
-        _, r = _dense_divmod(r, g)
-        _, r = _dense_primitive(r)
-        f, g = g, r
-    if f[-1] < 0:
-        f = [-x for x in f]
-    c = _int_gcd(cf, cg)
-    return [x * c for x in f]
-
-
-def lp_gcd(a, b):
-    """GCD in Z[v,v^-1], normalized to minimal exponent 0, positive lead."""
-    if not a:
-        return _shift_to_poly(b)
-    if not b:
-        return _shift_to_poly(a)
-    g = _dense_gcd(_to_dense(a), _to_dense(b))
-    return LaurentPoly({i: x for i, x in enumerate(g) if x})
-
-
-def _shift_to_poly(p):
-    if not p:
-        return ZERO
-    q = p.shift(-p.low())
-    if q.c[q.degree()] < 0:
-        q = -q
-    return q
-
-
-class RatFunc:
-    """Element of Q(v) as a reduced pair of Laurent polynomials.
-
-    Canonical form: denominator is an honest polynomial with nonzero
-    constant term and positive leading coefficient; any power of v and
-    all common factors live in the numerator.  Equality is syntactic.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        if isinstance(num, int):
-            num = LaurentPoly(num)
-        if isinstance(den, int):
-            den = LaurentPoly(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = ZERO, ONE
-            return
-        shift = -den.low()
-        den = den.shift(shift)
-        num = num.shift(shift)
-        g = lp_gcd(num, den)
-        if g != ONE:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        # the gcd may still leave a v-power in the denominator
-        k = den.low()
-        if k:
-            den = den.shift(-k)
-            num = num.shift(-k)
-        if den.c[den.degree()] < 0:
-            num, den = -num, -den
-        self.num, self.den = num, den
-
-    @staticmethod
-    def from_laurent(p):
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = p, ONE
-        return r
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.den == ONE and self.num == other
-        if isinstance(other, LaurentPoly):
-            return self.den == ONE and self.num == other
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _as_rf(other)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = -self.num, self.den
-        return r
-
-    def __sub__(self, other):
-        return self + (-_as_rf(other))
-
-    def __rsub__(self, other):
-        return _as_rf(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_rf(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rf(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_rf(other) / self
-
-    def bar(self):
-        return RatFunc(self.num.bar(), self.den.bar())
-
-    def is_laurent(self):
-        return self.den == ONE
-
-    def as_laurent(self):
-        if self.den != ONE:
-            raise ExactDivisionError(f"{self} is not a Laurent polynomial")
-        return self.num
-
-    def at_one(self):
-        d = self.den.at_one()
-        if d == 0:
-            raise PoleAtOne(str(self))
-        return Fraction(self.num.at_one(), d)
-
-    def eval_mod(self, a, p):
-        d = self.den.eval_mod(a, p)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at sample point")
-        return (self.num.eval_mod(a, p) * pow(d, p - 2, p)) % p
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-
-RF_ZERO = RatFunc.from_laurent(ZERO)
-RF_ONE = RatFunc.from_laurent(ONE)
-
-
-def _as_rf(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc.from_laurent(x)
-    if isinstance(x, int):
-        return RatFunc.from_laurent(LaurentPoly(x))
-    raise TypeError(f"cannot coerce {type(x)} to RatFunc")
-
-
 # -- bar involution and symmetric truncation ----------------------------
 
 
 def bar(p):
-    """v -> v^-1 on either scalar type."""
+    """The bar involution v -> v^-1."""
     return p.bar()
 
 
@@ -546,22 +338,6 @@ def qbinom(n, k):
 
 
 # -- fraction-free linear algebra ----------------------------------------
-
-
-def _lp_lcm(a, b):
-    if a == ONE:
-        return b
-    if b == ONE:
-        return a
-    return a * b.divexact(lp_gcd(a, b))
-
-
-def _clear_row(row):
-    """Common-denominator form of a row of RatFunc: list of LaurentPoly."""
-    den = ONE
-    for e in row:
-        den = _lp_lcm(den, e.den)
-    return [e.num * den.divexact(e.den) for e in row]
 
 
 def lp_echelon(rows):
@@ -621,13 +397,11 @@ def lp_sym_echelon(rows):
     diagonal pivots taken in row order (Bareiss 1968).
 
     Row s is reduced against the pivot rows kept so far and becomes a pivot
-    when its residual diagonal is nonzero.  Returns (pivots, factor):
-    pivots are the kept indices, and factor[j] is pivot row j as reduced
-    when it was kept, restricted to the pivot columns pivots[j:].  So
-    factor[j][0] is the leading principal minor of order j + 1 of the pivot
-    block, and factor[-1][0] is its determinant.  A zero residual diagonal
-    over a nonzero residual row raises PivotBreakdown; otherwise the
-    pivots are the greedy prefix of independent rows.
+    when its residual diagonal is nonzero; that diagonal is the leading
+    principal minor of the pivot block so far.  Returns the list of kept
+    indices.  A zero residual diagonal over a nonzero residual row raises
+    PivotBreakdown; otherwise the pivots are the greedy prefix of
+    independent rows.
 
     Every division is exact: after j stages the entry (s, t) is the
     bordered minor det A[P_j + s, P_j + t] of the first j pivots P_j, and
@@ -661,92 +435,15 @@ def lp_sym_echelon(rows):
             diag.append(d)
         elif any(row.values()):
             raise PivotBreakdown(f"zero residual diagonal over a nonzero row at {s}")
-    factor = [[diag[j]] + [kept[j][q] for q in pivots[j + 1:]]
-              for j in range(len(pivots))]
-    return pivots, factor
-
-
-def lp_sym_solve(factor, rhs):
-    """Solve A x = b over Q(v) from the factor of lp_sym_echelon, where A is
-    the symmetric pivot block and b a list of LaurentPoly.  Returns a list
-    of RatFunc, or None when a pivot of the factor vanishes (A singular).
-
-    The forward stages run Bareiss on the column b, and by symmetry the
-    multiplier of row i at stage j is factor[j][i - j]; each new entry is a
-    bordered minor of [A | b], so the division by the previous pivot is
-    exact.  Back substitution then works with y = det(A) x, which lies in
-    Z[v, v^-1] by Cramer's rule: pivot_i * y_i = det * b_i - sum_m
-    factor[i][m - i] * y_m, so the division by pivot_i is exact too.
-    """
-    r = len(factor)
-    if any(not f[0] for f in factor):
-        return None
-    b = list(rhs)
-    for j in range(r):
-        d, bj, fj = factor[j][0], b[j], factor[j]
-        for i in range(j + 1, r):
-            e = b[i] * d if b[i] else ZERO
-            if bj and fj[i - j]:
-                e = e - fj[i - j] * bj
-            if e and j:
-                e = e.divexact(factor[j - 1][0])
-            b[i] = e
-    det = factor[-1][0] if r else ONE
-    y = [ZERO] * r
-    for i in range(r - 1, -1, -1):
-        acc = det * b[i] if b[i] else ZERO
-        fi = factor[i]
-        for m in range(i + 1, r):
-            if fi[m - i] and y[m]:
-                acc = acc - fi[m - i] * y[m]
-        if acc:
-            y[i] = acc.divexact(fi[0])
-    return [RatFunc(yi, det) for yi in y]
-
-
-def rf_rank(rows):
-    """Rank of a matrix of RatFunc via Bareiss on a cleared-denominator
-    integer-polynomial matrix (row scaling preserves rank)."""
-    if not rows or not rows[0]:
-        return 0
-    return lp_rank([_clear_row(r) for r in rows])
-
-
-def rf_solve(rows, rhs):
-    """Solve A x = b over Q(v).  Returns the solution as a list of RatFunc,
-    or None when the system is inconsistent or its solution is not unique."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m != len(rhs):
-        raise ValueError("shape mismatch")
-    aug = [_clear_row(list(rows[i]) + [rhs[i]]) for i in range(m)]
-    ech, pivots = lp_echelon(aug)
-    pivots = [(r, c) for r, c in pivots if c < n]
-    if len(pivots) < n:
-        return None
-    used_rows = {r for r, _ in pivots}
-    for r in range(m):
-        if r not in used_rows and ech[r][n]:
-            return None
-    sol = [RF_ZERO] * n
-    for r, c in reversed(pivots):
-        acc = RatFunc.from_laurent(ech[r][n])
-        for j in range(c + 1, n):
-            if ech[r][j] and sol[j]:
-                acc = acc - RatFunc.from_laurent(ech[r][j]) * sol[j]
-        sol[c] = acc / RatFunc.from_laurent(ech[r][c])
-    return sol
+    return pivots
 
 
 def specialize_v1(x):
     """Substitute v = 1 in a scalar, vector, or matrix.
 
-    LaurentPoly -> int; RatFunc -> Fraction (PoleAtOne when undefined);
-    lists map recursively.
+    LaurentPoly -> int; lists map recursively.
     """
     if isinstance(x, LaurentPoly):
-        return x.at_one()
-    if isinstance(x, RatFunc):
         return x.at_one()
     if isinstance(x, (list, tuple)):
         return [specialize_v1(e) for e in x]

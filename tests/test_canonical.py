@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from qcanon.qarith import LaurentPoly, ONE, RF_ONE, qint
+from qcanon.qarith import LaurentPoly, ZERO, ONE, qint
 from qcanon.cartan import HighestWeight, parse_quiver_dict, contents_up_to
-from qcanon.hwmodule import HighestWeightModule, ModuleVector
+from qcanon.hwmodule import HighestWeightModule, ModuleVector, InternalCheckError
 from qcanon.canonical import (CanonicalBasis, CBElement, verify_bar_invariant,
                               transition_matrix, element_key)
 from qcanon import crystalgraph as cg
@@ -68,10 +70,10 @@ def test_bar_invariance(a2_adjoint):
             assert verify_bar_invariant(m, b)
     # monomial vectors are bar-fixed, v-shifted ones are not
     f1 = m.apply_F(0, 1, m.vacuum())
-    mono = CBElement((1, 0), f1, m.coordinates(f1), (None, 0, None))
+    mono = CBElement((1, 0), f1, (None, 0, None))
     assert verify_bar_invariant(m, mono)
     shifted = f1.scale(vp(1))
-    bad = CBElement((1, 0), shifted, m.coordinates(shifted), (None, 0, None))
+    bad = CBElement((1, 0), shifted, (None, 0, None))
     assert not verify_bar_invariant(m, bad)
 
 
@@ -82,7 +84,8 @@ def test_self_pairings_and_orthogonality(a2_adjoint, kronecker):
             elems = cb.elements(nu)
             for s, b in enumerate(elems):
                 assert b.self_pairing.is_one_plus_lower()
-                assert all(c.is_laurent() for c in b.coords)
+                assert cb.expand(b.vector) == [ONE if t == s else ZERO
+                                               for t in range(len(elems))]
                 for t, b2 in enumerate(elems):
                     if s != t:
                         assert m.form(b.vector, b2.vector).in_vinv_span()
@@ -112,25 +115,23 @@ def test_orthogonalization_strips_accepted_components(a1_d2):
 def test_transition_rank1(a1_d3):
     m, cb = build(a1_d3, 3)
     (b,) = cb.elements((2,))
-    T = transition_matrix(m, [b], [m.apply_F(0, 2, m.vacuum())])
-    assert T == [[RF_ONE]]
+    T = transition_matrix(cb, [0], [m.apply_F(0, 2, m.vacuum())])
+    assert T == [[ONE]]
 
 
 def test_transition_a2_adjoint_zero_weight(a2_adjoint):
     m, cb = build(a2_adjoint, 4)
     graph = cg.build_left_graph(m, cb)
     positions, paths, vectors = cg.monomial_basis(m, cb, graph, (1, 1), (0, 1))
-    elems = [cb.elements((1, 1))[p] for p in positions]
-    T = transition_matrix(m, elems, vectors)
+    T = transition_matrix(cb, positions, vectors)
     assert len(T) == 2
     for t in range(2):
-        assert T[t][t] == RF_ONE
+        assert T[t][t] == ONE
         for s in range(t):
             assert not T[s][t]
         for s in range(2):
             if T[s][t]:
-                entry = T[s][t].as_laurent()
-                assert entry.is_bar_invariant()
+                assert T[s][t].is_bar_invariant()
     # v = 1 specialization stays unitriangular with diagonal 1
     T1 = [[c.at_one() for c in row] for row in T]
     assert T1[0][0] == 1 and T1[1][1] == 1 and T1[0][1] == 0
@@ -192,3 +193,64 @@ def test_a2_closed_form_monomials_are_the_canonical_basis(hw):
         mono = monomials.get(nu, [])
         assert all(any(m.vectors_equal(u, b) for b in vectors) for u in mono)
         assert all(any(m.vectors_equal(u, b) for u in mono) for b in vectors)
+
+
+# -- canonical-basis coordinates against a reconstruction oracle -----------------
+
+# name -> (quiver document, height bound)
+EXPAND_DATA = {
+    "a2_adjoint": ({"vertices": ["1", "2"], "edges": [["1", "2"]],
+                    "highest_weight": {"1": 1, "2": 1}}, 5),
+    "kronecker": ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 2,
+                   "highest_weight": {"1": 1, "2": 0}}, 6),
+    "kronecker3": ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
+                    "highest_weight": {"1": 1, "2": 0}}, 5),
+    "d4": ({"vertices": ["c", "1", "2", "3"],
+            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+            "highest_weight": {"c": 1}}, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPAND_DATA))
+def test_expand_reconstructs_every_basis_word_and_image(name):
+    # the oracle rebuilds u from its coordinates and tests the difference
+    # with the self-pairing zero test: it reads neither the Gram matrix of
+    # the elements nor the recurrence that expand solves with
+    datum, hmax = EXPAND_DATA[name]
+    m, cb = build(parse_quiver_dict(datum), hmax)
+    checked = 0
+    for nu in contents_up_to(m.quiver.n, hmax):
+        elems = cb.elements(nu)
+        vectors = [m.monomial_vector(w) for w in m.weight_space(nu).basis]
+        for i in range(m.quiver.n):
+            for r in range(1, nu[i] + 1):
+                low = tuple(x - (r if k == i else 0) for k, x in enumerate(nu))
+                vectors.extend(m.apply_F(i, r, m.monomial_vector(w))
+                               for w in m.weight_space(low).basis)
+        for u in vectors:
+            x = cb.expand(u)
+            assert len(x) == len(elems)
+            assert all(isinstance(c, LaurentPoly) for c in x)
+            rebuilt = ModuleVector(nu)
+            for c, b in zip(x, elems):
+                rebuilt = rebuilt + b.vector.scale(c)
+            assert m.is_zero_vector(u - rebuilt)
+            checked += 1
+    assert checked > 0
+
+
+def test_expand_rejects_a_gram_matrix_off_the_lattice():
+    # an element scaled by v^-1 pairs with itself in v^-2 + ..., outside
+    # 1 + v^-1 Z[v^-1]: the Gram check refuses to expand against it
+    datum, _ = EXPAND_DATA["kronecker"]
+    m, cb = build(parse_quiver_dict(datum), 4)
+    nu = (2, 2)
+    u = m.apply_F(1, 2, m.monomial_vector(((0, 2),)))
+    assert len(cb.expand(u)) == len(cb.elements(nu)) == 2
+    mutated = CanonicalBasis(m)
+    mutated.store = dict(cb.store)
+    elems = list(cb.elements(nu))
+    elems[0] = replace(elems[0], vector=elems[0].vector.scale(vp(-1)))
+    mutated.store[nu] = elems
+    with pytest.raises(InternalCheckError, match="Gram entry"):
+        mutated.expand(u)

@@ -2,7 +2,8 @@ import pytest
 
 from qcanon.cartan import (Quiver, HighestWeight, QuiverError, parse_quiver_dict,
                            coroot_pairing, nu_tilde, height, weight_leq,
-                           contents_of_height, contents_up_to, unit_vector)
+                           contents_of_height, contents_up_to, unit_vector,
+                           subvectors)
 
 
 def test_parse_and_cartan_matrix(a2_adjoint):
@@ -85,3 +86,13 @@ def test_content_enumeration():
     assert contents_of_height(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(contents_up_to(2, 4)) == 15
     assert unit_vector(3, 1, 2) == (0, 2, 0)
+
+
+@pytest.mark.parametrize("beta", [(0,), (3,), (0, 0), (2, 1), (1, 0, 2),
+                                  (2, 2, 1), (1, 3, 0, 2)])
+def test_subvectors_are_the_contents_below(beta):
+    # the direct enumeration equals filtering every content of lower height
+    below = [t for t in contents_up_to(len(beta), height(beta)) if weight_leq(t, beta)]
+    got = list(subvectors(beta))
+    assert sorted(got) == sorted(below)
+    assert got == sorted(got) and len(set(got)) == len(got)

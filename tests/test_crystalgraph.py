@@ -1,6 +1,6 @@
 import pytest
 
-from qcanon.qarith import RF_ONE
+from qcanon.qarith import ONE
 from qcanon.cartan import HighestWeight, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.canonical import CanonicalBasis
@@ -62,7 +62,7 @@ def test_pi_arrow_a2(a2_fund):
     m, cb = build(a2_fund, 2)
     (b1,) = cb.elements((1, 0))
     elem, _ = cg.pi_arrow(m, cb, 1, 1, b1)
-    assert elem.vector.terms == {((1, 1), (0, 1)): RF_ONE.num}
+    assert elem.vector.terms == {((1, 1), (0, 1)): ONE}
 
 
 def test_pi_arrow_missing_image():
@@ -181,7 +181,7 @@ def test_monomial_basis_examples(a1_d3, a2_adjoint):
     g1 = cg.build_left_graph(m1, cb1)
     positions, paths, vectors = cg.monomial_basis(m1, cb1, g1, (2,), (0,))
     assert paths == [((0, 2),)]
-    assert vectors[0].terms == {((0, 2),): RF_ONE.num}
+    assert vectors[0].terms == {((0, 2),): ONE}
     m2, cb2 = build(a2_adjoint, 4)
     g2 = cg.build_left_graph(m2, cb2)
     positions, paths, vectors = cg.monomial_basis(m2, cb2, g2, (1, 1), (0, 1))

@@ -6,7 +6,9 @@ before the Gram thread pool was deleted, and the D4 and A3 `basis` digests
 before the weight spaces were built from candidate spanning sets, and the
 D4 h=6 `basis` digest before the per-word coordinate memo was deleted, and
 the 3-Kronecker h=6 and D4 h=4 `verify` digests before the zero test
-became a self-pairing; every later change that is meant to keep the output
+became a self-pairing, and the 3-Kronecker h=7 `basis` and D4 h=6 `graph`
+digests before canonical-basis coordinates replaced the greedy-basis solve
+and the fraction field; every later change that is meant to keep the output
 must keep these bytes.
 """
 
@@ -61,6 +63,10 @@ GOLDEN = [
      "9204b59e9fd6764ab5e5919b231f56e344e127c46d8556917c6bf6d762323427"),
     ("d4", 4, ("verify", "--format", "json"),
      "66800c13c72abb5bd7dd93994f3dc73743a03bc1596addcba4734d1fa54baf1e"),
+    ("kronecker3", 7, ("basis",),
+     "b1ae4932758f436e51c930dbc461aa9f0624d01008d177cace3fc91d00c7ce3d"),
+    ("d4", 6, ("graph", "--format", "json"),
+     "ecde4d97c0ccd8a61f6f7f35feb947834b12151b75dfb4050f92bf19ea1d1499"),
 ]
 
 

@@ -1,14 +1,15 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from qcanon.qarith import (LaurentPoly, RatFunc, ZERO, ONE, RF_ZERO, RF_ONE, qint,
-                           qfact, qbinom, lp_rank, rf_solve)
+from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qfact, qbinom, lp_rank
 from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
                            parse_quiver_dict)
 from qcanon import hwmodule
 from qcanon.hwmodule import HighestWeightModule, ModuleVector, ResourceCapError
+from qcanon.canonical import CanonicalBasis
 
 
 def vp(k):
@@ -188,12 +189,13 @@ def test_rank_equals_freudenthal(a2_adjoint, kronecker):
 def test_coordinates_examples(a1_d3):
     q, hw = a1_d3
     m = HighestWeightModule(q, hw)
-    # basis monomial -> unit coordinate vector
+    cb = CanonicalBasis(m).compute_up_to(4)
+    # F^(2) v is the canonical basis element: unit coordinate vector
     u = m.monomial_vector(((0, 2),))
-    assert [str(c) for c in m.coordinates(u)] == ["1"]
+    assert [str(c) for c in cb.expand(u)] == ["1"]
     # F^(4) v vanishes: empty coordinates at a rank-0 space
     f4 = m.apply_F(0, 4, m.vacuum())
-    assert m.coordinates(f4) == ()
+    assert cb.expand(f4) == []
     assert m.is_zero_vector(f4)
     # residual vector pairs to zero with every spanning monomial
     assert all(not p for p in m.pairing_row(f4))
@@ -338,7 +340,6 @@ def test_elimination_matches_reference_on_every_spanning_word(name):
     datum, hmax = ELIMINATION_DATA[name]
     q, hw = parse_quiver_dict(datum)
     m = HighestWeightModule(q, hw)
-    rf = RatFunc.from_laurent
     for nu in contents_up_to(q.n, hmax):
         space = m.weight_space(nu)
         # the reference Gram matrix over every normalized word of nu
@@ -354,35 +355,6 @@ def test_elimination_matches_reference_on_every_spanning_word(name):
                 kept.append(row)
                 prefix.append(w)
         assert space.basis == prefix
-        # every word's coordinates equal the rf_solve reference on G_B
-        basis = [words.index(b) for b in space.basis]
-        gb = [[rf(gram[s][t]) for t in basis] for s in basis]
-        for s, w in enumerate(words):
-            expect = ()
-            if basis:
-                rhs = [rf(gram[s][t]) for t in basis]
-                expect = tuple(rf_solve(gb, rhs))
-            assert m.coordinates(m.monomial_vector(w)) == expect
-
-
-@pytest.mark.parametrize("name,hmax", [("kronecker", 6), ("kronecker3", 5)])
-def test_basis_word_coordinates_are_unit_vectors_without_a_solve(name, hmax,
-                                                                 monkeypatch):
-    # a basis word is read off directly; only other words reach the solver
-    q, hw = parse_quiver_dict(ELIMINATION_DATA[name][0])
-    m = HighestWeightModule(q, hw)
-    for nu in contents_up_to(q.n, hmax):
-        m.weight_space(nu)
-    solves = []
-    real = hwmodule.lp_sym_solve
-    monkeypatch.setattr(hwmodule, "lp_sym_solve",
-                        lambda *args: solves.append(args) or real(*args))
-    for nu in contents_up_to(q.n, hmax):
-        basis = m.weight_space(nu).basis
-        for t, b in enumerate(basis):
-            unit = tuple(RF_ONE if s == t else RF_ZERO for s in range(len(basis)))
-            assert m.coordinates(m.monomial_vector(b)) == unit
-    assert solves == []
 
 
 # -- the self-pairing zero test against the pairing-row oracle --------------------
@@ -441,6 +413,6 @@ def test_zero_test_refuses_non_laurent_coefficients(a2_adjoint):
     # is an input the argument does not cover
     q, hw = a2_adjoint
     m = HighestWeightModule(q, hw)
-    u = ModuleVector((1, 0), {((0, 1),): RatFunc.from_laurent(ONE)})
+    u = ModuleVector((1, 0), {((0, 1),): Fraction(1, 2)})
     with pytest.raises(hwmodule.InternalCheckError):
         m.is_zero_vector(u)

@@ -1,14 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcanon.qarith import (LaurentPoly, RatFunc, ZERO, ONE, RF_ONE, bar,
-                           sym_truncate, qint, qfact, qbinom, lp_gcd, lp_rank,
-                           rf_rank, rf_solve, specialize_v1, lp_sym_echelon,
-                           lp_sym_solve, ExactDivisionError, PivotBreakdown,
-                           PoleAtOne)
+from qcanon.qarith import (LaurentPoly, ZERO, ONE, bar, sym_truncate, qint,
+                           qfact, qbinom, lp_rank, specialize_v1, lp_sym_echelon,
+                           ExactDivisionError, PivotBreakdown)
 
 PRIME = 2147483647
 
@@ -128,66 +125,15 @@ def test_sym_truncate_contract():
         assert all(k < 0 for k in diff.c)
 
 
-# -- rational functions -----------------------------------------------------------
-
-
-def test_ratfunc_canonical_form():
-    x = RatFunc(qint(2), qint(4))
-    assert x.den.coeff(0) != 0
-    assert x.den.c[x.den.degree()] > 0
-    assert RatFunc(qint(2) * qint(3), qint(3)) == RatFunc(qint(2))
-
-
-def test_ratfunc_equality_matches_cross_multiplication():
-    rng = random.Random(3)
-    for _ in range(200):
-        a, b = random_poly(rng, 5, 9), random_poly(rng, 5, 9)
-        c, d = random_poly(rng, 5, 9), random_poly(rng, 5, 9)
-        if not b or not d:
-            continue
-        x, y = RatFunc(a, b), RatFunc(c, d)
-        assert (x == y) == (a * d == c * b)
-
-
-def test_ratfunc_arithmetic():
-    v = LaurentPoly.v_power(1)
-    x = RatFunc(v, lp({2: 1, 0: -1}))
-    assert x + x == RatFunc(lp({1: 2}), lp({2: 1, 0: -1}))
-    assert x - x == 0
-    assert x / x == RF_ONE
-    assert (x * RatFunc(lp({2: 1, 0: -1}))) == RatFunc(v)
-
-
-def test_ratfunc_pole_detection():
-    x = RatFunc(ONE, lp({1: 1, 0: -1}))
-    with pytest.raises(PoleAtOne):
-        x.at_one()
-    assert RatFunc(qint(2), qint(3)).at_one() == Fraction(2, 3)
-
-
 # -- linear algebra -----------------------------------------------------------------
 
 
-def rf(p):
-    return RatFunc.from_laurent(p)
-
-
 def test_rank_examples():
-    eye = [[rf(ONE if i == j else ZERO) for j in range(3)] for i in range(3)]
-    assert rf_rank(eye) == 3
+    eye = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+    assert lp_rank(eye) == 3
     v = LaurentPoly.v_power(1)
-    prop = [[rf(v), rf(ONE)], [rf(v * v), rf(v)]]
-    assert rf_rank(prop) == 1
-
-
-def test_solve_identity_and_inconsistent():
-    eye = [[rf(ONE if i == j else ZERO) for j in range(2)] for i in range(2)]
-    sol = rf_solve(eye, [rf(qint(2)), rf(ZERO)])
-    assert sol == [rf(qint(2)), rf(ZERO)]
-    bad = [[rf(ONE), rf(ONE)], [rf(ONE), rf(ONE)]]
-    assert rf_solve(bad, [rf(ONE), rf(ZERO)]) is None
-    # consistent but singular: the solution is not unique
-    assert rf_solve(bad, [rf(ONE), rf(ONE)]) is None
+    prop = [[v, ONE], [v * v, v]]
+    assert lp_rank(prop) == 1
 
 
 def int_rank_mod_p(rows, a):
@@ -221,28 +167,7 @@ def test_rank_agrees_with_random_prime_field_specialization():
         assert rk == rk_p
 
 
-def test_solve_verifies_on_random_systems():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        A = [[rf(random_poly(rng, 2, 3)) for _ in range(n)] for _ in range(n)]
-        x = [rf(random_poly(rng, 1, 3)) for _ in range(n)]
-        b = []
-        for i in range(n):
-            acc = rf(ZERO)
-            for j in range(n):
-                acc = acc + A[i][j] * x[j]
-            b.append(acc)
-        sol = rf_solve(A, b)
-        assert sol is not None
-        for i in range(n):
-            acc = rf(ZERO)
-            for j in range(n):
-                acc = acc + A[i][j] * sol[j]
-            assert acc == b[i]
-
-
-# -- symmetric elimination against the rf_solve reference --------------------
+# -- symmetric elimination against independent references ---------------------
 
 
 def _transpose_times(m, d):
@@ -261,20 +186,22 @@ def _transpose_times(m, d):
     return out
 
 
-def _check_against_reference(a, rhs):
-    n = len(a)
+def _check_against_reference(a):
     try:
-        pivots, factor = lp_sym_echelon(a)
+        pivots = lp_sym_echelon(a)
     except PivotBreakdown:
         return None
     assert len(pivots) == lp_rank(a)
-    assert [f[0] for f in factor] == [
-        _det([[a[s][t] for t in pivots[:k + 1]] for s in pivots[:k + 1]])
-        for k in range(len(pivots))]
-    if len(pivots) == n:
-        sol = lp_sym_solve(factor, rhs)
-        ref = rf_solve([[rf(e) for e in row] for row in a], [rf(e) for e in rhs])
-        assert ref is not None and sol == ref
+    # the pivots are the greedy prefix of independent rows
+    kept, prefix = [], []
+    for s, row in enumerate(a):
+        if lp_rank(kept + [row]) > len(kept):
+            kept.append(row)
+            prefix.append(s)
+    assert pivots == prefix
+    # and every leading principal minor of the pivot block is nonzero
+    assert all(_det([[a[s][t] for t in pivots[:k + 1]] for s in pivots[:k + 1]])
+               for k in range(len(pivots)))
     return pivots
 
 
@@ -306,15 +233,14 @@ def test_sym_elimination_matches_rf_solve_on_gram_matrices(data, n):
     # row: diagonal pivoting never breaks down
     m = [data.draw(st.lists(sym_entries, min_size=n, max_size=n)) for _ in range(n)]
     d = data.draw(st.lists(positive_scales, min_size=n, max_size=n))
-    rhs = data.draw(st.lists(sym_entries, min_size=n, max_size=n))
     a = _transpose_times(m, d)
-    pivots = _check_against_reference(a, rhs)
+    pivots = _check_against_reference(a)
     assert pivots is not None
     # a repeated row of m makes the matrix singular: reported as a lost pivot
     if n > 1:
         m[-1] = list(m[0])
         singular = _transpose_times(m, d)
-        pivots = lp_sym_echelon(singular)[0]
+        pivots = lp_sym_echelon(singular)
         assert len(pivots) < n and len(pivots) == lp_rank(singular)
 
 
@@ -323,8 +249,7 @@ def test_sym_elimination_matches_rf_solve_on_gram_matrices(data, n):
 def test_sym_elimination_matches_rf_solve_on_symmetric_matrices(data, n):
     upper = {(i, j): data.draw(sym_entries) for i in range(n) for j in range(i, n)}
     a = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-    rhs = data.draw(st.lists(sym_entries, min_size=n, max_size=n))
-    _check_against_reference(a, rhs)
+    _check_against_reference(a)
 
 
 def test_sym_elimination_reports_breakdown_and_singular_factor():
@@ -332,22 +257,8 @@ def test_sym_elimination_reports_breakdown_and_singular_factor():
     with pytest.raises(PivotBreakdown):
         lp_sym_echelon([[ZERO, v], [v, ONE]])
     # a zero row is dependent, not a breakdown
-    assert lp_sym_echelon([[ZERO, ZERO], [ZERO, ONE]]) == ([1], [[ONE]])
-    assert lp_sym_solve([[ONE, v], [ZERO]], [ONE, ONE]) is None
-    assert lp_sym_solve([], []) == []
-
-
-def test_gcd_divides_both():
-    rng = random.Random(6)
-    for _ in range(100):
-        a, b = random_poly(rng, 4, 6), random_poly(rng, 4, 6)
-        g = lp_gcd(a, b)
-        if a or b:
-            assert g
-            if a:
-                a.divexact(g)
-            if b:
-                b.divexact(g)
+    assert lp_sym_echelon([[ZERO, ZERO], [ZERO, ONE]]) == [1]
+    assert lp_sym_echelon([]) == []
 
 
 # -- serialization ---------------------------------------------------------------

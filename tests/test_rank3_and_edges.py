@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qcanon.qarith import RF_ONE
+from qcanon.qarith import LaurentPoly, ONE
 from qcanon.cartan import HighestWeight, parse_quiver_dict, contents_up_to
 from qcanon.hwmodule import HighestWeightModule, ModuleVector
 from qcanon.canonical import CanonicalBasis, transition_matrix
@@ -32,10 +32,9 @@ def test_rank3_full_stack():
         if not cb.elements(nu):
             continue
         positions, paths, vectors = cg.monomial_basis(m, cb, graph, nu, order)
-        elems = [cb.elements(nu)[p] for p in positions]
-        T = transition_matrix(m, elems, vectors)
+        T = transition_matrix(cb, positions, vectors)
         for t in range(len(T)):
-            assert T[t][t] == RF_ONE
+            assert T[t][t] == ONE
             for s in range(t):
                 assert not T[s][t]
         for pos in positions:
@@ -91,26 +90,23 @@ def test_trivial_module():
 def test_coordinates_residual_pairs_to_zero(a2_adjoint):
     q, hw = a2_adjoint
     m = HighestWeightModule(q, hw)
+    cb = CanonicalBasis(m).compute_up_to(4)
     rng = random.Random(17)
     for nu in [(1, 1), (2, 1), (2, 2)]:
-        space = m.weight_space(nu)
+        elems = cb.elements(nu)
         words = m.spanning_words(nu)
-        from qcanon.qarith import LaurentPoly
         u = ModuleVector(nu, {w: LaurentPoly({rng.randint(-2, 2):
                                               rng.randint(-3, 3) or 1})
                               for w in words})
-        coords = m.coordinates(u)
-        # residual = u - sum coords_t * basis_t pairs to zero with every
+        coords = cb.expand(u)
+        # residual = u - sum coords_t * b_t pairs to zero with every
         # spanning monomial (here checked through linearity of the form)
+        row = m.pairing_row(u)
         for s, word in enumerate(words):
-            lhs = m.pairing_row(u)[s]
-            rhs = 0
-            from qcanon.qarith import RatFunc
-            acc = RatFunc.from_laurent(LaurentPoly(0))
-            for t, b in enumerate(space.basis):
-                g = m.pair_words(b, word)
-                acc = acc + coords[t] * RatFunc.from_laurent(g)
-            assert acc == RatFunc.from_laurent(lhs)
+            acc = LaurentPoly(0)
+            for t, b in enumerate(elems):
+                acc = acc + coords[t] * m.form(b.vector, m.monomial_vector(word))
+            assert acc == row[s]
 
 
 def test_graph_dot_two_vertex_syntax(tmp_path, capsys):
