@@ -10,8 +10,7 @@ from .uminus import (UMinusElement, mono_mul, restriction_coproduct, rbar,
 from .hwmodule import (ModuleVector, WeightSpaceModel, HighestWeightModule,
                        ResourceCapError, InternalCheckError)
 from .canonical import (CBElement, CanonicalBasis, verify_bar_invariant,
-                        transition_matrix, OrthogonalizationError,
-                        CompletionError)
+                        OrthogonalizationError, CompletionError)
 from .crystalgraph import (LeftGraph, t_stat, pi_arrow, build_left_graph,
                            sbar, path_order_lt, monomial_basis, GraphError)
 

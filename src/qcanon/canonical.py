@@ -252,10 +252,3 @@ def verify_bar_invariant(module, b):
     """Whether the bar involution fixes the element: bar(b) - b is zero in
     the module (word vectors are bar-fixed, so bar acts on coefficients)."""
     return module.is_zero_vector(b.vector.map_coeffs(bar) - b.vector)
-
-
-def transition_matrix(cb, positions, vectors):
-    """Columns are the canonical-basis coordinates of the given vectors,
-    rows the stored elements at ``positions`` of the vectors' content."""
-    cols = [cb.expand(vec) for vec in vectors]
-    return [[col[p] for col in cols] for p in positions]

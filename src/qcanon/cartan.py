@@ -176,6 +176,13 @@ def coroot_pairing(quiver, hw, nu, i):
 # -- input format ----------------------------------------------------------
 
 
+def _vertex_id(x):
+    """A vertex id as a string; ids are JSON strings or integers."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise QuiverError(f"vertex id {x!r} must be a string or an integer")
+    return str(x)
+
+
 def parse_quiver_dict(data):
     """Build (Quiver, HighestWeight) from the JSON input format.
 
@@ -188,13 +195,14 @@ def parse_quiver_dict(data):
     """
     if not isinstance(data, dict):
         raise QuiverError("quiver file must contain a JSON object")
-    try:
-        vertices = list(data["vertices"])
-    except KeyError:
-        raise QuiverError("missing 'vertices'") from None
-    if not vertices:
+    if "vertices" not in data:
+        raise QuiverError("missing 'vertices'")
+    for key in ("vertices", "edges"):
+        if not isinstance(data.get(key, []), list):
+            raise QuiverError(f"'{key}' must be an array")
+    if not data["vertices"]:
         raise QuiverError("empty vertex list")
-    vertices = [str(x) for x in vertices]
+    vertices = [_vertex_id(x) for x in data["vertices"]]
     idx = {vid: k for k, vid in enumerate(vertices)}
     if len(idx) != len(vertices):
         raise QuiverError("duplicate vertex ids")
@@ -202,7 +210,7 @@ def parse_quiver_dict(data):
     for e in data.get("edges", []):
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise QuiverError(f"bad edge entry {e!r}")
-        s, t = str(e[0]), str(e[1])
+        s, t = _vertex_id(e[0]), _vertex_id(e[1])
         if s not in idx or t not in idx:
             raise QuiverError(f"edge {e!r} uses an unknown vertex")
         edges.append((idx[s], idx[t]))

@@ -21,7 +21,7 @@ from . import cartan
 from .cartan import QuiverError, load_quiver
 from .uminus import word_str
 from .hwmodule import HighestWeightModule, ResourceCapError, check_content_count
-from .canonical import CanonicalBasis, transition_matrix
+from .canonical import CanonicalBasis
 from . import crystalgraph as cg
 from . import verify as verify_mod
 
@@ -298,13 +298,12 @@ def _basis_payload(quiver, hw, order, hmax):
                 },
             })
         if elems:
-            positions, paths, vectors = cg.monomial_basis(module, cb, graph, nu, order)
+            positions, paths, vectors, T = cg.monomial_basis(module, cb, graph, nu, order)
             block["path_order"] = [cb.element_id(nu, p) for p in positions]
             block["monomial_basis"] = [
                 {"path": [[quiver.vertex_id(i), t] for i, t in path],
                  "vector": _vector_json(quiver, vec)}
                 for path, vec in zip(paths, vectors)]
-            T = transition_matrix(cb, positions, vectors)
             block["transition_monomial_to_cb"] = [
                 [entry.to_terms() for entry in row] for row in T]
             block["transition_v1"] = [

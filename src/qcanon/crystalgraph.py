@@ -212,8 +212,11 @@ def path_order_lt(p, q, order):
 def monomial_basis(module, cb, graph, nu, order):
     """Path monomials at one content, one per basis element.
 
-    Returns (positions, paths, vectors) sorted by the path order ascending;
-    the vectors are asserted to form a basis of the weight space.
+    Returns (positions, paths, vectors, transition): the first three sorted
+    by the path order ascending, and the transition matrix whose columns
+    are the canonical-basis coordinates of the vectors and whose rows are
+    the stored elements at ``positions``.  The vectors are asserted to form
+    a basis of the weight space.
     """
     elems = cb.elements(nu)
     items = []
@@ -229,9 +232,10 @@ def monomial_basis(module, cb, graph, nu, order):
     positions = [pos for _, pos, _ in items]
     paths = [path for _, _, path in items]
     vectors = [module.monomial_vector(tuple(path)) for path in paths]
-    if lp_rank([cb.expand(vec) for vec in vectors]) != len(vectors):
+    cols = [cb.expand(vec) for vec in vectors]
+    if lp_rank(cols) != len(vectors):
         raise GraphError(f"path monomials do not span at {nu}")
-    return positions, paths, vectors
+    return positions, paths, vectors, [[col[p] for col in cols] for p in positions]
 
 
 # -- exports ---------------------------------------------------------------

@@ -6,8 +6,9 @@ actions E_i, F_i^(n), K_i^{+-}, the contravariant bilinear form normalized
 by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
 (a candidate spanning set, its Gram matrix, and one fraction-free symmetric
 elimination of it that yields the basis and the rank), and an independent
-Freudenthal multiplicity oracle driven by Peterson's root-multiplicity
-recursion.
+weight-multiplicity oracle: the Weyl-Kac character formula divided by the
+denominator identity, which needs only the signed dot orbit of the Weyl
+group, in integers.
 
 The module is generated from v_L by the divided powers, so
 L_nu = sum_{i, a} F_i^(a) L_{nu - a alpha_i}, and the weight space of nu is
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .qarith import LaurentPoly, ZERO, ONE, PivotBreakdown, qint, qfact, lp_sym_echelon
 from .uminus import EMPTY_WORD, concat_words, word_content
@@ -160,8 +160,8 @@ class HighestWeightModule:
         self._pair = {}
         self._spanning = {}
         self._spaces = {}
-        self._peterson_c = {}
-        self._root_mult = {}
+        # (height, N_Lambda, N_0 less its 0 term), regrown for a higher nu
+        self._orbits = (-1, {}, {})
         self._weight_mult = {}
 
     # -- vectors --------------------------------------------------------
@@ -420,100 +420,81 @@ class HighestWeightModule:
             return self.is_zero_vector(u) and self.is_zero_vector(w)
         return self.is_zero_vector(u - w)
 
-    # -- Freudenthal / Peterson oracle --------------------------------------
+    # -- Weyl-Kac multiplicity oracle -----------------------------------------
 
-    def _peterson(self, beta):
-        """Peterson's c_beta = sum_{k | beta} mult(beta/k)/k, memoized."""
-        hit = self._peterson_c.get(beta)
-        if hit is not None:
-            return hit
-        n = self.quiver.n
-        ht = cartan.height(beta)
-        if ht == 1:
-            self._peterson_c[beta] = Fraction(1)
-            self._root_mult[beta] = 1
-            return Fraction(1)
-        total = Fraction(0)
-        for gamma in cartan.subvectors(beta):
-            if not any(gamma) or gamma == beta:
-                continue
-            rest = tuple(b - g for b, g in zip(beta, gamma))
-            pairing = self.quiver.sym_form(gamma, rest)
-            if pairing:
-                total += pairing * self._peterson(gamma) * self._peterson(rest)
-        divisor_part = Fraction(0)
-        for k in range(2, ht + 1):
-            if all(x % k == 0 for x in beta):
-                divisor_part += Fraction(self._mult(tuple(x // k for x in beta)), k)
-        denom = self.quiver.sym_form(beta, beta) - 2 * ht
-        if denom == 0:
-            # (beta, beta - 2 rho) = 0 rules out real and imaginary roots,
-            # so mult(beta) = 0 and c_beta carries only divisor contributions
-            if total != 0:
-                raise InternalCheckError(f"Peterson recursion degenerate at {beta}")
-            mult = Fraction(0)
-            c = divisor_part
-        else:
-            c = total / denom
-            mult = c - divisor_part
-        if mult.denominator != 1 or mult < 0:
-            raise InternalCheckError(f"non-integral root multiplicity at {beta}: {mult}")
-        self._peterson_c[beta] = c
-        self._root_mult[beta] = int(mult)
-        return c
+    def _dot_orbit(self, lam, hmax):
+        """{nu: (-1)^l(w)} over the w in W with w(lam + rho) - rho = lam - nu
+        and height(nu) <= hmax.
 
-    def _mult(self, beta):
-        self._peterson(beta)
-        return self._root_mult[beta]
-
-    def positive_roots(self, hmax):
-        """dict content -> multiplicity, over heights 1..hmax."""
-        out = {}
-        for h in range(1, hmax + 1):
-            for beta in cartan.contents_of_height(self.quiver.n, h):
-                m = self._mult(beta)
-                if m:
-                    out[beta] = m
-        return out
+        The walk starts at nu = 0.  A step at vertex i reflects
+        lam + rho - nu in alpha_i; it goes down by
+        (<lam - nu, alpha_i^vee> + 1) alpha_i when that number is positive,
+        and it flips the sign.  lam + rho is regular dominant, so such a
+        step lengthens w by one, and every w has a reduced word whose steps
+        all go strictly down: the walk meets each orbit weight of height
+        <= hmax, with the sign of its length.  Reads only the Cartan matrix.
+        """
+        cart = self.quiver.cartan
+        n = len(lam)
+        orbit = {(0,) * n: 1}
+        frontier = [(0,) * n]
+        while frontier:
+            reached = []
+            for nu in frontier:
+                sign = -orbit[nu]
+                room = hmax - cartan.height(nu)
+                for i, row in enumerate(cart):
+                    step = lam[i] - sum(c * x for c, x in zip(row, nu)) + 1
+                    if not 0 < step <= room:
+                        continue
+                    low = nu[:i] + (nu[i] + step,) + nu[i + 1:]
+                    seen = orbit.get(low)
+                    if seen is None:
+                        orbit[low] = sign
+                        reached.append(low)
+                    elif seen != sign:
+                        raise InternalCheckError(
+                            f"dot orbit of {lam} meets {low} with both signs")
+            frontier = reached
+        return orbit
 
     def freudenthal_multiplicity(self, nu):
         """Weight multiplicity of Lambda - sum nu_i alpha_i, independently of
-        the Gram-rank computation (classical Freudenthal recursion)."""
+        the Gram-rank computation.
+
+        The method keeps the name of the Freudenthal recursion it replaced,
+        because the ``dims`` column ``freudenthal`` and the
+        ``hwmodule.freudenthal`` layer of ``perfbench`` read it by that
+        name.  The value comes from the Weyl-Kac character formula with the
+        denominator identity (Kac, Infinite-dimensional Lie algebras, 3rd
+        ed. 1990, Thm 10.4 and (10.4.4)): ch L(Lambda) . N_0 = N_Lambda,
+        with N_lam = sum_w (-1)^l(w) e^{w(lam + rho) - rho}.  N_0(0) = 1,
+        so m(nu) = N_Lambda(nu) - sum_{beta != 0} N_0(beta) m(nu - beta),
+        in integers.  It reads only the Cartan matrix and Lambda and shares
+        no code with the module action or the Gram build.
+        """
         nu = tuple(nu)
         if any(x < 0 for x in nu):
             return 0
-        if cartan.height(nu) == 0:
-            return 1
         hit = self._weight_mult.get(nu)
         if hit is not None:
             return hit
-        q = self.quiver
-        d = self.hw.d
-        roots = self.positive_roots(cartan.height(nu))
-        total = Fraction(0)
-        for alpha, mult in roots.items():
-            k = 1
-            while True:
-                rest = tuple(x - k * a for x, a in zip(nu, alpha))
-                if any(x < 0 for x in rest):
-                    break
-                m = self.freudenthal_multiplicity(rest)
-                if m:
-                    # (Lambda - nu + k*alpha, alpha)
-                    val = (sum(d[i] * alpha[i] for i in range(q.n))
-                           - q.sym_form(nu, alpha) + k * q.sym_form(alpha, alpha))
-                    total += mult * m * val
-                k += 1
-        denom = (2 * sum(d[i] * nu[i] for i in range(q.n))
-                 + 2 * cartan.height(nu) - q.sym_form(nu, nu))
-        if denom == 0:
-            if total != 0:
-                raise InternalCheckError(f"Freudenthal recursion degenerate at {nu}")
-            result = 0
-        else:
-            val = 2 * total / denom
-            if val.denominator != 1 or val < 0:
-                raise InternalCheckError(f"non-integral weight multiplicity at {nu}")
-            result = int(val)
-        self._weight_mult[nu] = result
-        return result
+        h = cartan.height(nu)
+        if h > self._orbits[0]:
+            origin = cartan.zero_vector(len(nu))
+            zero = self._dot_orbit(origin, h)
+            del zero[origin]
+            self._orbits = (h, self._dot_orbit(self.hw.d, h), zero)
+        _, top, zero = self._orbits
+        # every mu <= nu, each after all contents below it (lexicographic)
+        for mu in cartan.subvectors(nu):
+            if mu in self._weight_mult:
+                continue
+            m = top.get(mu, 0)
+            for beta, sign in zero.items():
+                if cartan.weight_leq(beta, mu):
+                    m -= sign * self._weight_mult[cartan.vec_sub(mu, beta)]
+            if m < 0:
+                raise InternalCheckError(f"negative weight multiplicity {m} at {mu}")
+            self._weight_mult[mu] = m
+        return self._weight_mult[nu]

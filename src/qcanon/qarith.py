@@ -341,7 +341,7 @@ def qbinom(n, k):
 
 
 def lp_echelon(rows):
-    """Fraction-free Bareiss echelon form of a LaurentPoly matrix.
+    """Bareiss echelon form of a LaurentPoly matrix, free of fractions.
 
     Returns (rows, pivots) where pivots is a list of (row, col).  Pivot
     choice within a column: nonzero entry with minimal exponent span,
@@ -393,7 +393,7 @@ class PivotBreakdown(ArithmeticError):
 
 
 def lp_sym_echelon(rows):
-    """Fraction-free elimination of a symmetric LaurentPoly matrix with
+    """Elimination free of fractions of a symmetric LaurentPoly matrix with
     diagonal pivots taken in row order (Bareiss 1968).
 
     Row s is reduced against the pivot rows kept so far and becomes a pivot

@@ -12,7 +12,7 @@ import pytest
 from qcanon.qarith import ONE
 from qcanon.cartan import HighestWeight, parse_quiver_dict, contents_up_to
 from qcanon.hwmodule import HighestWeightModule
-from qcanon.canonical import CanonicalBasis, transition_matrix
+from qcanon.canonical import CanonicalBasis
 from qcanon import crystalgraph as cg
 from qcanon import verify
 from qcanon import cli
@@ -97,8 +97,7 @@ def test_criterion_3_a2_adjoint():
         for nu in cb.contents():
             if not cb.elements(nu):
                 continue
-            positions, paths, vectors = cg.monomial_basis(m, cb, graph, nu, order)
-            T = transition_matrix(cb, positions, vectors)
+            positions, paths, vectors, T = cg.monomial_basis(m, cb, graph, nu, order)
             r = len(T)
             for t in range(r):
                 assert T[t][t] == ONE

@@ -44,6 +44,14 @@ def test_parse_rejects_bad_input():
         with pytest.raises(QuiverError):
             parse_quiver_dict({"vertices": ["1"], "edges": [],
                                "highest_weight": {"1": flag}})
+    for doc in ({"vertices": 5}, {"vertices": "12"}, {"vertices": {"1": 0}},
+                {"vertices": ["1", "2"], "edges": 5},
+                {"vertices": ["1", "2"], "edges": "12"},
+                {"vertices": [["x"], "2"]}, {"vertices": [True, "2"]},
+                {"vertices": [1.5]}, {"vertices": [None]},
+                {"vertices": ["1", "2"], "edges": [[["1"], "2"]]}):
+        with pytest.raises(QuiverError):
+            parse_quiver_dict(doc)
 
 
 def test_coroot_pairing_examples(a2_adjoint):

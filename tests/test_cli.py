@@ -320,6 +320,13 @@ def test_boolean_highest_weight_exits_2(qfile, capsys):
     assert code == 2 and "highest_weight" in err and not out
 
 
+def test_non_array_quiver_fields_exit_2(qfile, capsys):
+    for doc in ({"vertices": 5}, {"vertices": ["1", "2"], "edges": 5},
+                {"vertices": "12"}, {"vertices": [["x"], "2"]}):
+        code, out, err = run_cli(capsys, "dims", "--quiver", qfile(doc))
+        assert code == 2 and err.startswith("error:") and not out
+
+
 def test_verify_at_height_zero_passes(qfile, capsys):
     code, out, _ = run_cli(capsys, "verify", "--quiver", qfile(A2ADJ),
                            "--max-height", "0")

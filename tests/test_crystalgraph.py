@@ -179,12 +179,12 @@ def test_path_order_strict_on_zero_weight(a2_adjoint):
 def test_monomial_basis_examples(a1_d3, a2_adjoint):
     m1, cb1 = build(a1_d3, 3)
     g1 = cg.build_left_graph(m1, cb1)
-    positions, paths, vectors = cg.monomial_basis(m1, cb1, g1, (2,), (0,))
+    positions, paths, vectors, _ = cg.monomial_basis(m1, cb1, g1, (2,), (0,))
     assert paths == [((0, 2),)]
     assert vectors[0].terms == {((0, 2),): ONE}
     m2, cb2 = build(a2_adjoint, 4)
     g2 = cg.build_left_graph(m2, cb2)
-    positions, paths, vectors = cg.monomial_basis(m2, cb2, g2, (1, 1), (0, 1))
+    positions, paths, vectors, _ = cg.monomial_basis(m2, cb2, g2, (1, 1), (0, 1))
     assert len(vectors) == 2
     words = sorted(w for vec in vectors for w in vec.terms)
     assert words == [((0, 1), (1, 1)), ((1, 1), (0, 1))]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -262,21 +263,91 @@ def test_weyl_dimension_cross_check(a2_adjoint):
         assert total == (a + 1) * (b + 1) * (a + b + 2) // 2
 
 
+def denominator_product(roots, n, hmax):
+    """prod (1 - e^-alpha)^mult(alpha) over ``roots``, as {content: coefficient}
+    truncated above height hmax."""
+    prod = {(0,) * n: 1}
+    for alpha, mult in roots.items():
+        for _ in range(mult):
+            out = dict(prod)
+            for beta, c in prod.items():
+                gamma = tuple(b + a for b, a in zip(beta, alpha))
+                if sum(gamma) <= hmax:
+                    out[gamma] = out.get(gamma, 0) - c
+            prod = out
+    return {beta: c for beta, c in prod.items() if c}
+
+
 def test_kronecker_root_multiplicities(kronecker):
+    # affine rank-2: real roots (k, k +- 1) and imaginary roots (k, k), all of
+    # multiplicity 1; the denominator identity prod (1 - e^-alpha)^mult = N_0
+    # determines the multiplicities, so these are all roots up to height 6
     q, hw = kronecker
     m = HighestWeightModule(q, hw)
-    roots = m.positive_roots(6)
-    # affine rank-2: real roots mult 1, imaginary multiples of (1,1) mult 1
-    assert roots[(1, 0)] == roots[(0, 1)] == 1
-    assert roots[(1, 1)] == roots[(2, 2)] == roots[(3, 3)] == 1
-    assert roots[(2, 1)] == roots[(1, 2)] == roots[(3, 2)] == 1
-    assert (2, 0) not in roots and (3, 1) not in roots
+    roots = {(1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 1,
+             (3, 2): 1, (2, 3): 1, (3, 3): 1}
+    assert denominator_product(roots, 2, 6) == m._dot_orbit((0, 0), 6)
 
 
 def test_finite_type_roots(a2_adjoint):
     q, _ = a2_adjoint
     m = HighestWeightModule(q, HighestWeight([0, 0]))
-    assert m.positive_roots(6) == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    roots = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
+    assert denominator_product(roots, 2, 6) == m._dot_orbit((0, 0), 6)
+    # the six elements of the Weyl group, signed by length
+    assert len(m._dot_orbit((0, 0), 6)) == 6
+
+
+def test_oracle_checks_raise(a1_d3, a2_adjoint):
+    # a Cartan matrix off the hypothesis of the Weyl-Kac formula: a diagonal
+    # entry 0 makes the dot orbit meet (1, 2) with both signs, and on one
+    # vertex it makes the character quotient negative at (2,)
+    q, hw = a2_adjoint
+    q.cartan = [[0, 0], [-1, 0]]
+    with pytest.raises(hwmodule.InternalCheckError, match="both signs"):
+        HighestWeightModule(q, HighestWeight([0, 0]))._dot_orbit((0, 0), 4)
+    q1, _ = a1_d3
+    q1.cartan = [[0]]
+    m = HighestWeightModule(q1, HighestWeight([1]))
+    assert m.freudenthal_multiplicity((1,)) == 1
+    with pytest.raises(hwmodule.InternalCheckError, match="negative"):
+        m.freudenthal_multiplicity((2,))
+
+
+# Weight multiplicities of every content up to the given height, recorded
+# from the Peterson-Freudenthal recursions before the Weyl-Kac oracle
+# replaced them: (quiver, max height, total dimension, sha256 of the
+# "nu_1,...,nu_n:m" lines in contents_up_to order).
+MULTIPLICITY_PINS = {
+    "kronecker3": ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
+                    "highest_weight": {"1": 1, "2": 0}}, 12, 867,
+                   "b14b9b52c30d436da2c6821fa3858a8ebb2749d6143a5b4c9ce1bd5d1e6129e9"),
+    "kronecker4": ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 4,
+                    "highest_weight": {"1": 2, "2": 1}}, 10, 1067,
+                   "3df262304676e6f151a48e76dd6ae9c57df7b8cb124ac18c4147d51d7515a00b"),
+    "d4": ({"vertices": ["c", "1", "2", "3"],
+            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+            "highest_weight": {"c": 1}}, 8, 26,
+           "ba2c048e18c8a9405e2d1be201a580d954e43fad7c31828d66a0160bd1471533"),
+    "a3": ({"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
+            "highest_weight": {"1": 1, "3": 1}}, 9, 15,
+           "513bc08c29ae1dbb4ecd0aa3b76ef67325e6575a14a3a29f6993274caa8db38f"),
+    "cyclic": ({"vertices": ["1", "2", "3"],
+                "edges": [["1", "2"], ["1", "2"], ["2", "3"], ["3", "1"]],
+                "highest_weight": {"1": 1, "2": 2}}, 7, 449,
+               "f2071a47d937b0fff5c8b244f34be0bc7038aa7d904eab25242dab1b0e87d97b"),
+}
+
+
+@pytest.mark.parametrize("datum", sorted(MULTIPLICITY_PINS))
+def test_multiplicities_pinned(datum):
+    data, hmax, total, digest = MULTIPLICITY_PINS[datum]
+    q, hw = parse_quiver_dict(data)
+    m = HighestWeightModule(q, hw)
+    mults = [(nu, m.freudenthal_multiplicity(nu)) for nu in contents_up_to(q.n, hmax)]
+    text = "".join(f"{','.join(map(str, nu))}:{k}\n" for nu, k in mults)
+    assert sum(k for _, k in mults) == total
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- plumbing ------------------------------------------------------------------------

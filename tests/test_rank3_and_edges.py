@@ -6,7 +6,7 @@ import pytest
 from qcanon.qarith import LaurentPoly, ONE
 from qcanon.cartan import HighestWeight, parse_quiver_dict, contents_up_to
 from qcanon.hwmodule import HighestWeightModule, ModuleVector
-from qcanon.canonical import CanonicalBasis, transition_matrix
+from qcanon.canonical import CanonicalBasis
 from qcanon import crystalgraph as cg
 from qcanon import verify
 from qcanon import cli
@@ -31,8 +31,7 @@ def test_rank3_full_stack():
     for nu in cb.contents():
         if not cb.elements(nu):
             continue
-        positions, paths, vectors = cg.monomial_basis(m, cb, graph, nu, order)
-        T = transition_matrix(cb, positions, vectors)
+        positions, paths, vectors, T = cg.monomial_basis(m, cb, graph, nu, order)
         for t in range(len(T)):
             assert T[t][t] == ONE
             for s in range(t):
