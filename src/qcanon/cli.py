@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from . import cartan
 from .cartan import QuiverError, load_quiver
-from .uminus import word_str
+from .uminus import count_words, word_str
 from .hwmodule import HighestWeightModule, ResourceCapError, check_content_count
 from .canonical import CanonicalBasis
 from . import crystalgraph as cg
@@ -246,7 +246,7 @@ def _dims_payload(quiver, hw, order, hmax, fmt):
         fr = module.freudenthal_multiplicity(nu)
         rows.append({
             "content": cartan.content_to_dict(quiver, nu),
-            "spanning": len(module.spanning_words(nu)),
+            "spanning": count_words(nu),
             "rank": ws.rank,
             "freudenthal": fr,
             "agree": ws.rank == fr,
@@ -360,6 +360,8 @@ def _run_verify(args, quiver, hw, order):
         names = list(verify_mod.DEFAULT_SUITES)
     else:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not names:
+            raise QuiverError(f"--suite {args.suite!r} names no suite")
     for name in names:
         if name not in verify_mod.SUITES:
             raise QuiverError(f"unknown suite {name!r}; known: "

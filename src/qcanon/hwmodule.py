@@ -1,7 +1,10 @@
 """The integrable highest weight module realized on divided-power words.
 
-A ``ModuleVector`` is a content-homogeneous combination of words applied to
-the highest weight vector.  ``HighestWeightModule`` carries the operator
+A vector is a ``uminus.UMinusElement`` x standing for x applied to the
+highest weight vector: the module is a quotient of U^-, and F_i^(n) acts
+by the U^- product ``uminus.mono_mul``.  Vectors equal in the module may
+differ as combinations of words; ``is_zero_vector`` and ``vectors_equal``
+compare them in the module.  ``HighestWeightModule`` carries the operator
 actions E_i, F_i^(n), K_i^{+-}, the contravariant bilinear form normalized
 by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
 (a candidate spanning set, its Gram matrix, and one fraction-free symmetric
@@ -41,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 from .qarith import LaurentPoly, ZERO, ONE, PivotBreakdown, qint, qfact, lp_sym_echelon
-from .uminus import EMPTY_WORD, concat_words, word_content
+from .uminus import EMPTY_WORD, UMinusElement, concat_words, mono_mul, word_content
 from . import cartan
 
 
@@ -66,69 +69,6 @@ def check_content_count(n, hmax):
     if count > CONTENT_CAP:
         raise ResourceCapError(
             f"{count} contents up to height {hmax} exceed cap {CONTENT_CAP}")
-
-
-class ModuleVector:
-    """Weight-homogeneous element of the module, as word -> coefficient.
-
-    The zero vector keeps its declared content.  Operators that would push
-    the content outside the positive cone return a zero vector with the
-    content left unchanged; downstream code only ever inspects such
-    vectors for vanishing.
-    """
-
-    __slots__ = ("content", "terms")
-
-    def __init__(self, content, terms=None):
-        self.content = tuple(content)
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
-
-    def __add__(self, other):
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        if self.content != other.content:
-            raise ValueError("adding vectors of different contents")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        return ModuleVector(self.content, out)
-
-    def __neg__(self):
-        return ModuleVector(self.content, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not coeff:
-            return ModuleVector(self.content)
-        if coeff == ONE:
-            return self
-        return ModuleVector(self.content,
-                            {w: c * coeff for w, c in self.terms.items()})
-
-    def map_coeffs(self, f):
-        return ModuleVector(self.content, {w: f(c) for w, c in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleVector)
-                and self.content == other.content and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"ModuleVector({self.content!r}, {self.terms!r})"
 
 
 @dataclass
@@ -167,10 +107,10 @@ class HighestWeightModule:
     # -- vectors --------------------------------------------------------
 
     def vacuum(self):
-        return ModuleVector(cartan.zero_vector(self.quiver.n), {EMPTY_WORD: ONE})
+        return UMinusElement.unit(self.quiver)
 
     def monomial_vector(self, word, coeff=ONE):
-        return ModuleVector(word_content(word, self.quiver.n), {word: coeff})
+        return UMinusElement.monomial(self.quiver, word, coeff)
 
     def coroot_pairing(self, nu, i):
         return cartan.coroot_pairing(self.quiver, self.hw, nu, i)
@@ -178,19 +118,10 @@ class HighestWeightModule:
     # -- operators ------------------------------------------------------
 
     def apply_F(self, i, n, u):
-        """Left multiplication by F_i^(n)."""
+        """Left multiplication by F_i^(n): the U^- product with that monomial."""
         if n < 1:
             raise ValueError("divided power exponent must be >= 1")
-        content = cartan.vec_add(u.content, cartan.unit_vector(self.quiver.n, i, n))
-        out = {}
-        for w, c in u.terms.items():
-            nw, scal = concat_words(((i, n),), w)
-            s = out.get(nw, ZERO) + c * scal
-            if s:
-                out[nw] = s
-            else:
-                del out[nw]
-        return ModuleVector(content, out)
+        return mono_mul(self.quiver, self.monomial_vector(((i, n),)), u)
 
     def _e_word(self, i, w):
         """E_i(w . v_L) as a word -> coefficient map one step down."""
@@ -225,11 +156,11 @@ class HighestWeightModule:
 
     def apply_E(self, i, u):
         if u.content[i] == 0:
-            return ModuleVector(u.content)
+            return UMinusElement(u.content)
         content = cartan.vec_sub(u.content, cartan.unit_vector(self.quiver.n, i))
-        out = ModuleVector(content)
+        out = UMinusElement(content)
         for w, c in u.terms.items():
-            out = out + ModuleVector(content, {y: c * cy for y, cy in self._e_word(i, w).items()})
+            out = out + UMinusElement(content, {y: c * cy for y, cy in self._e_word(i, w).items()})
         return out
 
     def apply_E_divided(self, i, n, u):

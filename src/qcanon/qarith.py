@@ -436,15 +436,3 @@ def lp_sym_echelon(rows):
         elif any(row.values()):
             raise PivotBreakdown(f"zero residual diagonal over a nonzero row at {s}")
     return pivots
-
-
-def specialize_v1(x):
-    """Substitute v = 1 in a scalar, vector, or matrix.
-
-    LaurentPoly -> int; lists map recursively.
-    """
-    if isinstance(x, LaurentPoly):
-        return x.at_one()
-    if isinstance(x, (list, tuple)):
-        return [specialize_v1(e) for e in x]
-    raise TypeError(f"cannot specialize {type(x)}")

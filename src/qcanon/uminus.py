@@ -9,6 +9,12 @@ Merging of adjacent equal vertices is performed by the product and emits a
 Gaussian binomial scalar, F_i^{(a)} F_i^{(b)} = [a+b choose a] F_i^{(a+b)}.
 No further straightening is attempted; relations are imposed only in the
 module quotient.
+
+``UMinusElement`` is the one type that holds a content and a word ->
+coefficient map.  The highest weight module is a quotient of this algebra,
+so a module vector is an element x applied to the highest weight vector
+and is stored as the ``UMinusElement`` x; the module's F_i^(n) is
+``mono_mul`` with the monomial F_i^(n) on the left.
 """
 
 from __future__ import annotations
@@ -53,6 +59,28 @@ def parse_word(text, quiver):
     return word
 
 
+def count_words(content):
+    """Number of normalized words of a content, without listing them: a
+    memoized count over (remaining content, last vertex)."""
+    memo = {}
+
+    def rec(remaining, last):
+        if not any(remaining):
+            return 1
+        key = (remaining, last)
+        hit = memo.get(key)
+        if hit is None:
+            hit = 0
+            for i, top in enumerate(remaining):
+                if i != last:
+                    for a in range(1, top + 1):
+                        hit += rec(remaining[:i] + (top - a,) + remaining[i + 1:], i)
+            memo[key] = hit
+        return hit
+
+    return rec(tuple(content), None)
+
+
 def normalize_slots(slots):
     """Drop zero-multiplicity slots and merge adjacent equal vertices.
 
@@ -88,7 +116,14 @@ def concat_words(w1, w2):
 
 
 class UMinusElement:
-    """Content-homogeneous A-linear combination of words."""
+    """Content-homogeneous A-linear combination of words.
+
+    The same data is a vector of the module, the element applied to the
+    highest weight vector.  The zero element keeps its declared content;
+    module operators that would push the content outside the positive cone
+    return a zero element with the content left unchanged, and downstream
+    code only ever inspects such elements for vanishing.
+    """
 
     __slots__ = ("content", "terms")
 
@@ -116,10 +151,10 @@ class UMinusElement:
                 and self.content == other.content and self.terms == other.terms)
 
     def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
+        if not other.terms:
             return self
+        if not self.terms:
+            return other
         if self.content != other.content:
             raise ValueError("adding inhomogeneous elements")
         out = dict(self.terms)
@@ -128,7 +163,7 @@ class UMinusElement:
             if s:
                 out[w] = s
             else:
-                out.pop(w, None)
+                del out[w]
         return UMinusElement(self.content, out)
 
     def __neg__(self):
@@ -140,8 +175,16 @@ class UMinusElement:
     def scale(self, coeff):
         if not coeff:
             return UMinusElement(self.content)
+        if coeff == ONE:
+            return self
         return UMinusElement(self.content,
                              {w: c * coeff for w, c in self.terms.items()})
+
+    def map_coeffs(self, f):
+        return UMinusElement(self.content, {w: f(c) for w, c in self.terms.items()})
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
 
     def __repr__(self):
         return f"UMinusElement({self.content!r}, {self.terms!r})"
@@ -273,31 +316,27 @@ def restriction_coproduct(quiver, word, split, raw=False):
 
 def rbar(quiver, x, i):
     """Derivation extracting the coproduct component with second factor F_i."""
-    n = quiver.n
-    if x.content[i] == 0:
-        return UMinusElement(cartan.vec_sub(x.content, cartan.unit_vector(n, i, 0)))
-    target = cartan.vec_sub(x.content, cartan.unit_vector(n, i))
-    out = UMinusElement(target)
-    unit = cartan.unit_vector(n, i)
-    for word, c in x.terms.items():
-        for tau, omega, coeff in restriction_coproduct(quiver, word, (target, unit)):
-            assert omega == ((i, 1),)
-            out = out + UMinusElement(target, {tau: c * coeff})
-    return out
+    return _coproduct_extraction(quiver, x, i, right=True)
 
 
 def ibar(quiver, x, i):
     """Derivation extracting the coproduct component with first factor F_i."""
+    return _coproduct_extraction(quiver, x, i, right=False)
+
+
+def _coproduct_extraction(quiver, x, i, right):
     n = quiver.n
     if x.content[i] == 0:
-        return UMinusElement(cartan.vec_sub(x.content, cartan.unit_vector(n, i, 0)))
+        return UMinusElement(x.content)
     target = cartan.vec_sub(x.content, cartan.unit_vector(n, i))
-    out = UMinusElement(target)
     unit = cartan.unit_vector(n, i)
+    out = UMinusElement(target)
     for word, c in x.terms.items():
-        for tau, omega, coeff in restriction_coproduct(quiver, word, (unit, target)):
-            assert tau == ((i, 1),)
-            out = out + UMinusElement(target, {omega: c * coeff})
+        for tau, omega, coeff in restriction_coproduct(
+                quiver, word, (target, unit) if right else (unit, target)):
+            kept, single = (tau, omega) if right else (omega, tau)
+            assert single == ((i, 1),)
+            out = out + UMinusElement(target, {kept: c * coeff})
     return out
 
 
@@ -321,7 +360,7 @@ def ibar_derivation(quiver, x, i):
 def _twisted_extraction(quiver, x, i, right):
     n = quiver.n
     if x.content[i] == 0:
-        return UMinusElement(cartan.vec_sub(x.content, cartan.unit_vector(n, i, 0)))
+        return UMinusElement(x.content)
     target = cartan.vec_sub(x.content, cartan.unit_vector(n, i))
     out = UMinusElement(target)
     for word, c in x.terms.items():

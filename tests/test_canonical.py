@@ -4,7 +4,8 @@ import pytest
 
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint
 from qcanon.cartan import HighestWeight, parse_quiver_dict, contents_up_to
-from qcanon.hwmodule import HighestWeightModule, ModuleVector, InternalCheckError
+from qcanon.hwmodule import HighestWeightModule, InternalCheckError
+from qcanon.uminus import UMinusElement
 from qcanon.canonical import (CanonicalBasis, CBElement, verify_bar_invariant,
                               element_key)
 from qcanon import crystalgraph as cg
@@ -229,7 +230,7 @@ def test_expand_reconstructs_every_basis_word_and_image(name):
             x = cb.expand(u)
             assert len(x) == len(elems)
             assert all(isinstance(c, LaurentPoly) for c in x)
-            rebuilt = ModuleVector(nu)
+            rebuilt = UMinusElement(nu)
             for c, b in zip(x, elems):
                 rebuilt = rebuilt + b.vector.scale(c)
             assert m.is_zero_vector(u - rebuilt)

@@ -276,10 +276,16 @@ def test_verify_passes_and_suite_selection(qfile, capsys):
                            "--max-height", "3", "--suite", "counts,barinv")
     assert code == 0
     assert "counts" in out and "PASS" in out
-    # empty selection is a trivial pass
-    code, out, _ = run_cli(capsys, "verify", "--quiver", path,
-                           "--max-height", "3", "--suite", "")
-    assert code == 0
+
+
+@pytest.mark.parametrize("names", ["", ",", " ", " , "])
+def test_verify_empty_suite_list_exits_2(qfile, capsys, names):
+    # a selection that names no suite would run nothing and report a pass
+    code, out, err = run_cli(capsys, "verify", "--quiver", qfile(A2ADJ),
+                             "--max-height", "3", "--suite", names)
+    assert code == 2
+    assert err.startswith("error:") and "no suite" in err
+    assert out == ""
 
 
 def test_verify_failure_exit_code(qfile, capsys, monkeypatch):
@@ -336,8 +342,10 @@ def test_verify_at_height_zero_passes(qfile, capsys):
 
 
 def test_resource_cap_exit_3(qfile, capsys, monkeypatch):
+    # dims counts words without listing them; basis lists them for the
+    # element ids
     monkeypatch.setattr(hwmodule, "SPANNING_CAP", 1)
-    code, _, err = run_cli(capsys, "dims", "--quiver", qfile(KRON),
+    code, _, err = run_cli(capsys, "basis", "--quiver", qfile(KRON),
                            "--max-height", "3")
     assert code == 3 and "cap" in err
 

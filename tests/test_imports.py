@@ -1,10 +1,14 @@
-"""Every name a qcanon module imports is used in that module, and no module
-imports rational or decimal arithmetic: all arithmetic is in Z[v, v^-1]."""
+"""Every name a qcanon module imports is used in that module, no module
+imports rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]),
+and the package re-exports every class and function under its own name."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import qcanon
 
 PACKAGE = sorted((Path(__file__).parent.parent / "src" / "qcanon").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -52,3 +56,21 @@ def test_no_rational_arithmetic(path):
 def test_detector_sees_a_rational_import():
     assert imported_modules("import decimal as d\nfrom fractions import Fraction\n"
                             "from .qarith import ZERO\n") == {"decimal", "fractions"}
+
+
+def renamed_exports(namespace):
+    """Public names bound to a class or function defined under another name."""
+    return sorted(name for name, obj in namespace.items()
+                  if not name.startswith("_")
+                  and (inspect.isclass(obj) or inspect.isfunction(obj))
+                  and obj.__name__ != name)
+
+
+def test_exports_keep_their_names():
+    assert renamed_exports(vars(qcanon)) == []
+
+
+def test_detector_sees_an_alias():
+    namespace = {}
+    exec("class UMinusElement:\n    pass\n\n\nModuleVector = UMinusElement\n", namespace)
+    assert renamed_exports(namespace) == ["ModuleVector"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, bar, sym_truncate, qint,
-                           qfact, qbinom, lp_rank, specialize_v1, lp_sym_echelon,
+                           qfact, qbinom, lp_rank, lp_sym_echelon,
                            ExactDivisionError, PivotBreakdown)
 
 PRIME = 2147483647
@@ -273,9 +273,3 @@ def test_json_terms_round_trip():
         assert LaurentPoly.from_terms(terms) == p
     big = lp({-5: 10**40, 3: -(10**38)})
     assert LaurentPoly.from_terms(big.to_terms()) == big
-
-
-def test_specialize_v1():
-    assert specialize_v1(qint(5)) == 5
-    assert specialize_v1(qbinom(4, 2)) == 6
-    assert specialize_v1([[qint(2), ZERO]]) == [[2, 0]]

@@ -7,9 +7,9 @@ from qcanon.cartan import contents_of_height, contents_up_to
 from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
                            parse_word, word_content, restriction_coproduct,
                            rbar, ibar, rbar_derivation, ibar_derivation,
-                           serre_element, normalize_slots)
+                           serre_element, normalize_slots, count_words)
 from qcanon.hwmodule import HighestWeightModule
-from qcanon.cartan import HighestWeight
+from qcanon.cartan import HighestWeight, parse_quiver_dict
 
 
 def vp(k):
@@ -77,6 +77,18 @@ def test_word_text_form(a2_adjoint):
 
 
 # -- restriction coproduct ------------------------------------------------------
+
+
+def test_word_count_matches_the_enumeration(a2_adjoint):
+    kron3 = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
+                               "highest_weight": {"1": 1}})
+    d4 = parse_quiver_dict({"vertices": ["c", "1", "2", "3"],
+                            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+                            "highest_weight": {"c": 1}})
+    for (q, hw), hmax in ((a2_adjoint, 8), (kron3, 7), (d4, 5)):
+        m = HighestWeightModule(q, hw)
+        for nu in contents_up_to(q.n, hmax):
+            assert count_words(nu) == len(m.spanning_words(nu)), nu
 
 
 def test_coproduct_spec_examples(a2_adjoint):
@@ -147,18 +159,18 @@ def test_rbar_of_missing_vertex_is_zero(a2_adjoint):
 def test_derivations_satisfy_hand_rolled_leibniz(a2_adjoint, kronecker):
     # independent recursions live in the verify module; exercised here on
     # every word of height <= 5
-    from qcanon.verify import (_rbar_leibniz, _ibar_leibniz,
-                               _rbar_deriv_leibniz, _ibar_deriv_leibniz)
+    from qcanon.verify import _right_leibniz, _left_leibniz, _leibniz_twists
     for q, _ in (a2_adjoint, kronecker):
         for w in all_words(q, 5):
             x = mono(q, w)
             for i in range(q.n):
                 if word_content(w, q.n)[i] == 0:
                     continue
-                assert rbar(q, x, i).terms == _rbar_leibniz(q, w, i)
-                assert ibar(q, x, i).terms == _ibar_leibniz(q, w, i)
-                assert rbar_derivation(q, x, i).terms == _rbar_deriv_leibniz(q, w, i)
-                assert ibar_derivation(q, x, i).terms == _ibar_deriv_leibniz(q, w, i)
+                cop, der = _leibniz_twists(q, i)
+                assert rbar(q, x, i).terms == _right_leibniz(q, w, i, cop)
+                assert ibar(q, x, i).terms == _left_leibniz(q, w, i, cop)
+                assert rbar_derivation(q, x, i).terms == _right_leibniz(q, w, i, der)
+                assert ibar_derivation(q, x, i).terms == _left_leibniz(q, w, i, der)
 
 
 def test_single_slot_derivation_values(a1_d3):
