@@ -7,8 +7,9 @@ differ as combinations of words; ``is_zero_vector`` and ``vectors_equal``
 compare them in the module.  ``HighestWeightModule`` carries the operator
 actions E_i, F_i^(n), K_i^{+-}, the contravariant bilinear form normalized
 by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
-(a candidate spanning set, its Gram matrix, and one fraction-free symmetric
-elimination of it that yields the basis and the rank), and an independent
+(a candidate spanning set, its Gram matrix, and one symmetric elimination
+of it that yields the basis and the rank: certified modulo a prime when
+the space has full rank, fraction-free and exact otherwise), and an independent
 weight-multiplicity oracle: the Weyl-Kac character formula divided by the
 denominator identity, which needs only the signed dot orbit of the Weyl
 group, in integers.
@@ -121,7 +122,7 @@ class HighestWeightModule:
         """Left multiplication by F_i^(n): the U^- product with that monomial."""
         if n < 1:
             raise ValueError("divided power exponent must be >= 1")
-        return mono_mul(self.quiver, self.monomial_vector(((i, n),)), u)
+        return mono_mul(self.monomial_vector(((i, n),)), u)
 
     def _e_word(self, i, w):
         """E_i(w . v_L) as a word -> coefficient map one step down."""

@@ -9,6 +9,13 @@ Gaussian binomials, the bar involution v -> v^-1, the symmetric truncation
 used by the basis orthogonalization, and fraction-free (Bareiss)
 elimination: the rank of a Laurent matrix, and the symmetric elimination
 with diagonal pivots that weight spaces are built on.
+
+The symmetric elimination first tries a certificate modulo the prime
+2^61 - 1: if all leading principal minors are nonzero at one fixed point
+of F_p, they are nonzero in Z[v, v^-1] and the matrix has full rank with
+every row a pivot, with no Laurent arithmetic.  A rank-deficient matrix
+(or one whose minor merely vanishes at that point) falls back to the exact
+Bareiss loop, which alone decides which rows are dependent.
 """
 
 from __future__ import annotations
@@ -187,13 +194,16 @@ class LaurentPoly:
         return sum(self.c.values())
 
     def eval_mod(self, a, p):
-        """Evaluate at v = a over the prime field F_p."""
-        inv = pow(a % p, p - 2, p)
+        """Evaluate at v = a over the prime field F_p (a invertible mod p):
+        Horner's rule over the exponent range, then one factor a^low."""
+        c = self.c
+        if not c:
+            return 0
+        lo, hi = min(c), max(c)
         total = 0
-        for k, x in self.c.items():
-            base = pow(a % p, k, p) if k >= 0 else pow(inv, -k, p)
-            total = (total + x * base) % p
-        return total
+        for k in range(hi, lo - 1, -1):
+            total = (total * a + c.get(k, 0)) % p
+        return total * pow(a, lo, p) % p
 
     def in_vinv_span(self):
         """True when every exponent is strictly negative (p in v^-1 Z[v^-1])."""
@@ -392,6 +402,37 @@ class PivotBreakdown(ArithmeticError):
     """Diagonal pivoting met a zero residual diagonal over a nonzero row."""
 
 
+# The certificate's evaluation point: v = EVAL_POINT in F_EVAL_PRIME.
+EVAL_PRIME = (1 << 61) - 1
+EVAL_POINT = 1234567
+
+
+def _full_rank_mod_p(rows):
+    """True when every leading principal minor of ``rows`` is nonzero at
+    v = EVAL_POINT over F_EVAL_PRIME.
+
+    Diagonal pivots in row order; the pivots found are the ratios of
+    consecutive leading principal minors of the evaluated matrix.
+    Evaluation is a ring map Z[v, v^-1] -> F_p, so a minor that is nonzero
+    there is nonzero as a Laurent polynomial.  False at the first modular
+    zero, which proves nothing either way.
+    """
+    p, a = EVAL_PRIME, EVAL_POINT
+    m = [[e.eval_mod(a, p) for e in r] for r in rows]
+    n = len(m)
+    for s in range(n):
+        top = m[s]
+        if not top[s]:
+            return False
+        inv = pow(top[s], -1, p)
+        for row in m[s + 1:]:
+            f = row[s] * inv % p
+            if f:
+                for t in range(s + 1, n):
+                    row[t] = (row[t] - f * top[t]) % p
+    return True
+
+
 def lp_sym_echelon(rows):
     """Elimination free of fractions of a symmetric LaurentPoly matrix with
     diagonal pivots taken in row order (Bareiss 1968).
@@ -403,6 +444,13 @@ def lp_sym_echelon(rows):
     PivotBreakdown; otherwise the pivots are the greedy prefix of
     independent rows.
 
+    Full rank is certified first, modulo a prime: when every leading
+    principal minor is nonzero at v = EVAL_POINT in F_EVAL_PRIME, it is
+    nonzero in Z[v, v^-1], every residual diagonal below is nonzero, and
+    the loop would keep every row, so all indices are returned without a
+    Laurent operation.  At the first modular zero the exact loop runs from
+    the start; a modular zero never marks a row dependent.
+
     Every division is exact: after j stages the entry (s, t) is the
     bordered minor det A[P_j + s, P_j + t] of the first j pivots P_j, and
     Sylvester's identity makes d_{j-1} times the stage-j entry equal to
@@ -413,6 +461,8 @@ def lp_sym_echelon(rows):
     Only pivot columns and columns >= s are carried.
     """
     n = len(rows)
+    if _full_rank_mod_p(rows):
+        return list(range(n))
     pivots = []
     kept = []  # pivot row p as {column: entry} over columns > p
     diag = []

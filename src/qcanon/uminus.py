@@ -190,7 +190,7 @@ class UMinusElement:
         return f"UMinusElement({self.content!r}, {self.terms!r})"
 
 
-def mono_mul(quiver, x, y):
+def mono_mul(x, y):
     """Bilinear extension of concatenation with the merge rule."""
     out = {}
     for w1, c1 in x.terms.items():

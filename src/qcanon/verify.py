@@ -155,7 +155,7 @@ def suite_serre(ctx):
                 for j in range(n):
                     if i == j:
                         continue
-                    if m.is_zero_vector(mono_mul(q, serre_element(q, i, j), u)):
+                    if m.is_zero_vector(mono_mul(serre_element(q, i, j), u)):
                         res.ok()
                     else:
                         res.fail(f"F-Serre({i},{j}) nonzero on {_fmt_vec(q, u)} at {nu}")

@@ -8,8 +8,10 @@ D4 h=6 `basis` digest before the per-word coordinate memo was deleted, and
 the 3-Kronecker h=6 and D4 h=4 `verify` digests before the zero test
 became a self-pairing, and the 3-Kronecker h=7 `basis` and D4 h=6 `graph`
 digests before canonical-basis coordinates replaced the greedy-basis solve
-and the fraction field; every later change that is meant to keep the output
-must keep these bytes.
+and the fraction field, and the 3-Kronecker h=8 `dims` digest before
+full-rank weight spaces were certified modulo a prime; every later change
+that is meant to keep the output must keep these bytes.  Every `dims` row
+must also agree with the multiplicity oracle.
 """
 
 import hashlib
@@ -67,6 +69,8 @@ GOLDEN = [
      "b1ae4932758f436e51c930dbc461aa9f0624d01008d177cace3fc91d00c7ce3d"),
     ("d4", 6, ("graph", "--format", "json"),
      "ecde4d97c0ccd8a61f6f7f35feb947834b12151b75dfb4050f92bf19ea1d1499"),
+    ("kronecker3", 8, ("dims", "--format", "json"),
+     "4b88d649d900e04af372669c43c2936411a2b543717257fd4d398e4c03ccfd73"),
 ]
 
 
@@ -79,3 +83,5 @@ def test_output_bytes_unchanged(tmp_path, capsys, datum, height, command, digest
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if command[0] == "dims":
+        assert all(row["agree"] for row in json.loads(out)["rows"])

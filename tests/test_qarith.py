@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, bar, sym_truncate, qint,
                            qfact, qbinom, lp_rank, lp_sym_echelon,
-                           ExactDivisionError, PivotBreakdown)
+                           EVAL_POINT, EVAL_PRIME, ExactDivisionError,
+                           PivotBreakdown)
 
 PRIME = 2147483647
 
@@ -227,7 +228,7 @@ positive_scales = st.tuples(st.integers(1, 5), st.integers(-3, 3)).map(
 
 @given(st.data(), sym_sizes)
 @settings(max_examples=60, deadline=None)
-def test_sym_elimination_matches_rf_solve_on_gram_matrices(data, n):
+def test_sym_elimination_matches_greedy_rank_prefix_on_gram_matrices(data, n):
     # m^T D m with D positive at every real v > 0 is positive semidefinite
     # there, so a vanishing residual diagonal forces a vanishing residual
     # row: diagonal pivoting never breaks down
@@ -246,7 +247,7 @@ def test_sym_elimination_matches_rf_solve_on_gram_matrices(data, n):
 
 @given(st.data(), sym_sizes)
 @settings(max_examples=60, deadline=None)
-def test_sym_elimination_matches_rf_solve_on_symmetric_matrices(data, n):
+def test_sym_elimination_matches_greedy_rank_prefix_on_symmetric_matrices(data, n):
     upper = {(i, j): data.draw(sym_entries) for i in range(n) for j in range(i, n)}
     a = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
     _check_against_reference(a)
@@ -256,9 +257,58 @@ def test_sym_elimination_reports_breakdown_and_singular_factor():
     v = LaurentPoly.v_power(1)
     with pytest.raises(PivotBreakdown):
         lp_sym_echelon([[ZERO, v], [v, ONE]])
+    # the breakdown at row 1 comes after a pivot the certificate accepted
+    with pytest.raises(PivotBreakdown):
+        lp_sym_echelon([[ONE, ONE, ZERO], [ONE, ONE, v], [ZERO, v, ONE]])
     # a zero row is dependent, not a breakdown
     assert lp_sym_echelon([[ZERO, ZERO], [ZERO, ONE]]) == [1]
     assert lp_sym_echelon([]) == []
+
+
+# -- the modular full-rank certificate and its exact fallback ------------------
+
+
+V = LaurentPoly.v_power(1)
+VANISHING = V - EVAL_POINT  # nonzero, but zero at the evaluation point
+
+
+def test_eval_mod_matches_termwise_evaluation():
+    rng = random.Random(5)
+    for _ in range(200):
+        p = random_poly(rng)
+        a = rng.randint(2, PRIME - 2)
+        termwise = sum(x * pow(a, k, PRIME) for k, x in p.c.items()) % PRIME
+        assert p.eval_mod(a, PRIME) == termwise
+    assert VANISHING.eval_mod(EVAL_POINT, EVAL_PRIME) == 0
+    assert ZERO.eval_mod(EVAL_POINT, EVAL_PRIME) == 0
+
+
+def test_modular_zero_pivot_falls_back_to_exact_elimination():
+    # 1 x 1: the only pivot vanishes mod p but not in Z[v, v^-1]
+    assert lp_sym_echelon([[VANISHING]]) == [0]
+    # unit first pivot, determinant (v^2 + v - a) - v^2 = v - a
+    a = [[ONE, V], [V, V * V + VANISHING]]
+    assert _det(a) == VANISHING
+    assert lp_sym_echelon(a) == [0, 1]
+
+
+def test_singular_matrix_keeps_fewer_pivots_than_rows():
+    m = [[ONE, V, ZERO], [V, ONE, ONE], [ONE, V, ZERO]]  # repeated row
+    a = _transpose_times(m, [ONE, V * V, ONE])
+    pivots = lp_sym_echelon(a)
+    assert len(pivots) < 3 and len(pivots) == lp_rank(a)
+    assert lp_sym_echelon([[ONE, V], [V, V * V]]) == [0]
+
+
+def test_full_rank_is_certified_without_laurent_arithmetic(monkeypatch):
+    a = [[ONE, V, V * V], [V, V * V + ONE, ONE], [V * V, ONE, V.shift(-3)]]
+    assert all(_det([r[:k] for r in a[:k]]) for k in (1, 2, 3))
+
+    def forbidden(*args):
+        raise AssertionError("Laurent arithmetic in a certified elimination")
+    monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
+    monkeypatch.setattr(LaurentPoly, "divexact", forbidden)
+    assert lp_sym_echelon(a) == [0, 1, 2]
 
 
 # -- serialization ---------------------------------------------------------------

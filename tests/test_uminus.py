@@ -35,15 +35,15 @@ def all_words(q, hmax):
 def test_mono_mul_merges_equal_vertices(a1_d3):
     q, _ = a1_d3
     x = mono(q, ((0, 1),))
-    assert mono_mul(q, x, x).terms == {((0, 2),): qint(2)}
+    assert mono_mul(x, x).terms == {((0, 2),): qint(2)}
 
 
 def test_mono_mul_unit_and_concatenation(a2_adjoint):
     q, _ = a2_adjoint
     x = mono(q, ((0, 1),))
-    assert mono_mul(q, UMinusElement.unit(q), x).terms == x.terms
+    assert mono_mul(UMinusElement.unit(q), x).terms == x.terms
     y = mono(q, ((1, 1),))
-    assert mono_mul(q, x, y).terms == {((0, 1), (1, 1)): ONE}
+    assert mono_mul(x, y).terms == {((0, 1), (1, 1)): ONE}
 
 
 def test_mono_mul_associative_on_random_monomials(a2_adjoint, kronecker):
@@ -52,8 +52,8 @@ def test_mono_mul_associative_on_random_monomials(a2_adjoint, kronecker):
         words = [w for w in all_words(q, 6) if w]
         for _ in range(100):
             x, y, z = (mono(q, words[rng.randrange(len(words))]) for _ in range(3))
-            left = mono_mul(q, mono_mul(q, x, y), z)
-            right = mono_mul(q, x, mono_mul(q, y, z))
+            left = mono_mul(mono_mul(x, y), z)
+            right = mono_mul(x, mono_mul(y, z))
             assert left.content == right.content and left.terms == right.terms
 
 
@@ -61,7 +61,7 @@ def test_divided_power_merge_scalar(a1_d3):
     q, _ = a1_d3
     for a in range(1, 4):
         for b in range(1, 4):
-            prod = mono_mul(q, mono(q, ((0, a),)), mono(q, ((0, b),)))
+            prod = mono_mul(mono(q, ((0, a),)), mono(q, ((0, b),)))
             assert prod.terms == {((0, a + b),): qbinom(a + b, a)}
 
 
