@@ -90,7 +90,7 @@ class CanonicalBasis:
         if cartan.height(nu) == 0:
             vac = mod.vacuum()
             return [CBElement(nu, vac, (None, 0, None),
-                              self_pairing=mod.form(vac, vac))]
+                              self_pairing=mod.self_pairing(vac))]
         space = mod.weight_space(nu)
         accepted = []
         for i in self.order:
@@ -101,7 +101,7 @@ class CanonicalBasis:
                         continue
                     cand = mod.apply_F(i, t, parent.vector)
                     cand = self._orthogonalize(cand, accepted)
-                    sp = mod.form(cand, cand)
+                    sp = mod.self_pairing(cand)
                     if not sp:
                         continue  # duplicate of an earlier seed (anisotropy)
                     if not sp.is_one_plus_lower():

@@ -362,10 +362,12 @@ def _run_verify(args, quiver, hw, order):
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
         if not names:
             raise QuiverError(f"--suite {args.suite!r} names no suite")
-    for name in names:
+    for pos, name in enumerate(names):
         if name not in verify_mod.SUITES:
             raise QuiverError(f"unknown suite {name!r}; known: "
                               f"{', '.join(sorted(verify_mod.SUITES))}")
+        if name in names[:pos]:
+            raise QuiverError(f"--suite names {name!r} more than once")
     ctx = verify_mod.VerifyContext(quiver, hw, args.max_height, order)
     results = verify_mod.run_suites(ctx, names)
     failed = any(not r.passed for r in results)

@@ -31,9 +31,10 @@ Vector coordinates are read against the canonical basis
 (``canonical.CanonicalBasis.expand``), not against these monomial bases.
 ``is_zero_vector`` tests (u, u) = 0: the form is anisotropic on the
 Z[v, v^-1]-form of the module, so the self-pairing of a vector with Laurent
-coefficients vanishes only when the vector does.  It pairs the words of u
-among themselves, builds no weight space and enumerates no words, which is
-why ``verify`` uses it above the height bound.
+coefficients vanishes only when the vector does.  ``self_pairing`` pairs
+the words of u among themselves, each unordered pair once; it builds no
+weight space and enumerates no words, which is why ``verify`` uses the
+test above the height bound.
 
 Everything is exact; a non-polynomial value surfacing anywhere in the form
 computation raises ExactDivisionError and means a genuine bug.
@@ -221,6 +222,25 @@ class HighestWeightModule:
                     acc = acc + c1 * c2 * p
         return acc
 
+    def self_pairing(self, u):
+        """(u, u), pairing each unordered pair of words of u once.
+
+        The form is symmetric, so an off-diagonal pair counts twice; the
+        Gram build checks that symmetry on every weight space it builds.
+        """
+        items = list(u.terms.items())
+        diag = ZERO
+        off = ZERO
+        for s, (w1, c1) in enumerate(items):
+            p = self.pair_words(w1, w1)
+            if p:
+                diag = diag + c1 * c1 * p
+            for w2, c2 in items[s + 1:]:
+                p = self.pair_words(w1, w2)
+                if p:
+                    off = off + c1 * c2 * p
+        return diag + off * 2
+
     # -- weight spaces ----------------------------------------------------
 
     def spanning_words(self, nu):
@@ -345,7 +365,7 @@ class HighestWeightModule:
             if not isinstance(c, LaurentPoly):
                 raise InternalCheckError(
                     f"zero test needs Laurent coefficients, got {type(c).__name__}")
-        return not self.form(u, u)
+        return not self.self_pairing(u)
 
     def vectors_equal(self, u, w):
         if u.content != w.content:

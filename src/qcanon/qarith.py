@@ -20,6 +20,8 @@ Bareiss loop, which alone decides which rows are dependent.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class ExactDivisionError(ArithmeticError):
     """Division in Z[v,v^-1] left a remainder where none was expected."""
@@ -128,15 +130,12 @@ class LaurentPoly:
             return ZERO
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for k1, x1 in a.items():
-            for k2, x2 in b.items():
-                k = k1 + k2
-                s = out.get(k, 0) + x1 * x2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+        if len(a) == 1:
+            # a monomial: shift and scale, no coefficient can cancel
+            (k1, x1), = a.items()
+            out = {k1 + k2: x1 * x2 for k2, x2 in b.items()}
+        else:
+            out = _schoolbook(a, b)
         r = LaurentPoly.__new__(LaurentPoly)
         r.c = out
         r._hash = None
@@ -251,6 +250,20 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly(1)
 
 
+def _schoolbook(a, b):
+    """Product of two exponent -> coefficient maps, term by term."""
+    out = {}
+    for k1, x1 in a.items():
+        for k2, x2 in b.items():
+            k = k1 + k2
+            s = out.get(k, 0) + x1 * x2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
 # -- dense helpers for division (exponents shifted to >= 0) -------------
 
 
@@ -316,8 +329,10 @@ def sym_truncate(p):
 # -- quantum combinatorial numbers ---------------------------------------
 
 
+@lru_cache(maxsize=None)
 def qint(n):
-    """[n] = (v^n - v^-n)/(v - v^-1); [-n] = -[n]."""
+    """[n] = (v^n - v^-n)/(v - v^-1); [-n] = -[n].  Cached: callers share
+    the returned value and never mutate it."""
     if n == 0:
         return ZERO
     if n < 0:
@@ -335,8 +350,10 @@ def qfact(n):
     return out
 
 
+@lru_cache(maxsize=None)
 def qbinom(n, k):
-    """Gaussian binomial [n choose k] for k >= 0 and any integer n."""
+    """Gaussian binomial [n choose k] for k >= 0 and any integer n.  Cached
+    like ``qint``."""
     if k < 0:
         raise ValueError("qbinom needs k >= 0")
     out = ONE

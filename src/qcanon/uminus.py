@@ -19,6 +19,8 @@ and is stored as the ``UMinusElement`` x; the module's F_i^(n) is
 
 from __future__ import annotations
 
+import itertools
+
 from .qarith import LaurentPoly, ZERO, ONE, qbinom
 from . import cartan
 
@@ -276,23 +278,28 @@ def _splittings(slots, target):
     yield from rec(0, target, [])
 
 
-def restriction_coproduct(quiver, word, split, raw=False):
-    """All coproduct components of a word for one content split.
+def restriction_coproduct(quiver, word, split=None, raw=False):
+    """Coproduct components of a word, for one content split or for all.
 
     ``split`` is a pair (tau content, omega content) summing to the word's
     content.  Returns a list of (tau word, omega word, coefficient) with
     normalized words and coefficients aggregating v^M times the merge
-    scalars; with ``raw=True``, one un-normalized entry per slotwise
+    scalars, sorted by (tau content, tau word, omega word).  Without a
+    split, every slotwise splitting is taken in one pass, and the list is
+    the concatenation of the lists of all splits in ``cartan.subvectors``
+    order.  With ``raw=True``, one un-normalized entry per slotwise
     splitting is returned as (slots_b, slots_c, shift M).
     """
-    tau_c, omega_c = split
-    content = word_content(word, quiver.n)
-    if cartan.vec_add(tau_c, omega_c) != content:
-        raise ValueError(f"split {split} does not sum to the content {content}")
-    raw_terms = []
-    for bs in _splittings(word, tau_c):
-        m = _shift_exponent(quiver, word, bs)
-        raw_terms.append((bs, m))
+    n = quiver.n
+    if split is None:
+        splittings = itertools.product(*(range(a + 1) for _, a in word))
+    else:
+        tau_c, omega_c = split
+        content = word_content(word, n)
+        if cartan.vec_add(tau_c, omega_c) != content:
+            raise ValueError(f"split {split} does not sum to the content {content}")
+        splittings = _splittings(word, tau_c)
+    raw_terms = [(bs, _shift_exponent(quiver, word, bs)) for bs in splittings]
     if raw:
         return [(
             tuple((word[l][0], bs[l]) for l in range(len(word))),
@@ -305,13 +312,13 @@ def restriction_coproduct(quiver, word, split, raw=False):
         omega_word, s2 = normalize_slots(
             (word[l][0], word[l][1] - bs[l]) for l in range(len(word)))
         coeff = LaurentPoly.v_power(m) * s1 * s2
-        key = (tau_word, omega_word)
+        key = (word_content(tau_word, n), tau_word, omega_word)
         s = agg.get(key, ZERO) + coeff
         if s:
             agg[key] = s
         else:
             agg.pop(key, None)
-    return [(t, o, agg[(t, o)]) for t, o in sorted(agg)]
+    return [(t, o, c) for (_, t, o), c in sorted(agg.items())]
 
 
 def rbar(quiver, x, i):

@@ -343,8 +343,8 @@ def suite_coproduct(ctx, samples=50, hcap=4):
                 else:
                     res.fail(f"{tag} != Leibniz on {_fmt_word(q, w)}, i={q.vertex_id(i)}")
     # (b) coassociativity shadow on all monomials of height <= hcap; the
-    # inner coproducts of different words repeat, so each (word, split) is
-    # expanded once per suite run
+    # inner coproducts of different words repeat, so each word's full
+    # coproduct is expanded once per suite run
     hmax = min(hcap, ctx.max_height)
     memo = {}
     for h in range(1, hmax + 1):
@@ -360,45 +360,31 @@ def suite_coproduct(ctx, samples=50, hcap=4):
 def _coassoc_holds(q, w, memo=None):
     """(Delta x 1) Delta w == (1 x Delta) Delta w on every three-way split.
 
-    ``memo`` maps (word, split) to its ``restriction_coproduct`` terms and
-    may be shared across the calls of one suite run; both sides of the
-    comparison read it alike.
+    All splits are compared at once: the contents of the words of a key
+    (tau2, om2, om) fix its split (t1, t2, t3), so the merged comparison
+    fails exactly when the comparison of some split fails.  ``memo`` maps a
+    word to its full ``restriction_coproduct`` and may be shared across the
+    calls of one suite run; both sides of the comparison read it alike.
     """
-    n = q.n
     if memo is None:
         memo = {}
 
-    def coproduct(word, split):
-        if (word, split) not in memo:
-            memo[word, split] = restriction_coproduct(q, word, split)
-        return memo[word, split]
+    def coproduct(word):
+        hit = memo.get(word)
+        if hit is None:
+            hit = memo[word] = restriction_coproduct(q, word)
+        return hit
 
-    content = word_content(w, n)
-    for t1 in cartan.subvectors(content):
-        rest1 = vec_sub(content, t1)
-        for t2 in cartan.subvectors(rest1):
-            t3 = vec_sub(rest1, t2)
-            acc1 = {}
-            for tau, om, c in coproduct(w, (vec_add(t1, t2), t3)):
-                for tau2, om2, c2 in coproduct(tau, (t1, t2)):
-                    key = (tau2, om2, om)
-                    s = acc1.get(key, ZERO) + c * c2
-                    if s:
-                        acc1[key] = s
-                    else:
-                        acc1.pop(key, None)
-            acc2 = {}
-            for tau, om, c in coproduct(w, (t1, vec_add(t2, t3))):
-                for tau2, om2, c2 in coproduct(om, (t2, t3)):
-                    key = (tau, tau2, om2)
-                    s = acc2.get(key, ZERO) + c * c2
-                    if s:
-                        acc2[key] = s
-                    else:
-                        acc2.pop(key, None)
-            if acc1 != acc2:
-                return False
-    return True
+    acc1, acc2 = {}, {}
+    for tau, om, c in coproduct(w):
+        for tau2, om2, c2 in coproduct(tau):
+            key = (tau2, om2, om)
+            acc1[key] = acc1.get(key, ZERO) + c * c2
+        for tau2, om2, c2 in coproduct(om):
+            key = (tau, tau2, om2)
+            acc2[key] = acc2.get(key, ZERO) + c * c2
+    return ({k: s for k, s in acc1.items() if s}
+            == {k: s for k, s in acc2.items() if s})
 
 
 # -- canonical basis suites ------------------------------------------------------

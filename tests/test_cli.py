@@ -288,6 +288,15 @@ def test_verify_empty_suite_list_exits_2(qfile, capsys, names):
     assert out == ""
 
 
+def test_verify_repeated_suite_exits_2(qfile, capsys):
+    # a repeated name would run its suite twice and print two rows
+    code, out, err = run_cli(capsys, "verify", "--quiver", qfile(A2ADJ),
+                             "--max-height", "3", "--suite", "serre,counts,serre")
+    assert code == 2
+    assert err.startswith("error:") and "'serre'" in err
+    assert out == ""
+
+
 def test_verify_failure_exit_code(qfile, capsys, monkeypatch):
     orig = HighestWeightModule.apply_E
 
@@ -367,3 +376,17 @@ def test_closed_stdout_exits_quietly(qfile, command):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_PIPE
     assert proc.stderr == b""
+
+
+def test_package_runs_as_a_module(qfile):
+    # python -m qcanon is the same front end as python -m qcanon.cli
+    src = os.path.dirname(os.path.dirname(qcanon.__file__))
+    args = ["dims", "--quiver", qfile(A2ADJ), "--max-height", "4"]
+    outs = []
+    for module in ("qcanon", "qcanon.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, *args],
+                              capture_output=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0 and proc.stderr == b""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]

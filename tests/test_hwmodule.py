@@ -10,7 +10,7 @@ from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
                            parse_quiver_dict)
 from qcanon import hwmodule
 from qcanon.hwmodule import HighestWeightModule, ResourceCapError
-from qcanon.uminus import UMinusElement
+from qcanon.uminus import UMinusElement, mono_mul, serre_element
 from qcanon.canonical import CanonicalBasis
 
 
@@ -477,6 +477,38 @@ def test_self_pairing_zero_test_matches_pairing_rows(name):
                 bound = max(m.coroot_pairing(nu, i), 0) + nu[i]
                 assert agree(m.apply_F(i, bound + 1, u))
     assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("name", ["kronecker3", "d4"])
+def test_self_pairing_equals_the_full_double_sum(name):
+    # self_pairing pairs each unordered pair of words once and doubles the
+    # off-diagonal terms; the reference sums c1 c2 (w1, w2) over all
+    # ordered pairs
+    q, hw = parse_quiver_dict(ELIMINATION_DATA[name][0])
+    m = HighestWeightModule(q, hw)
+    rng = random.Random(20261019)
+
+    def double_sum(u):
+        acc = ZERO
+        for w1, c1 in u.terms.items():
+            for w2, c2 in u.terms.items():
+                acc = acc + c1 * c2 * m.pair_words(w1, w2)
+        return acc
+
+    vectors = []
+    for nu in contents_up_to(q.n, 4):
+        words = m.spanning_words(nu)
+        for _ in range(3):
+            picked = rng.sample(words, min(len(words), rng.randint(1, 5)))
+            vectors.append(UMinusElement(nu, {w: _random_laurent(rng) for w in picked}))
+    # F-Serre images lie above the height of any built weight space, and
+    # vanish in the module
+    serre = [mono_mul(serre_element(q, i, j), u)
+             for u in vectors if sum(u.content) <= 3
+             for i in range(q.n) for j in range(q.n) if i != j]
+    values = [m.self_pairing(u) for u in vectors + serre]
+    assert values == [double_sum(u) for u in vectors + serre]
+    assert any(values[:len(vectors)]) and not any(values[len(vectors):])
 
 
 def test_zero_test_refuses_non_laurent_coefficients(a2_adjoint):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcanon import qarith
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, bar, sym_truncate, qint,
                            qfact, qbinom, lp_rank, lp_sym_echelon,
                            EVAL_POINT, EVAL_PRIME, ExactDivisionError,
@@ -86,6 +87,17 @@ def test_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+
+
+monomials = st.tuples(st.integers(-6, 6), st.integers(-9, 9).filter(bool)).map(
+    lambda kx: LaurentPoly({kx[0]: kx[1]}))
+
+
+@given(monomials, small_polys)
+@settings(max_examples=200, deadline=None)
+def test_monomial_product_matches_the_schoolbook_loop(m, p):
+    expect = qarith._schoolbook(m.c, p.c)
+    assert (m * p).c == expect and (p * m).c == expect
 
 
 @given(small_polys, small_polys)

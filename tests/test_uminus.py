@@ -1,9 +1,10 @@
 import random
+from math import prod
 
 import pytest
 
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qbinom
-from qcanon.cartan import contents_of_height, contents_up_to
+from qcanon.cartan import contents_of_height, contents_up_to, subvectors, vec_sub
 from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
                            parse_word, word_content, restriction_coproduct,
                            rbar, ibar, rbar_derivation, ibar_derivation,
@@ -119,6 +120,26 @@ def test_coproduct_counts_raw_splittings(a2_adjoint):
         total += len(restriction_coproduct(q, w, (t1, t2), raw=True))
     # one raw term per slotwise splitting: (2+1)*(1+1)*(1+1)
     assert total == 12
+
+
+def test_full_coproduct_concatenates_the_splits(a2_adjoint):
+    # one slotwise pass over every splitting gives the per-split lists,
+    # one split after another in subvectors order
+    kron3 = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
+                               "highest_weight": {"1": 1}})
+    d4 = parse_quiver_dict({"vertices": ["c", "1", "2", "3"],
+                            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+                            "highest_weight": {"c": 1}})
+    for q, hw in (a2_adjoint, kron3, d4):
+        m = HighestWeightModule(q, hw)
+        for nu in contents_up_to(q.n, 4):
+            for w in m.spanning_words(nu):
+                expect = []
+                for tau in subvectors(nu):
+                    expect += restriction_coproduct(q, w, (tau, vec_sub(nu, tau)))
+                assert restriction_coproduct(q, w) == expect, w
+                raw = restriction_coproduct(q, w, raw=True)
+                assert len(raw) == prod(a + 1 for _, a in w)
 
 
 def test_coproduct_v1_counts_match_classical_binomials(a2_adjoint):

@@ -1,10 +1,11 @@
 import copy
 from collections import Counter
 
-from qcanon.qarith import LaurentPoly, qint
-from qcanon.cartan import parse_quiver_dict
+from qcanon.qarith import LaurentPoly, qint, qbinom
+from qcanon.cartan import contents_up_to, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
-from qcanon import verify
+from qcanon.uminus import word_str
+from qcanon import qarith, verify
 
 KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
          "highest_weight": {"1": 1, "2": 0}}
@@ -95,16 +96,65 @@ def test_wrong_serre_exponent_fails_serre():
     assert res.checks == 20 and len(res.failures) == 9
 
 
-def test_coproduct_suite_expands_each_word_split_once(monkeypatch):
+def test_coproduct_suite_expands_each_word_once(monkeypatch):
     calls = Counter()
     real = verify.restriction_coproduct
 
-    def counted(q, word, split):
-        calls[(word, split)] += 1
-        return real(q, word, split)
+    def counted(q, word, split=None):
+        assert split is None
+        calls[word] += 1
+        return real(q, word)
 
     monkeypatch.setattr(verify, "restriction_coproduct", counted)
     q, hw = parse_quiver_dict(D4)
     res = verify.suite_coproduct(verify.VerifyContext(q, hw, 4))
     assert res.passed and res.checks == 832
     assert calls and max(calls.values()) == 1
+
+
+def test_coproduct_suite_catches_a_height_dependent_shift(monkeypatch):
+    # every coproduct term gains v^|tau|: the left side of coassociativity
+    # gains v^(2|t1| + |t2|) and the right side v^(|t1| + |t2|), so every
+    # word of positive height fails once
+    real = verify.restriction_coproduct
+
+    def shifted(q, word, split=None):
+        terms = real(q, word) if split is None else real(q, word, split)
+        return [(tau, om, c.shift(sum(a for _, a in tau))) for tau, om, c in terms]
+
+    monkeypatch.setattr(verify, "restriction_coproduct", shifted)
+    q, hw = parse_quiver_dict(D4)
+    ctx = verify.VerifyContext(q, hw, 3)
+    words = [w for nu in contents_up_to(q.n, 3) if any(nu)
+             for w in ctx.module.spanning_words(nu)]
+    res = verify.suite_coproduct(ctx)
+    assert len(words) == len(res.failures) == 84
+    assert sorted(res.failures) == sorted(
+        f"coassociativity fails on {word_str(w, q)}" for w in words)
+
+
+def _fresh_qint(n):
+    if n < 0:
+        return -_fresh_qint(-n)
+    return LaurentPoly({n - 1 - 2 * m: 1 for m in range(n)})
+
+
+def _fresh_qbinom(n, k):
+    num = den = LaurentPoly(1)
+    for s in range(1, k + 1):
+        num = num * _fresh_qint(n - s + 1)
+        den = den * _fresh_qint(s)
+    return num.divexact(den)
+
+
+def test_cached_quantum_numbers_are_unchanged_by_a_verify_run(a2_adjoint):
+    # qint and qbinom hand out shared values; no code path may mutate one
+    qarith.qint.cache_clear()
+    qarith.qbinom.cache_clear()
+    for r in verify.run_suites(ctx_for(a2_adjoint, 4), verify.DEFAULT_SUITES):
+        assert r.passed, (r.name, r.failures)
+    assert qarith.qint.cache_info().hits and qarith.qbinom.cache_info().hits
+    for n in range(-12, 13):
+        assert qint(n).c == _fresh_qint(n).c
+        for k in range(9):
+            assert qbinom(n, k).c == _fresh_qbinom(n, k).c
