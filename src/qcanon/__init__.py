@@ -1,7 +1,7 @@
 """Exact canonical bases of integrable highest weight modules attached to
 symmetric Cartan data given by loop-free quivers."""
 
-from .qarith import (LaurentPoly, bar, sym_truncate, qint, qfact, qbinom,
+from .qarith import (LaurentPoly, sym_truncate, qint, qfact, qbinom,
                      ExactDivisionError)
 from .cartan import (Quiver, HighestWeight, QuiverError, parse_quiver_dict,
                      load_quiver, coroot_pairing, nu_tilde, height, weight_leq)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qarith import LaurentPoly, ONE, bar, sym_truncate
+from .qarith import LaurentPoly, ONE, sym_truncate
 from .hwmodule import InternalCheckError
 from . import cartan
 from . import crystalgraph
@@ -158,7 +158,7 @@ class CanonicalBasis:
         offsets = self._gram_offsets(u.content)
         form = self.module.form
         y = [form(u, b.vector) for b in elems]
-        ubar = u.map_coeffs(bar)
+        ubar = u.map_coeffs(LaurentPoly.bar)
         ybar = [form(ubar, b.vector) for b in elems]
         top = max((p.degree() for p in y if p), default=0)
         bottom = -max((p.degree() for p in ybar if p), default=0)
@@ -251,4 +251,4 @@ def element_key(module, elem):
 def verify_bar_invariant(module, b):
     """Whether the bar involution fixes the element: bar(b) - b is zero in
     the module (word vectors are bar-fixed, so bar acts on coefficients)."""
-    return module.is_zero_vector(b.vector.map_coeffs(bar) - b.vector)
+    return module.is_zero_vector(b.vector.map_coeffs(LaurentPoly.bar) - b.vector)

@@ -233,10 +233,17 @@ def load_quiver(path):
             data = json.load(fh)
     except OSError as exc:
         raise QuiverError(f"cannot read quiver file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise QuiverError(f"quiver file {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise QuiverError(
             f"invalid JSON in {path} (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from None
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts
+        raise QuiverError(f"cannot parse quiver file {path}: {exc}") from None
+    except RecursionError:
+        raise QuiverError(f"quiver file {path} is nested too deeply") from None
     return parse_quiver_dict(data)
 
 

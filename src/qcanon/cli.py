@@ -161,7 +161,7 @@ def _load_store(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             store = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"warning: cache file {path} is unreadable ({exc}); recomputing",
               file=sys.stderr)
         return fresh

@@ -241,14 +241,20 @@ def monomial_basis(module, cb, graph, nu, order):
 # -- exports ---------------------------------------------------------------
 
 
+def _dot_quoted(text):
+    """A DOT quoted string: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(graph, quiver):
     """Deterministic DOT rendering of the left graph."""
     lines = ["digraph left_graph {", "  rankdir=BT;"]
     for nu in sorted(graph.vertices, key=lambda x: (cartan.height(x), x)):
         for vid in graph.vertices[nu]:
-            lines.append(f'  "{vid}" [label="{vid}"];')
+            lines.append(f"  {_dot_quoted(vid)} [label={_dot_quoted(vid)}];")
     for src, dst, (vid, t) in graph.arrows:
-        lines.append(f'  "{src}" -> "{dst}" [label="({vid},{t})"];')
+        lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} "
+                     f"[label={_dot_quoted(f'({vid},{t})')}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -143,18 +143,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def shift(self, k):
         """Multiply by v^k."""
         if not self.c or k == 0:
@@ -302,12 +290,7 @@ def _dense_divmod(num, den):
     return quo, _dense_trim(num)
 
 
-# -- bar involution and symmetric truncation ----------------------------
-
-
-def bar(p):
-    """The bar involution v -> v^-1."""
-    return p.bar()
+# -- symmetric truncation ------------------------------------------------
 
 
 def sym_truncate(p):
@@ -367,11 +350,10 @@ def qbinom(n, k):
 # -- fraction-free linear algebra ----------------------------------------
 
 
-def lp_echelon(rows):
-    """Bareiss echelon form of a LaurentPoly matrix, free of fractions.
+def lp_rank(rows):
+    """Rank of a LaurentPoly matrix by Bareiss elimination, free of fractions.
 
-    Returns (rows, pivots) where pivots is a list of (row, col).  Pivot
-    choice within a column: nonzero entry with minimal exponent span,
+    Pivot choice within a column: nonzero entry with minimal exponent span,
     first such row on ties (bounds coefficient growth, no correctness
     impact).
     """
@@ -379,7 +361,6 @@ def lp_echelon(rows):
     m = len(rows)
     n = len(rows[0]) if m else 0
     prev = ONE
-    pivots = []
     r = 0
     for c in range(n):
         if r >= m:
@@ -404,15 +385,8 @@ def lp_echelon(rows):
                 rows[i][j] = (rows[i][j] * piv - fac * rows[r][j]).divexact(prev)
             rows[i][c] = ZERO
         prev = piv
-        pivots.append((r, c))
         r += 1
-    return rows, pivots
-
-
-def lp_rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    return len(lp_echelon(rows)[1])
+    return r
 
 
 class PivotBreakdown(ArithmeticError):

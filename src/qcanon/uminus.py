@@ -1,6 +1,11 @@
 """The monomial model of the negative half of the quantized enveloping
 algebra: words in divided powers, their product, the restriction coproduct
-with its explicit shift, twisted derivations, and Serre elements.
+with its explicit shift, the derivations, and Serre elements.
+
+The coproduct of a word is one slotwise pass over every splitting of its
+slot multiplicities.  The four derivations are its components with one
+factor F_i, read off by a single slot extraction that takes the side and,
+for the two that pair with the module, a twist.
 
 A word is a tuple ((i_1, a_1), ..., (i_k, a_k)) of (vertex index,
 multiplicity) pairs with all a_l >= 1 and no two adjacent entries sharing a
@@ -255,63 +260,21 @@ def _shift_exponent(quiver, slots, bs):
     return m
 
 
-def _splittings(slots, target):
-    """Yield tuples (b_l) with 0 <= b_l <= a_l and content sum = target."""
-    k = len(slots)
-    n = len(target)
+def restriction_coproduct(quiver, word):
+    """Every coproduct component of a word, from one slotwise pass.
 
-    def rec(l, remaining, acc):
-        if l == k:
-            if all(x == 0 for x in remaining):
-                yield tuple(acc)
-            return
-        i, a = slots[l]
-        left = sum(remaining)
-        cap_rest = sum(s[1] for s in slots[l + 1:])
-        for b in range(min(a, remaining[i]), -1, -1):
-            if left - b > cap_rest:
-                continue
-            rem = list(remaining)
-            rem[i] -= b
-            yield from rec(l + 1, tuple(rem), acc + [b])
-
-    yield from rec(0, target, [])
-
-
-def restriction_coproduct(quiver, word, split=None, raw=False):
-    """Coproduct components of a word, for one content split or for all.
-
-    ``split`` is a pair (tau content, omega content) summing to the word's
-    content.  Returns a list of (tau word, omega word, coefficient) with
-    normalized words and coefficients aggregating v^M times the merge
-    scalars, sorted by (tau content, tau word, omega word).  Without a
-    split, every slotwise splitting is taken in one pass, and the list is
-    the concatenation of the lists of all splits in ``cartan.subvectors``
-    order.  With ``raw=True``, one un-normalized entry per slotwise
-    splitting is returned as (slots_b, slots_c, shift M).
+    Each splitting 0 <= b_l <= a_l of the slot multiplicities gives the tau
+    slots (i_l, b_l) and the omega slots (i_l, a_l - b_l), with coefficient
+    v^M times the merge scalars of both.  Returns a list of (tau word, omega
+    word, coefficient) with normalized words and aggregated coefficients,
+    sorted by (tau content, tau word, omega word).
     """
     n = quiver.n
-    if split is None:
-        splittings = itertools.product(*(range(a + 1) for _, a in word))
-    else:
-        tau_c, omega_c = split
-        content = word_content(word, n)
-        if cartan.vec_add(tau_c, omega_c) != content:
-            raise ValueError(f"split {split} does not sum to the content {content}")
-        splittings = _splittings(word, tau_c)
-    raw_terms = [(bs, _shift_exponent(quiver, word, bs)) for bs in splittings]
-    if raw:
-        return [(
-            tuple((word[l][0], bs[l]) for l in range(len(word))),
-            tuple((word[l][0], word[l][1] - bs[l]) for l in range(len(word))),
-            m,
-        ) for bs, m in raw_terms]
     agg = {}
-    for bs, m in raw_terms:
-        tau_word, s1 = normalize_slots((word[l][0], bs[l]) for l in range(len(word)))
-        omega_word, s2 = normalize_slots(
-            (word[l][0], word[l][1] - bs[l]) for l in range(len(word)))
-        coeff = LaurentPoly.v_power(m) * s1 * s2
+    for bs in itertools.product(*(range(a + 1) for _, a in word)):
+        tau_word, s1 = normalize_slots((i, b) for (i, _), b in zip(word, bs))
+        omega_word, s2 = normalize_slots((i, a - b) for (i, a), b in zip(word, bs))
+        coeff = LaurentPoly.v_power(_shift_exponent(quiver, word, bs)) * s1 * s2
         key = (word_content(tau_word, n), tau_word, omega_word)
         s = agg.get(key, ZERO) + coeff
         if s:
@@ -323,28 +286,12 @@ def restriction_coproduct(quiver, word, split=None, raw=False):
 
 def rbar(quiver, x, i):
     """Derivation extracting the coproduct component with second factor F_i."""
-    return _coproduct_extraction(quiver, x, i, right=True)
+    return _extraction(quiver, x, i, right=True, twisted=False)
 
 
 def ibar(quiver, x, i):
     """Derivation extracting the coproduct component with first factor F_i."""
-    return _coproduct_extraction(quiver, x, i, right=False)
-
-
-def _coproduct_extraction(quiver, x, i, right):
-    n = quiver.n
-    if x.content[i] == 0:
-        return UMinusElement(x.content)
-    target = cartan.vec_sub(x.content, cartan.unit_vector(n, i))
-    unit = cartan.unit_vector(n, i)
-    out = UMinusElement(target)
-    for word, c in x.terms.items():
-        for tau, omega, coeff in restriction_coproduct(
-                quiver, word, (target, unit) if right else (unit, target)):
-            kept, single = (tau, omega) if right else (omega, tau)
-            assert single == ((i, 1),)
-            out = out + UMinusElement(target, {kept: c * coeff})
-    return out
+    return _extraction(quiver, x, i, right=False, twisted=False)
 
 
 def rbar_derivation(quiver, x, i):
@@ -356,42 +303,49 @@ def rbar_derivation(quiver, x, i):
     satisfies rd(xy) = v^{-(a_i, |y|)} rd(x) y + x rd(y) and the module
     identity linking E_i to the two derivations holds on the nose.
     """
-    return _twisted_extraction(quiver, x, i, right=True)
+    return _extraction(quiver, x, i, right=True, twisted=True)
 
 
 def ibar_derivation(quiver, x, i):
     """Left bar-derivation: ld(xy) = ld(x) y + v^{-(a_i, |x|)} x ld(y)."""
-    return _twisted_extraction(quiver, x, i, right=False)
+    return _extraction(quiver, x, i, right=False, twisted=True)
 
 
-def _twisted_extraction(quiver, x, i, right):
+def _extraction(quiver, x, i, right, twisted):
+    """Remove one F_i from each slot l of vertex i in every word of x.
+
+    The term is the coproduct component with tau multiplicities a - delta_l
+    (right: omega is the single F_i) or delta_l (left: tau is the single
+    F_i), so it carries v^M of that splitting.  With ``twisted`` it also
+    carries v^{-sum_k a_ik mu_k}, mu the content of the slots right (right)
+    or left (left) of slot l.
+    """
     n = quiver.n
     if x.content[i] == 0:
         return UMinusElement(x.content)
-    target = cartan.vec_sub(x.content, cartan.unit_vector(n, i))
-    out = UMinusElement(target)
+    out = {}
     for word, c in x.terms.items():
-        k = len(word)
-        for l in range(k):
-            if word[l][0] != i:
+        for l, (j, a) in enumerate(word):
+            if j != i:
                 continue
-            bs = [a for _, a in word]
-            bs[l] -= 1
-            m = _shift_exponent(quiver, word, bs)
             if right:
-                mu = word_content(word[l + 1:], n)
+                bs = [b for _, b in word]
+                bs[l] -= 1
             else:
-                mu = word_content(word[:l], n)
-                # the un-dropped omega side carries the shift for the left case
-                m = _shift_exponent(quiver, word,
-                                    [1 if ll == l else 0 for ll in range(k)])
-            twist = -sum(quiver.a[i][kk] * mu[kk] for kk in range(n))
-            slots = list(word)
-            slots[l] = (i, word[l][1] - 1)
-            reduced, scal = normalize_slots(slots)
-            coeff = c * LaurentPoly.v_power(m + twist) * scal
-            out = out + UMinusElement(target, {reduced: coeff})
-    return out
+                bs = [0] * len(word)
+                bs[l] = 1
+            m = _shift_exponent(quiver, word, bs)
+            if twisted:
+                mu = word_content(word[l + 1:] if right else word[:l], n)
+                m -= sum(quiver.a[i][k] * mu[k] for k in range(n))
+            reduced, scal = normalize_slots(word[:l] + ((i, a - 1),) + word[l + 1:])
+            coeff = c * LaurentPoly.v_power(m) * scal
+            s = out.get(reduced, ZERO) + coeff
+            if s:
+                out[reduced] = s
+            else:
+                out.pop(reduced, None)
+    return UMinusElement(cartan.vec_sub(x.content, cartan.unit_vector(n, i)), out)
 
 
 def serre_element(quiver, i, j):

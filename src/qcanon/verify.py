@@ -77,14 +77,10 @@ class VerifyContext:
         return contents_up_to(self.quiver.n, self.max_height)
 
 
-def _fmt_word(quiver, w):
-    return word_str(w, quiver)
-
-
 def _fmt_vec(quiver, u):
     if not u.terms:
         return "0"
-    return " + ".join(f"({c})*{_fmt_word(quiver, w)}" for w, c in u.sorted_terms())
+    return " + ".join(f"({c})*{word_str(w, quiver)}" for w, c in u.sorted_terms())
 
 
 # -- operator relation suite -------------------------------------------------
@@ -230,7 +226,7 @@ def suite_derivation(ctx, hcap=4):
                     lhs = m.apply_E(i, x)
                     if nu[i] == 0:
                         if lhs.terms:
-                            res.fail(f"E{i} nonzero on i-free word {_fmt_word(q, w)}")
+                            res.fail(f"E{i} nonzero on i-free word {word_str(w, q)}")
                         else:
                             res.ok()
                         continue
@@ -247,7 +243,7 @@ def suite_derivation(ctx, hcap=4):
                         divided = {k: v.divexact(V_INV_MINUS_V) for k, v in combo.items()}
                     except ExactDivisionError:
                         res.fail(f"derivation combo not divisible by (v^-1 - v) "
-                                 f"for {_fmt_word(q, w)}, i={q.vertex_id(i)}")
+                                 f"for {word_str(w, q)}, i={q.vertex_id(i)}")
                         continue
                     if divided != lhs.terms:
                         # fall back to the module-level comparison before failing
@@ -255,7 +251,7 @@ def suite_derivation(ctx, hcap=4):
                                            UMinusElement(low, combo)):
                             res.ok()
                         else:
-                            res.fail(f"derivation identity fails on {_fmt_word(q, w)}, "
+                            res.fail(f"derivation identity fails on {word_str(w, q)}, "
                                      f"i={q.vertex_id(i)}: E gives {_fmt_vec(q, lhs)}")
                     else:
                         res.ok()
@@ -341,7 +337,7 @@ def suite_coproduct(ctx, samples=50, hcap=4):
                 if got == expect:
                     res.ok()
                 else:
-                    res.fail(f"{tag} != Leibniz on {_fmt_word(q, w)}, i={q.vertex_id(i)}")
+                    res.fail(f"{tag} != Leibniz on {word_str(w, q)}, i={q.vertex_id(i)}")
     # (b) coassociativity shadow on all monomials of height <= hcap; the
     # inner coproducts of different words repeat, so each word's full
     # coproduct is expanded once per suite run
@@ -353,7 +349,7 @@ def suite_coproduct(ctx, samples=50, hcap=4):
                 if _coassoc_holds(q, w, memo):
                     res.ok()
                 else:
-                    res.fail(f"coassociativity fails on {_fmt_word(q, w)}")
+                    res.fail(f"coassociativity fails on {word_str(w, q)}")
     return res
 
 

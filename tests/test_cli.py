@@ -138,8 +138,9 @@ def test_cache_round_trip(qfile, capsys, tmp_path):
     "null",
     "{not json",
     "",
+    "[" * 100000,
 ], ids=["list", "entries-list", "version-int", "no-version", "null",
-        "unparsable", "empty"])
+        "unparsable", "empty", "deeply-nested"])
 def test_corrupt_cache_is_reported_and_rewritten(qfile, capsys, tmp_path, content):
     path = qfile(A2ADJ)
     code, fresh, _ = run_cli(capsys, "basis", "--quiver", path, "--max-height", "2")
@@ -340,6 +341,18 @@ def test_non_array_quiver_fields_exit_2(qfile, capsys):
                 {"vertices": "12"}, {"vertices": [["x"], "2"]}):
         code, out, err = run_cli(capsys, "dims", "--quiver", qfile(doc))
         assert code == 2 and err.startswith("error:") and not out
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b'{"vertices": ["\xe9"], "edges": []}', "UTF-8"),
+    (b"[" * 100000, "nested"),
+    (b'{"vertices": ["1"], "highest_weight": {"1": ' + b"9" * 5000 + b"}}", "digits"),
+], ids=["not-utf8", "deeply-nested", "huge-integer"])
+def test_unreadable_quiver_file_exits_2(tmp_path, capsys, content, reason):
+    path = tmp_path / "q.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "dims", "--quiver", str(path))
+    assert code == 2 and err.startswith("error:") and reason in err and not out
 
 
 def test_verify_at_height_zero_passes(qfile, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qcanon.qarith import ONE
@@ -229,6 +231,20 @@ def test_dot_export_is_deterministic_and_wellformed(a2_adjoint):
     for line in body:
         assert line.startswith('  "') and line.endswith(";")
     assert dot1.count('->') == len(g.arrows)
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    ids = ['a"b', "c\\d"]
+    m, cb = build(parse_quiver_dict({"vertices": ids, "edges": [ids],
+                                     "highest_weight": dict.fromkeys(ids, 1)}), 2)
+    dot = cg.graph_to_dot(cg.build_left_graph(m, cb), m.quiver)
+    assert '[label="(a\\"b,1)"];' in dot
+    assert '[label="(c\\\\d,1)"];' in dot
+    # with each well-formed quoted string replaced by Q, every body line is a
+    # node or an edge statement: no quote closes early, no escape dangles
+    quoted = re.compile(r'"(?:[^"\\]|\\["\\])*"')
+    for line in dot.splitlines()[2:-1]:
+        assert re.fullmatch(r"  Q( -> Q)? \[label=Q\];", quoted.sub("Q", line)), line
 
 
 # -- string-length oracle ----------------------------------------------------------

@@ -1,16 +1,21 @@
+import itertools
 import random
-from math import prod
+from collections import Counter
 
 import pytest
 
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qbinom
-from qcanon.cartan import contents_of_height, contents_up_to, subvectors, vec_sub
+from qcanon.cartan import contents_of_height, contents_up_to
 from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
                            parse_word, word_content, restriction_coproduct,
                            rbar, ibar, rbar_derivation, ibar_derivation,
                            serre_element, normalize_slots, count_words)
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.cartan import HighestWeight, parse_quiver_dict
+
+KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3, "highest_weight": {"1": 1}}
+D4 = {"vertices": ["c", "1", "2", "3"], "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+      "highest_weight": {"c": 1}}
 
 
 def vp(k):
@@ -81,81 +86,56 @@ def test_word_text_form(a2_adjoint):
 
 
 def test_word_count_matches_the_enumeration(a2_adjoint):
-    kron3 = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
-                               "highest_weight": {"1": 1}})
-    d4 = parse_quiver_dict({"vertices": ["c", "1", "2", "3"],
-                            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
-                            "highest_weight": {"c": 1}})
-    for (q, hw), hmax in ((a2_adjoint, 8), (kron3, 7), (d4, 5)):
+    for (q, hw), hmax in ((a2_adjoint, 8), (parse_quiver_dict(KRON3), 7),
+                          (parse_quiver_dict(D4), 5)):
         m = HighestWeightModule(q, hw)
         for nu in contents_up_to(q.n, hmax):
             assert count_words(nu) == len(m.spanning_words(nu)), nu
 
 
+def components(q, word, tau_content):
+    """The coproduct terms of a word whose first factor has the given content."""
+    return [(t, o, c) for t, o, c in restriction_coproduct(q, word)
+            if word_content(t, q.n) == tau_content]
+
+
 def test_coproduct_spec_examples(a2_adjoint):
     q, _ = a2_adjoint
     m = ((0, 1), (1, 1))
-    assert restriction_coproduct(q, m, ((1, 0), (0, 1))) == \
-        [(((0, 1),), ((1, 1),), ONE)]
-    assert restriction_coproduct(q, m, ((0, 1), (1, 0))) == \
-        [(((1, 1),), ((0, 1),), vp(2))]
-    assert restriction_coproduct(q, m, ((1, 1), (0, 0))) == [(m, EMPTY_WORD, ONE)]
-
-
-def test_coproduct_rejects_bad_split(a2_adjoint):
-    q, _ = a2_adjoint
-    with pytest.raises(ValueError):
-        restriction_coproduct(q, ((0, 1),), ((1, 0), (1, 0)))
-
-
-def test_coproduct_counts_raw_splittings(a2_adjoint):
-    q, _ = a2_adjoint
-    w = ((0, 2), (1, 1), (0, 1))
-    content = word_content(w, q.n)
-    total = 0
-    for t1 in contents_up_to(q.n, sum(content)):
-        if any(a > b for a, b in zip(t1, content)):
-            continue
-        t2 = tuple(b - a for a, b in zip(t1, content))
-        total += len(restriction_coproduct(q, w, (t1, t2), raw=True))
-    # one raw term per slotwise splitting: (2+1)*(1+1)*(1+1)
-    assert total == 12
-
-
-def test_full_coproduct_concatenates_the_splits(a2_adjoint):
-    # one slotwise pass over every splitting gives the per-split lists,
-    # one split after another in subvectors order
-    kron3 = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
-                               "highest_weight": {"1": 1}})
-    d4 = parse_quiver_dict({"vertices": ["c", "1", "2", "3"],
-                            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
-                            "highest_weight": {"c": 1}})
-    for q, hw in (a2_adjoint, kron3, d4):
-        m = HighestWeightModule(q, hw)
-        for nu in contents_up_to(q.n, 4):
-            for w in m.spanning_words(nu):
-                expect = []
-                for tau in subvectors(nu):
-                    expect += restriction_coproduct(q, w, (tau, vec_sub(nu, tau)))
-                assert restriction_coproduct(q, w) == expect, w
-                raw = restriction_coproduct(q, w, raw=True)
-                assert len(raw) == prod(a + 1 for _, a in w)
+    assert components(q, m, (1, 0)) == [(((0, 1),), ((1, 1),), ONE)]
+    assert components(q, m, (0, 1)) == [(((1, 1),), ((0, 1),), vp(2))]
+    assert components(q, m, (1, 1)) == [(m, EMPTY_WORD, ONE)]
+    assert components(q, m, (0, 0)) == [(EMPTY_WORD, m, ONE)]
 
 
 def test_coproduct_v1_counts_match_classical_binomials(a2_adjoint):
-    from math import comb
+    # at v = 1 each tau content's coefficients add up to its number of
+    # slotwise splittings; no merges are possible in this word
     q, _ = a2_adjoint
     w = ((0, 2), (1, 2))
-    content = word_content(w, q.n)
-    for t1 in contents_up_to(q.n, sum(content)):
-        if any(a > b for a, b in zip(t1, content)):
-            continue
-        t2 = tuple(b - a for a, b in zip(t1, content))
-        agg = restriction_coproduct(q, w, (t1, t2))
-        total = sum(c.at_one() for _, _, c in agg)
-        # independent: one per raw splitting, no merges possible in this word
-        raw = restriction_coproduct(q, w, (t1, t2), raw=True)
-        assert total == len(raw)
+    splittings = Counter(
+        word_content(tuple(zip((i for i, _ in w), bs)), q.n)
+        for bs in itertools.product(*(range(a + 1) for _, a in w)))
+    assert len(splittings) == 9
+    for tau_content, count in splittings.items():
+        assert sum(c.at_one() for _, _, c in components(q, w, tau_content)) == count
+
+
+def test_coproduct_components_are_the_extractions(a2_adjoint):
+    # the coproduct's terms with one factor F_i are rbar (second factor) and
+    # ibar (first factor), read off the full slotwise pass
+    for q, hw in (a2_adjoint, parse_quiver_dict(KRON3), parse_quiver_dict(D4)):
+        m = HighestWeightModule(q, hw)
+        for nu in contents_up_to(q.n, 4):
+            for w in m.spanning_words(nu):
+                delta = restriction_coproduct(q, w)
+                x = mono(q, w)
+                for i in {i for i, _ in w}:
+                    single = ((i, 1),)
+                    assert rbar(q, x, i).terms == {
+                        t: c for t, o, c in delta if o == single}, (w, i)
+                    assert ibar(q, x, i).terms == {
+                        o: c for t, o, c in delta if t == single}, (w, i)
 
 
 # -- derivations -----------------------------------------------------------------

@@ -100,8 +100,7 @@ def test_coproduct_suite_expands_each_word_once(monkeypatch):
     calls = Counter()
     real = verify.restriction_coproduct
 
-    def counted(q, word, split=None):
-        assert split is None
+    def counted(q, word):
         calls[word] += 1
         return real(q, word)
 
@@ -118,8 +117,8 @@ def test_coproduct_suite_catches_a_height_dependent_shift(monkeypatch):
     # word of positive height fails once
     real = verify.restriction_coproduct
 
-    def shifted(q, word, split=None):
-        terms = real(q, word) if split is None else real(q, word, split)
+    def shifted(q, word):
+        terms = real(q, word)
         return [(tau, om, c.shift(sum(a for _, a in tau))) for tau, om, c in terms]
 
     monkeypatch.setattr(verify, "restriction_coproduct", shifted)
