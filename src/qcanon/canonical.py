@@ -64,7 +64,7 @@ class CanonicalBasis:
         self.max_height = -1
         self._canon_cache = {}
         self._offsets = {}  # content -> N = Gram - I of the stored elements
-        self.graph_cache = {}  # crystalgraph's t_i image rows and sbar paths
+        self.graph_cache = {}  # crystalgraph's t_i image supports and sbar paths
 
     def elements(self, nu):
         nu = tuple(nu)

@@ -161,13 +161,8 @@ def contents_up_to(n, hmax):
 # -- the weight bookkeeping of the module layer ---------------------------
 
 
-def nu_tilde(quiver, hw, nu, i):
-    """d_i plus the total dimension of the neighbours of i in nu."""
-    return sum(quiver.a[i][j] * nu[j] for j in range(quiver.n)) + hw[i]
-
-
 def coroot_pairing(quiver, hw, nu, i):
-    """<Lambda - sum nu_j alpha_j, alpha_i^vee> = nu_tilde_i - 2 nu_i."""
+    """<Lambda - sum nu_j alpha_j, alpha_i^vee> = d_i - sum_j c_ij nu_j."""
     if not (0 <= i < quiver.n):
         raise QuiverError(f"unknown vertex index {i}")
     return hw[i] - sum(quiver.cartan[i][j] * nu[j] for j in range(quiver.n))

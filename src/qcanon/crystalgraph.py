@@ -2,20 +2,24 @@
 elements, the left graph, the path map and its lexicographic order, and the
 monomial bases read off from paths.
 
-t_i is computed as the largest r with the element inside the image of
-F_i^(r) on the weight space below (a linear-algebra membership test, not an
-E_i-vanishing count).  Arrows jump whole i-strings: an arrow colored (i, t)
-connects an element with t_i = t to the unique lower element with t_i = 0
-whose F_i^(t)-expansion it leads with coefficient exactly 1.  Every vector
-is read in canonical-basis coordinates (``CanonicalBasis.expand``), where a
-stored element is its own unit vector.
+t_i is the largest r with the element inside the image of F_i^(r) on the
+weight space below.  That image is spanned by the canonical basis elements
+it contains (Kashiwara; Lusztig), so it is read as a set of positions: the
+columns touched by the canonical-basis coordinates of F_i^(r) applied to
+the basis words below, certified by one rank per (content, i, r).  Arrows
+jump whole i-strings: each element with t_i = 0 seeds one arrow (i, t) for
+every 1 <= t <= <wt, alpha_i^vee>, to the unique element with t_i = t whose
+F_i^(t)-expansion it leads with coefficient exactly 1, and every element
+with t_i > 0 must be reached exactly once.  Every vector is read in
+canonical-basis coordinates (``CanonicalBasis.expand``), where a stored
+element is its own unit vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .qarith import ZERO, ONE, lp_rank
+from .qarith import ONE, lp_rank
 from . import cartan
 
 
@@ -29,43 +33,37 @@ def t_stat(module, cb, b, i):
     if hit is not None:
         return hit
     nu = b.content
+    pos = next(p for p, e in enumerate(cb.elements(nu)) if e is b)
     t = 0
-    r = 1
-    while nu[i] - r >= 0:
-        rows, base_rank = _image_rows(module, cb, nu, i, r)
-        if base_rank == 0:
-            break
-        if lp_rank(rows + [_unit_row(cb, b)]) == base_rank:
-            t = r
-            r += 1
-        else:
-            break
+    while t < nu[i] and pos in _image_support(module, cb, nu, i, t + 1):
+        t += 1
     b.stats[i] = t
     return t
 
 
-def _unit_row(cb, b):
-    """Canonical-basis coordinates of the stored element b."""
-    elems = cb.elements(b.content)
-    return [ONE if e is b else ZERO for e in elems]
+def _image_support(module, cb, nu, i, r):
+    """Positions at nu of the canonical basis elements in the image of
+    F_i^(r), cached on the basis object.
 
-
-def _image_rows(module, cb, nu, i, r):
-    """Canonical-basis coordinate rows of F_i^(r) applied to the basis words
-    one i-string step down (they span the image of F_i^(r)), cached on the
-    basis object."""
+    The image is spanned by the canonical basis elements it contains, so the
+    canonical-basis coordinate rows of F_i^(r) applied to the basis words at
+    nu - r alpha_i span the coordinate subspace of the positions they touch.
+    One rank certifies this: it must equal the number of touched positions.
+    """
     cache = cb.graph_cache.setdefault("images", {})
     key = (nu, i, r)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    low = tuple(x - (r if k == i else 0) for k, x in enumerate(nu))
-    rows = []
-    for m in module.weight_space(low).basis:
-        rows.append(cb.expand(module.apply_F(i, r, module.monomial_vector(m))))
-    rank = lp_rank(rows)
-    cache[key] = (rows, rank)
-    return rows, rank
+    low = nu[:i] + (nu[i] - r,) + nu[i + 1:]
+    rows = [cb.expand(module.apply_F(i, r, module.monomial_vector(w)))
+            for w in module.weight_space(low).basis]
+    support = frozenset(pos for row in rows for pos, c in enumerate(row) if c)
+    if lp_rank(rows) != len(support):
+        raise GraphError(f"image of F_{i}^({r}) at {nu} is not spanned by "
+                         "the canonical basis elements it contains")
+    cache[key] = support
+    return support
 
 
 def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
@@ -127,35 +125,37 @@ class LeftGraph:
 
 
 def build_left_graph(module, cb):
-    """All arrows between computed contents, found by confirming each
-    element against every t_i = 0 candidate one string below."""
+    """All arrows between computed contents: each seed with t_i = 0 sends
+    one arrow per string step 1 <= t <= <wt, alpha_i^vee> that stays within
+    the computed height.  Every element with t_i > 0 must be reached by
+    exactly one seed (the pi_{i,t} bijection)."""
     vertices = {}
     arrows = []
     arrow_map = {}
+    targets = []
     for nu in cb.contents():
-        elems = cb.elements(nu)
         order = cb.canonical_order(nu)
         vertices[nu] = [cb.element_id(nu, pos) for pos in order]
-        for pos, b in enumerate(elems):
+        room = cb.max_height - cartan.height(nu)
+        for qpos, b in enumerate(cb.elements(nu)):
             for i in range(module.quiver.n):
                 t = t_stat(module, cb, b, i)
-                if t == 0:
+                if t > 0:
+                    targets.append((nu, qpos, i, t))
                     continue
-                low = tuple(x - (t if k == i else 0) for k, x in enumerate(nu))
-                found = None
-                for qpos, candidate in enumerate(cb.elements(low)):
-                    if t_stat(module, cb, candidate, i) != 0:
-                        continue
-                    hit = pi_arrow(module, cb, i, t, candidate, missing_ok=True)
-                    if hit is not None and hit[1] == pos:
-                        found = qpos
-                        break
-                if found is None:
-                    raise GraphError(
-                        f"no preimage for element {pos} at {nu}, color ({i},{t})")
-                arrow_map[(nu, pos, i)] = (t, low, found)
-                arrows.append((cb.element_id(nu, pos), cb.element_id(low, found),
-                               (module.quiver.vertex_id(i), t)))
+                for t in range(1, min(module.coroot_pairing(nu, i), room) + 1):
+                    elem, pos = pi_arrow(module, cb, i, t, b)
+                    key = (elem.content, pos, i)
+                    if key in arrow_map:
+                        raise GraphError(f"two seeds reach element {pos} at "
+                                         f"{elem.content}, color ({i},{t})")
+                    arrow_map[key] = (t, nu, qpos)
+                    arrows.append((cb.element_id(elem.content, pos),
+                                   cb.element_id(nu, qpos),
+                                   (module.quiver.vertex_id(i), t)))
+    for nu, pos, i, t in targets:
+        if (nu, pos, i) not in arrow_map:
+            raise GraphError(f"no preimage for element {pos} at {nu}, color ({i},{t})")
     arrows.sort()
     return LeftGraph(vertices, arrows, arrow_map)
 
@@ -202,11 +202,6 @@ def path_sort_key(path, order):
     """Key realizing the lexicographic path order for a fixed vertex order."""
     rank = {i: k for k, i in enumerate(order)}
     return tuple((rank[i], t) for i, t in path)
-
-
-def path_order_lt(p, q, order):
-    """Strict lexicographic comparison of two paths of equal total content."""
-    return path_sort_key(p, order) < path_sort_key(q, order)
 
 
 def monomial_basis(module, cb, graph, nu, order):

@@ -79,15 +79,13 @@ class WeightSpaceModel:
 
     ``spanning`` is the candidate spanning set (F_i^(a) applied to the basis
     words of each nu - a alpha_i, in ``spanning_words`` order; see the
-    module docstring), ``gram`` its Gram matrix, and ``basis`` the words
-    the greedy prefix of that Gram keeps (the pivots of
-    ``qarith.lp_sym_echelon``), which is the greedy-prefix basis of all
-    normalized words of nu.
+    module docstring) and ``basis`` the words the greedy prefix of its Gram
+    matrix keeps (the pivots of ``qarith.lp_sym_echelon``), which is the
+    greedy-prefix basis of all normalized words of nu.
     """
 
     content: tuple
     spanning: list
-    gram: list
     basis: list
     rank: int
 
@@ -320,8 +318,7 @@ class HighestWeightModule:
             # self-pairing must force the whole pairing row to vanish
             raise InternalCheckError(
                 f"isotropic nonzero row in Gram matrix at {nu}; form degeneracy") from exc
-        model = WeightSpaceModel(nu, spanning, gram, [spanning[s] for s in sel],
-                                 len(sel))
+        model = WeightSpaceModel(nu, spanning, [spanning[s] for s in sel], len(sel))
         self._spaces[nu] = model
         return model
 

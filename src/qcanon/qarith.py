@@ -30,7 +30,7 @@ class ExactDivisionError(ArithmeticError):
 class LaurentPoly:
     """Sparse element of Z[v, v^-1]; immutable by convention."""
 
-    __slots__ = ("c", "_hash")
+    __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
         if coeffs is None:
@@ -40,7 +40,6 @@ class LaurentPoly:
         else:
             c = {k: int(x) for k, x in coeffs.items() if x}
         self.c = c
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -59,11 +58,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.c == other.c
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.c.items()))
-        return self._hash
 
     def degree(self):
         """Maximal exponent, or None for the zero polynomial."""
@@ -96,7 +90,6 @@ class LaurentPoly:
                 out.pop(k, None)
         r = LaurentPoly.__new__(LaurentPoly)
         r.c = out
-        r._hash = None
         return r
 
     __radd__ = __add__
@@ -104,7 +97,6 @@ class LaurentPoly:
     def __neg__(self):
         r = LaurentPoly.__new__(LaurentPoly)
         r.c = {k: -x for k, x in self.c.items()}
-        r._hash = None
         return r
 
     def __sub__(self, other):
@@ -121,7 +113,6 @@ class LaurentPoly:
                 return ZERO
             r = LaurentPoly.__new__(LaurentPoly)
             r.c = {k: x * other for k, x in self.c.items()}
-            r._hash = None
             return r
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -138,7 +129,6 @@ class LaurentPoly:
             out = _schoolbook(a, b)
         r = LaurentPoly.__new__(LaurentPoly)
         r.c = out
-        r._hash = None
         return r
 
     __rmul__ = __mul__
@@ -149,7 +139,6 @@ class LaurentPoly:
             return self
         r = LaurentPoly.__new__(LaurentPoly)
         r.c = {e + k: x for e, x in self.c.items()}
-        r._hash = None
         return r
 
     def divexact(self, other):
@@ -205,10 +194,6 @@ class LaurentPoly:
     def to_terms(self):
         """JSON form: list of [exponent, coefficient-as-decimal-string]."""
         return [[k, str(self.c[k])] for k in sorted(self.c)]
-
-    @staticmethod
-    def from_terms(terms):
-        return LaurentPoly({int(k): int(s) for k, s in terms})
 
     def __repr__(self):
         return f"LaurentPoly({self.c!r})"

@@ -40,30 +40,11 @@ def word_content(word, n):
     return tuple(out)
 
 
-def word_is_normalized(word):
-    if any(a < 1 for _, a in word):
-        return False
-    return all(word[l][0] != word[l + 1][0] for l in range(len(word) - 1))
-
-
 def word_str(word, quiver):
     """Text form '1^2.2^1' with vertex ids."""
     if not word:
         return "1"  # the empty monomial acts as the identity
     return ".".join(f"{quiver.vertex_id(i)}^{a}" for i, a in word)
-
-
-def parse_word(text, quiver):
-    if text == "1":
-        return EMPTY_WORD
-    out = []
-    for chunk in text.split("."):
-        vid, _, mult = chunk.rpartition("^")
-        out.append((quiver.index[vid], int(mult)))
-    word = tuple(out)
-    if not word_is_normalized(word):
-        raise ValueError(f"word {text!r} is not normalized")
-    return word
 
 
 def count_words(content):
@@ -149,9 +130,6 @@ class UMinusElement:
     @staticmethod
     def unit(quiver):
         return UMinusElement(cartan.zero_vector(quiver.n), {EMPTY_WORD: ONE})
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, UMinusElement)

@@ -245,16 +245,11 @@ def suite_derivation(ctx, hcap=4):
                         res.fail(f"derivation combo not divisible by (v^-1 - v) "
                                  f"for {word_str(w, q)}, i={q.vertex_id(i)}")
                         continue
-                    if divided != lhs.terms:
-                        # fall back to the module-level comparison before failing
-                        if m.vectors_equal(lhs.scale(V_INV_MINUS_V),
-                                           UMinusElement(low, combo)):
-                            res.ok()
-                        else:
-                            res.fail(f"derivation identity fails on {word_str(w, q)}, "
-                                     f"i={q.vertex_id(i)}: E gives {_fmt_vec(q, lhs)}")
-                    else:
+                    if divided == lhs.terms:
                         res.ok()
+                    else:
+                        res.fail(f"derivation identity fails on {word_str(w, q)}, "
+                                 f"i={q.vertex_id(i)}: E gives {_fmt_vec(q, lhs)}")
     return res
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from qcanon.cartan import (Quiver, HighestWeight, QuiverError, parse_quiver_dict,
-                           coroot_pairing, nu_tilde, height, weight_leq,
+                           coroot_pairing, height, weight_leq,
                            contents_of_height, contents_up_to, unit_vector,
                            subvectors)
 
@@ -65,22 +65,23 @@ def test_coroot_pairing_examples(a2_adjoint):
         coroot_pairing(q2, hw, (0, 0), 5)
 
 
-def test_nu_tilde_examples(kronecker):
+def test_coroot_pairing_neighbour_examples(kronecker):
+    # d_i plus the dimension of the neighbours of i, less 2 nu_i
     q1, _ = parse_quiver_dict({"vertices": ["1"], "edges": []})
-    assert nu_tilde(q1, HighestWeight([3]), (2,), 0) == 3
+    assert coroot_pairing(q1, HighestWeight([3]), (2,), 0) == 3 - 4
     q2, _ = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]]})
-    assert nu_tilde(q2, HighestWeight([0, 0]), (1, 1), 0) == 1
+    assert coroot_pairing(q2, HighestWeight([0, 0]), (1, 1), 0) == 1 - 2
     qk, _ = kronecker
-    assert nu_tilde(qk, HighestWeight([1, 0]), (0, 3), 0) == 7
+    assert coroot_pairing(qk, HighestWeight([1, 0]), (0, 3), 0) == 7
 
 
 def test_pairing_identity_on_random_data(a2_adjoint, kronecker):
-    # coroot_pairing + 2 nu_i - nu_tilde = 0
+    # coroot_pairing + 2 nu_i = d_i + sum_j a_ij nu_j (edges, not the Cartan matrix)
     for q, hw in (a2_adjoint, kronecker):
         for nu in contents_up_to(q.n, 5):
             for i in range(q.n):
-                assert (coroot_pairing(q, hw, nu, i) + 2 * nu[i]
-                        - nu_tilde(q, hw, nu, i)) == 0
+                neighbours = sum(q.a[i][j] * nu[j] for j in range(q.n))
+                assert coroot_pairing(q, hw, nu, i) + 2 * nu[i] == hw[i] + neighbours
 
 
 def test_height_and_order():

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from qcanon.qarith import ONE
+from qcanon.qarith import ZERO, ONE, lp_rank
 from qcanon.cartan import HighestWeight, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.canonical import CanonicalBasis
@@ -46,6 +46,42 @@ def test_t_stat_distinguishes_zero_weight_elements(a2_adjoint):
                    for b in cb.elements((1, 1)))
     # one element heads each string: F1F2 v has t_1 = 1, F2F1 v has t_2 = 1
     assert stats == [(0, 1), (1, 0)]
+
+
+def test_t_stat_matches_the_membership_rank():
+    # the rule t_stat replaced, kept as its oracle: b is in the image of
+    # F_i^(r) iff adding its unit row to the image rows keeps the rank
+    for data in (A2_ADJ_Q, KRON3_Q, D4_Q):
+        m, cb = build(parse_quiver_dict(data), 5)
+        cases = 0
+        for nu in cb.contents():
+            elems = cb.elements(nu)
+            for i in range(m.quiver.n):
+                expected = [0] * len(elems)
+                for r in range(1, nu[i] + 1):
+                    low = tuple(x - (r if k == i else 0) for k, x in enumerate(nu))
+                    rows = [cb.expand(m.apply_F(i, r, m.monomial_vector(w)))
+                            for w in m.weight_space(low).basis]
+                    base = lp_rank(rows)
+                    for pos in range(len(elems)):
+                        unit = [ONE if p == pos else ZERO for p in range(len(elems))]
+                        if lp_rank(rows + [unit]) == base:
+                            expected[pos] = r
+                for pos, b in enumerate(elems):
+                    assert cg.t_stat(m, cb, b, i) == expected[pos], (data, nu, pos, i)
+                    cases += 1
+        assert cases > 0
+
+
+def test_t_stat_certifies_the_image_against_its_support(a2_adjoint, monkeypatch):
+    m, cb = build(a2_adjoint, 2)
+    # every image row reads as the sum of all elements: at (1,1) one row
+    # touches both elements, so its rank 1 cannot span their two columns
+    monkeypatch.setattr(cb, "expand",
+                        lambda u: [ONE] * len(cb.elements(u.content)))
+    with pytest.raises(cg.GraphError, match="not spanned"):
+        for b in cb.elements((1, 1)):
+            cg.t_stat(m, cb, b, 0)
 
 
 # -- arrows ---------------------------------------------------------------------
@@ -132,6 +168,38 @@ def test_pi_bijectivity_double_count(a2_adjoint):
                 assert len(set(images)) == len(images)
 
 
+def test_one_rank_per_image_and_one_call_per_arrow(monkeypatch):
+    calls = {"lp_rank": 0, "pi_arrow": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cg, "lp_rank", counted("lp_rank", cg.lp_rank))
+    monkeypatch.setattr(cg, "pi_arrow", counted("pi_arrow", cg.pi_arrow))
+    m, cb = build(parse_quiver_dict(KRON3_Q), 7)
+    g = cg.build_left_graph(m, cb)
+    assert calls["lp_rank"] == len(cb.graph_cache["images"]) == 71
+    assert calls["pi_arrow"] == len(g.arrows) == 45
+
+
+def test_left_graph_rejects_two_seeds_on_one_element(monkeypatch):
+    # on 3-Kronecker, color 2 reaches (2,3) from a seed at (2,1) with t = 2
+    # and from one at (2,2) with t = 1; sending every seed to the first
+    # element of its target content makes those two collide
+    m, cb = build(parse_quiver_dict(KRON3_Q), 5)
+
+    def first_element(module, cb, i, t, seed, **_):
+        target = tuple(x + (t if k == i else 0) for k, x in enumerate(seed.content))
+        return cb.elements(target)[0], 0
+
+    monkeypatch.setattr(cg, "pi_arrow", first_element)
+    with pytest.raises(cg.GraphError, match="two seeds"):
+        cg.build_left_graph(m, cb)
+
+
 # -- paths and order ---------------------------------------------------------------
 
 
@@ -162,12 +230,16 @@ def test_path_replay(a2_adjoint, kronecker):
 
 def test_path_order():
     order = (0, 1)
+
+    def lt(p, q):
+        return cg.path_sort_key(p, order) < cg.path_sort_key(q, order)
+
     p = ((0, 2),)
-    assert not cg.path_order_lt(p, p, order)
-    assert cg.path_order_lt(((0, 1), (1, 1)), ((1, 1), (0, 1)), order)
-    assert not cg.path_order_lt(((1, 1), (0, 1)), ((0, 1), (1, 1)), order)
+    assert not lt(p, p)
+    assert lt(((0, 1), (1, 1)), ((1, 1), (0, 1)))
+    assert not lt(((1, 1), (0, 1)), ((0, 1), (1, 1)))
     # multiplicity breaks ties within a vertex
-    assert cg.path_order_lt(((0, 1), (0, 2)), ((0, 2), (0, 1)), order)
+    assert lt(((0, 1), (0, 2)), ((0, 2), (0, 1)))
 
 
 def test_path_order_strict_on_zero_weight(a2_adjoint):
@@ -175,7 +247,7 @@ def test_path_order_strict_on_zero_weight(a2_adjoint):
     g = cg.build_left_graph(m, cb)
     p0 = cg.sbar(m, cb, g, (1, 1), 0, (0, 1))
     p1 = cg.sbar(m, cb, g, (1, 1), 1, (0, 1))
-    assert cg.path_order_lt(p0, p1, (0, 1)) != cg.path_order_lt(p1, p0, (0, 1))
+    assert cg.path_sort_key(p0, (0, 1)) != cg.path_sort_key(p1, (0, 1))
 
 
 def test_monomial_basis_examples(a1_d3, a2_adjoint):
@@ -257,16 +329,18 @@ KRON3_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
            "highest_weight": {"1": 1, "2": 0}}
 A2_ADJ_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]],
             "highest_weight": {"1": 1, "2": 1}}
+D4_Q = {"vertices": ["c", "1", "2", "3"], "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+        "highest_weight": {"c": 1}}
 
 
 @pytest.mark.parametrize("data,hmax", [(A2_ADJ_Q, 5), (A3_Q, 5), (KRON_Q, 6),
                                        (KRON3_Q, 5)],
                          ids=["a2_adjoint", "a3", "kronecker", "kronecker3"])
 def test_string_length_axiom(data, hmax):
-    # Kashiwara's string axiom, independent of the t_i membership test: an
-    # element b heading its i-string (t_i(b) = 0) has a t-th arrow image
-    # iff 1 <= t <= <wt b, alpha_i^vee>.  Only t reaching a computed content
-    # can be checked.
+    # Kashiwara's string axiom, which build_left_graph relies on, checked
+    # here on its own: an element b heading its i-string (t_i(b) = 0) has a
+    # t-th arrow image iff 1 <= t <= <wt b, alpha_i^vee>.  Only t reaching a
+    # computed content can be checked.
     m, cb = build(parse_quiver_dict(data), hmax)
     cases = 0
     for nu in cb.contents():

@@ -1,4 +1,5 @@
-"""Every name a qcanon module imports is used in that module, no module
+"""Every name a qcanon module imports is used in that module, every
+function and class the package defines is used in the package, no module
 imports rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]),
 and the package re-exports every class and function under its own name."""
 
@@ -46,6 +47,37 @@ def test_no_unused_imports(path):
 def test_detector_sees_an_unused_import():
     assert unused_imports("import os\nfrom math import gcd, lcm\nx = gcd(1, 2)\n") == [
         (1, "os"), (2, "lcm")]
+
+
+def unreferenced_definitions(sources):
+    """Functions and classes, dunder methods aside, that no source names
+    (as a variable or an attribute) anywhere but in their own definition."""
+    defined = set()
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(defined - used)
+
+
+def test_no_dead_code():
+    # __init__.py only re-exports, so its names do not count as uses
+    assert unreferenced_definitions([p.read_text() for p in SOURCES]) == []
+
+
+def test_detector_sees_dead_code():
+    sources = ["def used():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
+               "class Kept:\n    def __repr__(self):\n        return ''\n\n"
+               "    def method(self):\n        return used()\n\n"
+               "    def unused_method(self):\n        return self\n",
+               "x = Kept().method\n"]
+    assert unreferenced_definitions(sources) == ["dead", "unused_method"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -7,7 +7,7 @@ import pytest
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qbinom
 from qcanon.cartan import contents_of_height, contents_up_to
 from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
-                           parse_word, word_content, restriction_coproduct,
+                           word_content, restriction_coproduct,
                            rbar, ibar, rbar_derivation, ibar_derivation,
                            serre_element, normalize_slots, count_words)
 from qcanon.hwmodule import HighestWeightModule
@@ -75,11 +75,7 @@ def test_word_text_form(a2_adjoint):
     q, _ = a2_adjoint
     w = ((0, 2), (1, 1), (0, 1))
     assert word_str(w, q) == "1^2.2^1.1^1"
-    assert parse_word("1^2.2^1.1^1", q) == w
     assert word_str(EMPTY_WORD, q) == "1"
-    assert parse_word("1", q) == EMPTY_WORD
-    with pytest.raises(ValueError):
-        parse_word("1^1.1^2", q)
 
 
 # -- restriction coproduct ------------------------------------------------------
@@ -153,8 +149,8 @@ def test_rbar_examples(a1_d3, a2_adjoint):
 def test_rbar_of_missing_vertex_is_zero(a2_adjoint):
     q, _ = a2_adjoint
     x = mono(q, ((0, 2),))
-    assert rbar(q, x, 1).is_zero()
-    assert ibar_derivation(q, x, 1).is_zero()
+    assert not rbar(q, x, 1).terms
+    assert not ibar_derivation(q, x, 1).terms
 
 
 def test_derivations_satisfy_hand_rolled_leibniz(a2_adjoint, kronecker):
