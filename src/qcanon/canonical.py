@@ -16,8 +16,6 @@ v^-1 Z[v^-1], checked exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .qarith import LaurentPoly, ONE, sym_truncate
 from .hwmodule import InternalCheckError
 from . import cartan
@@ -32,7 +30,6 @@ class CompletionError(RuntimeError):
     """Element count at some content disagrees with the Gram rank."""
 
 
-@dataclass
 class CBElement:
     """One canonical basis element.
 
@@ -43,12 +40,14 @@ class CBElement:
     the content's list of elements, in which each element is a unit vector.
     """
 
-    content: tuple
-    vector: object
-    provenance: tuple
-    stats: dict = field(default_factory=dict)
-    self_pairing: object = None
-    pairing_key: tuple = field(default=None, repr=False)
+    def __init__(self, content, vector, provenance, stats=None,
+                 self_pairing=None, pairing_key=None):
+        self.content = content
+        self.vector = vector
+        self.provenance = provenance
+        self.stats = {} if stats is None else stats
+        self.self_pairing = self_pairing
+        self.pairing_key = pairing_key
 
 
 class CanonicalBasis:

@@ -6,12 +6,16 @@ across runs and cache hits.  Exit codes: 0 success,
 1 verification failure, 2 input error, 3 resource cap exceeded, 141
 (128 + SIGPIPE, as a shell reports it) when the reader closed stdout
 before the output was written.
+
+Each subcommand imports only the layers it runs: ``canonical`` and
+``crystalgraph`` inside the basis and graph payloads, ``verify`` inside
+``_run_verify`` and ``hashlib`` inside ``_cache_key``, so ``dims`` starts
+without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -21,9 +25,6 @@ from . import cartan
 from .cartan import QuiverError, load_quiver
 from .uminus import count_words, word_str
 from .hwmodule import HighestWeightModule, ResourceCapError, check_content_count
-from .canonical import CanonicalBasis
-from . import crystalgraph as cg
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -134,6 +135,7 @@ def _parse_order(quiver, text):
 
 
 def _cache_key(args, quiver, hw, order, fmt):
+    import hashlib
     datum = {
         "command": args.command,
         "vertices": list(quiver.vertices),
@@ -269,6 +271,8 @@ def _dims_payload(quiver, hw, order, hmax, fmt):
 
 
 def _basis_payload(quiver, hw, order, hmax):
+    from .canonical import CanonicalBasis
+    from . import crystalgraph as cg
     module = HighestWeightModule(quiver, hw)
     cb = CanonicalBasis(module, order).compute_up_to(hmax)
     graph = cg.build_left_graph(module, cb)
@@ -317,6 +321,8 @@ def _basis_payload(quiver, hw, order, hmax):
 
 
 def _graph_payload(quiver, hw, order, hmax, fmt):
+    from .canonical import CanonicalBasis
+    from . import crystalgraph as cg
     module = HighestWeightModule(quiver, hw)
     cb = CanonicalBasis(module, order).compute_up_to(hmax)
     graph = cg.build_left_graph(module, cb)
@@ -353,6 +359,7 @@ def _graph_payload(quiver, hw, order, hmax, fmt):
 
 
 def _run_verify(args, quiver, hw, order):
+    from . import verify as verify_mod
     fmt = args.fmt or "table"
     if fmt == "dot":
         raise QuiverError("verify has no dot format")

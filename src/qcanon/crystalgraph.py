@@ -17,8 +17,6 @@ element is its own unit vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .qarith import ONE, lp_rank
 from . import cartan
 
@@ -109,7 +107,6 @@ def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
     return elems[leader], leader
 
 
-@dataclass
 class LeftGraph:
     """Colored digraph on canonical basis elements.
 
@@ -119,9 +116,10 @@ class LeftGraph:
     low pos) for replay.
     """
 
-    vertices: dict
-    arrows: list
-    arrow_map: dict = field(repr=False, default_factory=dict)
+    def __init__(self, vertices, arrows, arrow_map=None):
+        self.vertices = vertices
+        self.arrows = arrows
+        self.arrow_map = {} if arrow_map is None else arrow_map
 
 
 def build_left_graph(module, cb):

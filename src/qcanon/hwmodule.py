@@ -43,7 +43,6 @@ computation raises ExactDivisionError and means a genuine bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .qarith import LaurentPoly, ZERO, ONE, PivotBreakdown, qint, qfact, lp_sym_echelon
 from .uminus import EMPTY_WORD, UMinusElement, concat_words, mono_mul, word_content
@@ -62,6 +61,10 @@ class InternalCheckError(AssertionError):
 CONTENT_CAP = 100_000
 # Most normalized words ``spanning_words`` may enumerate at one content.
 SPANNING_CAP = 200_000
+# Most Gram entries (candidates squared) ``weight_space`` may build at one
+# content; 3-Kronecker (1,0) reaches 17 ** 2 at (4,4), the most of any
+# benchmark datum.
+GRAM_CAP = 250_000
 
 
 def check_content_count(n, hmax):
@@ -73,7 +76,6 @@ def check_content_count(n, hmax):
             f"{count} contents up to height {hmax} exceed cap {CONTENT_CAP}")
 
 
-@dataclass
 class WeightSpaceModel:
     """Selected monomial model of one weight space.
 
@@ -84,10 +86,11 @@ class WeightSpaceModel:
     greedy-prefix basis of all normalized words of nu.
     """
 
-    content: tuple
-    spanning: list
-    basis: list
-    rank: int
+    def __init__(self, content, spanning, basis, rank):
+        self.content = content
+        self.spanning = spanning
+        self.basis = basis
+        self.rank = rank
 
 
 class HighestWeightModule:
@@ -310,6 +313,10 @@ class HighestWeightModule:
         if any(x < 0 for x in nu):
             raise ValueError(f"content {nu} has negative entries")
         spanning = self._candidates(nu)
+        if len(spanning) ** 2 > GRAM_CAP:
+            raise ResourceCapError(
+                f"Gram matrix at {nu} has {len(spanning) ** 2} entries, "
+                f"exceeding cap {GRAM_CAP}")
         gram = self._gram(spanning)
         try:
             sel = lp_sym_echelon(gram)

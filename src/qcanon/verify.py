@@ -10,7 +10,6 @@ counterexample.  All randomness is seeded; repeated runs are identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .qarith import LaurentPoly, ZERO, ONE, qint, ExactDivisionError
 from . import cartan
@@ -26,11 +25,11 @@ RNG_SEED = 20260809
 V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, name, checks=0, failures=None):
+        self.name = name
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self):

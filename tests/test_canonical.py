@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint
@@ -249,7 +247,10 @@ def test_expand_rejects_a_gram_matrix_off_the_lattice():
     mutated = CanonicalBasis(m)
     mutated.store = dict(cb.store)
     elems = list(cb.elements(nu))
-    elems[0] = replace(elems[0], vector=elems[0].vector.scale(vp(-1)))
+    b = elems[0]
+    elems[0] = CBElement(b.content, b.vector.scale(vp(-1)), b.provenance,
+                         stats=b.stats, self_pairing=b.self_pairing,
+                         pairing_key=b.pairing_key)
     mutated.store[nu] = elems
     with pytest.raises(InternalCheckError, match="Gram entry"):
         mutated.expand(u)

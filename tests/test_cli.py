@@ -372,6 +372,25 @@ def test_resource_cap_exit_3(qfile, capsys, monkeypatch):
     assert code == 3 and "cap" in err
 
 
+def test_gram_cap_exit_3(qfile, capsys, monkeypatch):
+    # (1,1) of A2 (1,1) has two candidates, so four Gram entries, over a
+    # cap of 3: it is refused before its Gram matrix is built
+    monkeypatch.setattr(hwmodule, "GRAM_CAP", 3)
+    built = []
+    gram = HighestWeightModule._gram
+
+    def counted_gram(self, spanning):
+        built.append(len(spanning))
+        return gram(self, spanning)
+
+    monkeypatch.setattr(HighestWeightModule, "_gram", counted_gram)
+    code, out, err = run_cli(capsys, "dims", "--quiver", qfile(A2ADJ),
+                             "--max-height", "2")
+    assert code == 3 and not out
+    assert err.startswith("resource cap:") and "exceeding cap 3" in err
+    assert built and max(built) == 1
+
+
 @pytest.mark.parametrize("command", ["dims", "basis", "graph", "verify"])
 def test_closed_stdout_exits_quietly(qfile, command):
     # the read end is closed before the child starts, so its first write
@@ -389,6 +408,45 @@ def test_closed_stdout_exits_quietly(qfile, command):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_PIPE
     assert proc.stderr == b""
+
+
+# the child reports the modules that importing and running the CLI added
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from qcanon import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+LAYERS_PAST_HWMODULE = {"qcanon.canonical", "qcanon.crystalgraph", "qcanon.verify"}
+
+
+@pytest.mark.parametrize("command, cache, loaded, not_loaded", [
+    ("dims", False, {"qcanon.hwmodule"}, LAYERS_PAST_HWMODULE | {"hashlib"}),
+    ("dims", True, {"hashlib"}, LAYERS_PAST_HWMODULE),
+    ("basis", False, {"qcanon.canonical", "qcanon.crystalgraph"},
+     {"qcanon.verify", "hashlib"}),
+    ("graph", False, {"qcanon.canonical", "qcanon.crystalgraph"},
+     {"qcanon.verify", "hashlib"}),
+    ("graph", True, {"hashlib"}, {"qcanon.verify"}),
+    ("verify", False, LAYERS_PAST_HWMODULE, {"hashlib"}),
+], ids=["dims", "dims-cache", "basis", "graph", "graph-cache", "verify"])
+def test_each_subcommand_imports_only_its_layers(qfile, tmp_path, command, cache,
+                                                 loaded, not_loaded):
+    src = os.path.dirname(os.path.dirname(qcanon.__file__))
+    argv = [command, "--quiver", qfile(A2ADJ), "--max-height", "2"]
+    if cache:
+        argv += ["--cache", str(tmp_path / "cache.json")]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stdout
+    added = set(proc.stderr.split())
+    assert loaded <= added
+    assert not added & (not_loaded | {"dataclasses"})
 
 
 def test_package_runs_as_a_module(qfile):

@@ -4,6 +4,7 @@ imports rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]),
 and the package re-exports every class and function under its own name."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -99,7 +100,23 @@ def renamed_exports(namespace):
 
 
 def test_exports_keep_their_names():
-    assert renamed_exports(vars(qcanon)) == []
+    # the exports are resolved on first use, so read them through getattr
+    exported = {name: getattr(qcanon, name) for name in qcanon.__all__}
+    assert exported and renamed_exports(exported) == []
+
+
+def test_exports_are_the_objects_their_modules_define():
+    for name in qcanon.__all__:
+        obj = getattr(qcanon, name)
+        owner = importlib.import_module(obj.__module__)
+        assert owner.__name__.startswith("qcanon.")
+        assert vars(owner)[name] is obj
+
+
+def test_an_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qcanon.no_such_name
+    assert not hasattr(qcanon, "word_coordinates")
 
 
 def test_detector_sees_an_alias():
