@@ -19,8 +19,8 @@ _EXPORTS = {
                      "InternalCheckError"), "hwmodule"),
     **dict.fromkeys(("CBElement", "CanonicalBasis", "verify_bar_invariant",
                      "OrthogonalizationError", "CompletionError"), "canonical"),
-    **dict.fromkeys(("LeftGraph", "t_stat", "pi_arrow", "build_left_graph",
-                     "sbar", "monomial_basis", "GraphError"), "crystalgraph"),
+    **dict.fromkeys(("LeftGraph", "pi_arrow", "build_left_graph", "sbar",
+                     "monomial_basis", "GraphError"), "crystalgraph"),
 }
 
 __all__ = sorted(_EXPORTS)

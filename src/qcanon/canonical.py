@@ -8,6 +8,15 @@ elements by subtracting sym_truncate of the offending pairings until every
 pairing drops into v^-1 Z[v^-1].  Convergence is guarded: the maximal
 degree of an offending pairing must strictly decrease on every pass.
 
+Once a content's elements are stored, each element b gets ``b.t``, where
+``b.t[i]`` is t_i(b): the largest r with b inside the image of F_i^(r) on
+the weight space below.  That image is spanned by the canonical basis
+elements it contains (Kashiwara; Lusztig), so it is read as a set of
+positions: the columns touched by the canonical-basis coordinates of
+F_i^(r) applied to the basis words below, certified by one rank per
+(content, i, r).  The induction seeds from t_i = 0, and the left graph
+reads the same values.
+
 The stored elements are the only coordinate system: ``expand`` writes a
 vector in them with Laurent coefficients, from its pairings with the
 elements and one integer recurrence against their Gram matrix I + N, N in
@@ -16,10 +25,9 @@ v^-1 Z[v^-1], checked exactly.
 
 from __future__ import annotations
 
-from .qarith import LaurentPoly, ONE, sym_truncate
+from .qarith import LaurentPoly, ONE, lp_rank, sym_truncate
 from .hwmodule import InternalCheckError
 from . import cartan
-from . import crystalgraph
 
 
 class OrthogonalizationError(RuntimeError):
@@ -27,27 +35,29 @@ class OrthogonalizationError(RuntimeError):
 
 
 class CompletionError(RuntimeError):
-    """Element count at some content disagrees with the Gram rank."""
+    """A content fails a completeness check: its element count against the
+    Gram rank, an element's self-pairing or bar-invariance, or the
+    certificate of an image of F_i^(r)."""
 
 
 class CBElement:
     """One canonical basis element.
 
-    ``vector`` is the exact monomial combination, ``stats`` a lazily filled
-    map vertex -> t_i value, and ``provenance`` the seeding datum (i, t,
-    parent position in the lower content's list; None for the highest
-    weight vector).  ``CanonicalBasis.expand`` reads every vector against
-    the content's list of elements, in which each element is a unit vector.
+    ``vector`` is the exact monomial combination, ``t`` the tuple of t_i
+    values (set by the basis once the content is complete), and
+    ``provenance`` the seeding datum (i, t, parent position in the lower
+    content's list; None for the highest weight vector).
+    ``CanonicalBasis.expand`` reads every vector against the content's list
+    of elements, in which each element is a unit vector.
     """
 
-    def __init__(self, content, vector, provenance, stats=None,
-                 self_pairing=None, pairing_key=None):
+    def __init__(self, content, vector, provenance, self_pairing=None):
         self.content = content
         self.vector = vector
         self.provenance = provenance
-        self.stats = {} if stats is None else stats
         self.self_pairing = self_pairing
-        self.pairing_key = pairing_key
+        self.t = None
+        self.pairing_key = None
 
 
 class CanonicalBasis:
@@ -63,7 +73,6 @@ class CanonicalBasis:
         self.max_height = -1
         self._canon_cache = {}
         self._offsets = {}  # content -> N = Gram - I of the stored elements
-        self.graph_cache = {}  # crystalgraph's t_i image supports and sbar paths
 
     def elements(self, nu):
         nu = tuple(nu)
@@ -78,7 +87,9 @@ class CanonicalBasis:
         n = self.module.quiver.n
         for h in range(self.max_height + 1, hmax + 1):
             for nu in cartan.contents_of_height(n, h):
-                self.store[nu] = self._compute_content(nu)
+                elems = self.store[nu] = self._compute_content(nu)
+                if elems:
+                    self._set_t(nu, elems)
         self.max_height = max(self.max_height, hmax)
         return self
 
@@ -96,7 +107,7 @@ class CanonicalBasis:
             for t in range(nu[i], 0, -1):
                 low = tuple(x - (t if k == i else 0) for k, x in enumerate(nu))
                 for parent_pos, parent in enumerate(self.store[low]):
-                    if crystalgraph.t_stat(mod, self, parent, i) != 0:
+                    if parent.t[i] != 0:
                         continue
                     cand = mod.apply_F(i, t, parent.vector)
                     cand = self._orthogonalize(cand, accepted)
@@ -134,6 +145,40 @@ class CanonicalBasis:
                 raise OrthogonalizationError(
                     f"offending degree did not decrease ({prev_max} -> {worst})")
             prev_max = worst
+
+    # -- the t_i statistic ------------------------------------------------
+
+    def _set_t(self, nu, elems):
+        """Set ``b.t`` on the elements at nu.  For each i, r walks upward
+        and t = r goes to the positions that had r - 1 and lie in the image
+        of F_i^(r); the walk stops at the first r that promotes nobody."""
+        ts = [[0] * len(nu) for _ in elems]
+        for i in range(len(nu)):
+            for r in range(1, nu[i] + 1):
+                support = self._image_support(nu, i, r)
+                promoted = [t for pos, t in enumerate(ts)
+                            if t[i] == r - 1 and pos in support]
+                if not promoted:
+                    break
+                for t in promoted:
+                    t[i] = r
+        for b, t in zip(elems, ts):
+            b.t = tuple(t)
+
+    def _image_support(self, nu, i, r):
+        """Positions at nu of the canonical basis elements in the image of
+        F_i^(r).  The coordinate rows of F_i^(r) on the basis words at
+        nu - r alpha_i span the coordinate subspace of the positions they
+        touch, so their rank must equal the number of those positions."""
+        mod = self.module
+        low = nu[:i] + (nu[i] - r,) + nu[i + 1:]
+        rows = [self.expand(mod.apply_F(i, r, mod.monomial_vector(w)))
+                for w in mod.weight_space(low).basis]
+        support = {pos for row in rows for pos, c in enumerate(row) if c}
+        if lp_rank(rows) != len(support):
+            raise CompletionError(f"image of F_{i}^({r}) at {nu} is not spanned "
+                                  "by the canonical basis elements it contains")
+        return support
 
     # -- coordinates -----------------------------------------------------------
 
@@ -229,7 +274,7 @@ class CanonicalBasis:
     def element_id(self, nu, pos):
         """Canonical id 'content/index' of the element stored at pos."""
         idx = self.canonical_order(nu).index(pos)
-        return f"{cartan.content_str(self.module.quiver, nu)}/{idx}"
+        return f"{cartan.content_str(nu)}/{idx}"
 
 
 def element_key(module, elem):

@@ -246,5 +246,5 @@ def content_to_dict(quiver, nu):
     return {quiver.vertex_id(i): nu[i] for i in range(quiver.n)}
 
 
-def content_str(quiver, nu):
+def content_str(nu):
     return ",".join(str(x) for x in nu)

@@ -273,9 +273,8 @@ def _dims_payload(quiver, hw, order, hmax, fmt):
 def _basis_payload(quiver, hw, order, hmax):
     from .canonical import CanonicalBasis
     from . import crystalgraph as cg
-    module = HighestWeightModule(quiver, hw)
-    cb = CanonicalBasis(module, order).compute_up_to(hmax)
-    graph = cg.build_left_graph(module, cb)
+    cb = CanonicalBasis(HighestWeightModule(quiver, hw), order).compute_up_to(hmax)
+    graph = cg.build_left_graph(cb)
     contents_doc = []
     for nu in cartan.contents_up_to(quiver.n, hmax):
         elems = cb.elements(nu)
@@ -284,15 +283,14 @@ def _basis_payload(quiver, hw, order, hmax):
             "rank": len(elems),
             "elements": [],
         }
-        canon = cb.canonical_order(nu)
-        for idx, pos in enumerate(canon):
+        for pos in cb.canonical_order(nu):
             b = elems[pos]
             i, t, parent = b.provenance
             parent_id = None
             if parent is not None:
                 parent_id = cb.element_id(parent[0], parent[1])
             block["elements"].append({
-                "id": f"{cartan.content_str(quiver, nu)}/{idx}",
+                "id": cb.element_id(nu, pos),
                 "vector": _vector_json(quiver, b.vector),
                 "self_pairing": b.self_pairing.to_terms(),
                 "provenance": {
@@ -302,7 +300,7 @@ def _basis_payload(quiver, hw, order, hmax):
                 },
             })
         if elems:
-            positions, paths, vectors, T = cg.monomial_basis(module, cb, graph, nu, order)
+            positions, paths, vectors, T = cg.monomial_basis(cb, graph, nu, order)
             block["path_order"] = [cb.element_id(nu, p) for p in positions]
             block["monomial_basis"] = [
                 {"path": [[quiver.vertex_id(i), t] for i, t in path],
@@ -323,11 +321,10 @@ def _basis_payload(quiver, hw, order, hmax):
 def _graph_payload(quiver, hw, order, hmax, fmt):
     from .canonical import CanonicalBasis
     from . import crystalgraph as cg
-    module = HighestWeightModule(quiver, hw)
-    cb = CanonicalBasis(module, order).compute_up_to(hmax)
-    graph = cg.build_left_graph(module, cb)
+    cb = CanonicalBasis(HighestWeightModule(quiver, hw), order).compute_up_to(hmax)
+    graph = cg.build_left_graph(cb)
     if fmt == "dot":
-        return cg.graph_to_dot(graph, quiver)
+        return cg.graph_to_dot(graph)
     paths = {}
     listings = {}
     for nu in cb.contents():
@@ -336,19 +333,19 @@ def _graph_payload(quiver, hw, order, hmax, fmt):
             continue
         entries = []
         for pos in range(len(elems)):
-            path = cg.sbar(module, cb, graph, nu, pos, order)
+            path = cg.sbar(cb, graph, nu, pos, order)
             entries.append((cg.path_sort_key(path, order),
                             cb.element_id(nu, pos),
                             [[quiver.vertex_id(i), t] for i, t in path]))
         entries.sort()
-        key = cartan.content_str(quiver, nu)
+        key = cartan.content_str(nu)
         paths[key] = [{"id": eid, "path": p} for _, eid, p in entries]
         listings[key] = [eid for _, eid, _ in entries]
     doc = {
         "metadata": dict(_metadata(quiver, hw, order, hmax),
                          isomorphic_component_graph="nakajima-lagrangian",
                          sign_twist="unknown"),
-        "graph": cg.graph_to_dict(graph, quiver),
+        "graph": cg.graph_to_dict(graph),
         "paths": paths,
         "order_listing": listings,
     }

@@ -1,14 +1,12 @@
-"""The t_i statistic, the string-jumping arrows between canonical basis
-elements, the left graph, the path map and its lexicographic order, and the
-monomial bases read off from paths.
+"""The string-jumping arrows between canonical basis elements, the left
+graph, the path map and its lexicographic order, and the monomial bases
+read off from paths.
 
-t_i is the largest r with the element inside the image of F_i^(r) on the
-weight space below.  That image is spanned by the canonical basis elements
-it contains (Kashiwara; Lusztig), so it is read as a set of positions: the
-columns touched by the canonical-basis coordinates of F_i^(r) applied to
-the basis words below, certified by one rank per (content, i, r).  Arrows
-jump whole i-strings: each element with t_i = 0 seeds one arrow (i, t) for
-every 1 <= t <= <wt, alpha_i^vee>, to the unique element with t_i = t whose
+The functions that walk the basis take it alone: they read the module as
+``cb.module`` and t_i(b) as ``b.t[i]``, which the basis sets, certified by
+one rank per image, as it builds each content.  Arrows jump whole
+i-strings: each element with t_i = 0 seeds one arrow (i, t) for every
+1 <= t <= <wt, alpha_i^vee>, to the unique element with t_i = t whose
 F_i^(t)-expansion it leads with coefficient exactly 1, and every element
 with t_i > 0 must be reached exactly once.  Every vector is read in
 canonical-basis coordinates (``CanonicalBasis.expand``), where a stored
@@ -25,46 +23,7 @@ class GraphError(RuntimeError):
     """A structural guarantee of the arrow combinatorics failed."""
 
 
-def t_stat(module, cb, b, i):
-    """Largest r >= 0 with b inside the image of F_i^(r) (0 when none)."""
-    hit = b.stats.get(i)
-    if hit is not None:
-        return hit
-    nu = b.content
-    pos = next(p for p, e in enumerate(cb.elements(nu)) if e is b)
-    t = 0
-    while t < nu[i] and pos in _image_support(module, cb, nu, i, t + 1):
-        t += 1
-    b.stats[i] = t
-    return t
-
-
-def _image_support(module, cb, nu, i, r):
-    """Positions at nu of the canonical basis elements in the image of
-    F_i^(r), cached on the basis object.
-
-    The image is spanned by the canonical basis elements it contains, so the
-    canonical-basis coordinate rows of F_i^(r) applied to the basis words at
-    nu - r alpha_i span the coordinate subspace of the positions they touch.
-    One rank certifies this: it must equal the number of touched positions.
-    """
-    cache = cb.graph_cache.setdefault("images", {})
-    key = (nu, i, r)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    low = nu[:i] + (nu[i] - r,) + nu[i + 1:]
-    rows = [cb.expand(module.apply_F(i, r, module.monomial_vector(w)))
-            for w in module.weight_space(low).basis]
-    support = frozenset(pos for row in rows for pos, c in enumerate(row) if c)
-    if lp_rank(rows) != len(support):
-        raise GraphError(f"image of F_{i}^({r}) at {nu} is not spanned by "
-                         "the canonical basis elements it contains")
-    cache[key] = support
-    return support
-
-
-def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
+def pi_arrow(cb, i, t, bprime, missing_ok=False):
     """The unique leading element of F_i^(t) applied to bprime.
 
     Requires t_i(bprime) = 0.  Expands the image in the canonical basis of
@@ -76,17 +35,17 @@ def pi_arrow(module, cb, i, t, bprime, missing_ok=False):
     """
     if t < 1:
         raise ValueError("arrow multiplicity must be positive")
-    if t_stat(module, cb, bprime, i) != 0:
+    if bprime.t[i] != 0:
         raise GraphError("pi_arrow seed must have t_i = 0")
     target = tuple(x + (t if k == i else 0) for k, x in enumerate(bprime.content))
-    image = module.apply_F(i, t, bprime.vector)
+    image = cb.module.apply_F(i, t, bprime.vector)
     elems = cb.elements(target)
     coeffs = cb.expand(image)
     leader = None
     for pos, c in enumerate(coeffs):
         if not c:
             continue
-        ts = t_stat(module, cb, elems[pos], i)
+        ts = elems[pos].t[i]
         if ts == t:
             if leader is not None:
                 raise GraphError(f"two leading summands at {target} color ({i},{t})")
@@ -122,11 +81,12 @@ class LeftGraph:
         self.arrow_map = {} if arrow_map is None else arrow_map
 
 
-def build_left_graph(module, cb):
+def build_left_graph(cb):
     """All arrows between computed contents: each seed with t_i = 0 sends
     one arrow per string step 1 <= t <= <wt, alpha_i^vee> that stays within
     the computed height.  Every element with t_i > 0 must be reached by
     exactly one seed (the pi_{i,t} bijection)."""
+    module = cb.module
     vertices = {}
     arrows = []
     arrow_map = {}
@@ -137,12 +97,12 @@ def build_left_graph(module, cb):
         room = cb.max_height - cartan.height(nu)
         for qpos, b in enumerate(cb.elements(nu)):
             for i in range(module.quiver.n):
-                t = t_stat(module, cb, b, i)
+                t = b.t[i]
                 if t > 0:
                     targets.append((nu, qpos, i, t))
                     continue
                 for t in range(1, min(module.coroot_pairing(nu, i), room) + 1):
-                    elem, pos = pi_arrow(module, cb, i, t, b)
+                    elem, pos = pi_arrow(cb, i, t, b)
                     key = (elem.content, pos, i)
                     if key in arrow_map:
                         raise GraphError(f"two seeds reach element {pos} at "
@@ -158,39 +118,31 @@ def build_left_graph(module, cb):
     return LeftGraph(vertices, arrows, arrow_map)
 
 
-def sbar(module, cb, graph, nu, pos, order):
+def sbar(cb, graph, nu, pos, order):
     """Admissible path of the element: repeatedly take the arrow whose
     color is maximal in the vertex order among the colors with t_i > 0."""
-    cache = cb.graph_cache.setdefault(("sbar", tuple(order)), {})
-    key = (nu, pos)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if cartan.height(nu) == 0:
-        cache[key] = ()
         return ()
     b = cb.elements(nu)[pos]
     chosen = None
     for i in order:
-        if t_stat(module, cb, b, i) > 0:
+        if b.t[i] > 0:
             chosen = i
     if chosen is None:
         raise GraphError(f"non-highest element at {nu} with all t_i = 0")
-    t = t_stat(module, cb, b, chosen)
+    t = b.t[chosen]
     if (nu, pos, chosen) not in graph.arrow_map:
         raise GraphError(f"missing arrow for sbar at {nu}, color ({chosen},{t})")
     _, low, qpos = graph.arrow_map[(nu, pos, chosen)]
-    path = ((chosen, t),) + sbar(module, cb, graph, low, qpos, order)
-    cache[key] = path
-    return path
+    return ((chosen, t),) + sbar(cb, graph, low, qpos, order)
 
 
-def replay_path(module, cb, path):
+def replay_path(cb, path):
     """Follow pi_arrow along the path from the highest element."""
-    nu = cartan.zero_vector(module.quiver.n)
+    nu = cartan.zero_vector(cb.module.quiver.n)
     pos = 0
     for i, t in reversed(path):
-        elem, pos2 = pi_arrow(module, cb, i, t, cb.elements(nu)[pos])
+        elem, pos2 = pi_arrow(cb, i, t, cb.elements(nu)[pos])
         nu = elem.content
         pos = pos2
     return nu, pos
@@ -202,7 +154,7 @@ def path_sort_key(path, order):
     return tuple((rank[i], t) for i, t in path)
 
 
-def monomial_basis(module, cb, graph, nu, order):
+def monomial_basis(cb, graph, nu, order):
     """Path monomials at one content, one per basis element.
 
     Returns (positions, paths, vectors, transition): the first three sorted
@@ -215,7 +167,7 @@ def monomial_basis(module, cb, graph, nu, order):
     items = []
     seen = set()
     for pos in range(len(elems)):
-        path = sbar(module, cb, graph, nu, pos, order)
+        path = sbar(cb, graph, nu, pos, order)
         key = path_sort_key(path, order)
         if key in seen:
             raise GraphError(f"sbar not injective at {nu}")
@@ -224,7 +176,7 @@ def monomial_basis(module, cb, graph, nu, order):
     items.sort()
     positions = [pos for _, pos, _ in items]
     paths = [path for _, _, path in items]
-    vectors = [module.monomial_vector(tuple(path)) for path in paths]
+    vectors = [cb.module.monomial_vector(tuple(path)) for path in paths]
     cols = [cb.expand(vec) for vec in vectors]
     if lp_rank(cols) != len(vectors):
         raise GraphError(f"path monomials do not span at {nu}")
@@ -239,7 +191,7 @@ def _dot_quoted(text):
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(graph, quiver):
+def graph_to_dot(graph):
     """Deterministic DOT rendering of the left graph."""
     lines = ["digraph left_graph {", "  rankdir=BT;"]
     for nu in sorted(graph.vertices, key=lambda x: (cartan.height(x), x)):
@@ -252,10 +204,10 @@ def graph_to_dot(graph, quiver):
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dict(graph, quiver):
+def graph_to_dict(graph):
     vertices = {}
     for nu in sorted(graph.vertices, key=lambda x: (cartan.height(x), x)):
-        vertices[cartan.content_str(quiver, nu)] = list(graph.vertices[nu])
+        vertices[cartan.content_str(nu)] = list(graph.vertices[nu])
     return {
         "vertices": vertices,
         "arrows": [{"src": s, "dst": d, "color": [vid, t]}

@@ -65,7 +65,7 @@ class VerifyContext:
     @property
     def graph(self):
         if self._graph is None:
-            self._graph = cg.build_left_graph(self.module, self.cb)
+            self._graph = cg.build_left_graph(self.cb)
         return self._graph
 
     def basis_vectors(self, nu):
@@ -431,12 +431,11 @@ def suite_orthogonality(ctx):
 
 def suite_triangularity(ctx):
     res = SuiteResult("triangularity")
-    m = ctx.module
     for nu in ctx.cb.contents():
         elems = ctx.cb.elements(nu)
         if not elems:
             continue
-        T = cg.monomial_basis(m, ctx.cb, ctx.graph, nu, ctx.order)[3]
+        T = cg.monomial_basis(ctx.cb, ctx.graph, nu, ctx.order)[3]
         r = len(T)
         good = True
         for t in range(r):
@@ -469,7 +468,7 @@ def suite_triangularity(ctx):
 
 def suite_crystal(ctx):
     res = SuiteResult("crystal")
-    m, q = ctx.module, ctx.quiver
+    q = ctx.quiver
     cb, graph = ctx.cb, ctx.graph
     n = q.n
     # bijectivity double-counting at every (i, t, content)
@@ -479,12 +478,12 @@ def suite_crystal(ctx):
             for t in range(1, nu[i] + 1):
                 low = tuple(x - (t if k == i else 0) for k, x in enumerate(nu))
                 upper = [pos for pos, b in enumerate(elems)
-                         if cg.t_stat(m, cb, b, i) == t]
+                         if b.t[i] == t]
                 images = []
                 for b2 in cb.elements(low):
-                    if cg.t_stat(m, cb, b2, i) != 0:
+                    if b2.t[i] != 0:
                         continue
-                    hit = cg.pi_arrow(m, cb, i, t, b2, missing_ok=True)
+                    hit = cg.pi_arrow(cb, i, t, b2, missing_ok=True)
                     if hit is not None:
                         images.append(hit[1])
                 if sorted(images) == upper and len(set(images)) == len(images):
@@ -495,26 +494,26 @@ def suite_crystal(ctx):
     for nu in cb.contents():
         seen = {}
         for pos in range(len(cb.elements(nu))):
-            path = cg.sbar(m, cb, graph, nu, pos, ctx.order)
+            path = cg.sbar(cb, graph, nu, pos, ctx.order)
             if path in seen:
                 res.fail(f"sbar collision at {nu}: positions {seen[path]} and {pos}")
             else:
                 res.ok()
             seen[path] = pos
-            if cg.replay_path(m, cb, path) == (nu, pos):
+            if cg.replay_path(cb, path) == (nu, pos):
                 res.ok()
             else:
                 res.fail(f"path replay fails at {nu} position {pos}")
     # arrows target t_i = 0 and jump whole strings
     for (nu, pos, i), (t, low, qpos) in graph.arrow_map.items():
-        if cg.t_stat(m, cb, cb.elements(low)[qpos], i) == 0:
+        if cb.elements(low)[qpos].t[i] == 0:
             res.ok()
         else:
             res.fail(f"arrow ({q.vertex_id(i)},{t}) at {nu} targets t_i != 0")
     # graph invariance under a permuted scheduling order
     if n > 1:
-        other = CanonicalBasis(m, tuple(reversed(ctx.order))).compute_up_to(ctx.max_height)
-        g2 = cg.build_left_graph(m, other)
+        other = CanonicalBasis(ctx.module, tuple(reversed(ctx.order))).compute_up_to(ctx.max_height)
+        g2 = cg.build_left_graph(other)
         if g2.arrows == graph.arrows and g2.vertices == graph.vertices:
             res.ok()
         else:

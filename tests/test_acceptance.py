@@ -75,7 +75,7 @@ def test_criterion_2_a2_fundamental():
             ((1, 0), {((0, 1),): ONE}),
             ((1, 1), {((1, 1), (0, 1)): ONE}),
         ]
-        graph = cg.build_left_graph(m, cb)
+        graph = cg.build_left_graph(cb)
         assert sum(len(v) for v in graph.vertices.values()) == 3
         assert sorted(c for _, _, c in graph.arrows) == [("1", 1), ("2", 1)]
 
@@ -92,12 +92,12 @@ def test_criterion_3_a2_adjoint():
             total += count
         assert total == 8
         assert len(cb.elements((1, 1))) == 2
-        graph = cg.build_left_graph(m, cb)
+        graph = cg.build_left_graph(cb)
         order = (0, 1)
         for nu in cb.contents():
             if not cb.elements(nu):
                 continue
-            positions, paths, vectors, T = cg.monomial_basis(m, cb, graph, nu, order)
+            positions, paths, vectors, T = cg.monomial_basis(cb, graph, nu, order)
             r = len(T)
             for t in range(r):
                 assert T[t][t] == ONE

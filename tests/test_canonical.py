@@ -119,8 +119,8 @@ def test_transition_rank1(a1_d3):
 
 def test_transition_a2_adjoint_zero_weight(a2_adjoint):
     m, cb = build(a2_adjoint, 4)
-    graph = cg.build_left_graph(m, cb)
-    T = cg.monomial_basis(m, cb, graph, (1, 1), (0, 1))[3]
+    graph = cg.build_left_graph(cb)
+    T = cg.monomial_basis(cb, graph, (1, 1), (0, 1))[3]
     assert len(T) == 2
     for t in range(2):
         assert T[t][t] == ONE
@@ -147,15 +147,14 @@ def test_transition_nontrivial_entries():
         assert verify_bar_invariant(m, b)
 
 
-def test_completion_error_on_wrong_rank(a1_d3, monkeypatch):
+def test_completion_error_on_wrong_rank(a1_d3):
     from qcanon import canonical
     q, hw = a1_d3
     m = HighestWeightModule(q, hw)
-    cb = CanonicalBasis(m)
+    cb = CanonicalBasis(m).compute_up_to(0)
     # sabotage the t-statistic so the (1,1) seed is skipped at nu = (1,)
-    monkeypatch.setattr(canonical.crystalgraph, "t_stat",
-                        lambda *a, **k: 1)
-    cb.store[(0,)] = cb._compute_content((0,))
+    (top,) = cb.elements((0,))
+    top.t = (1,)
     with pytest.raises(canonical.CompletionError):
         cb._compute_content((1,))
 
@@ -236,6 +235,27 @@ def test_expand_reconstructs_every_basis_word_and_image(name):
     assert checked > 0
 
 
+@pytest.mark.parametrize("name", ["a2_adjoint", "kronecker3", "d4"])
+def test_t_is_a_property_of_the_basis(name):
+    # every element carries t once its content is built, and t does not
+    # depend on the order in which the induction visits the vertices
+    datum, hmax = EXPAND_DATA[name]
+    q, hw = parse_quiver_dict(datum)
+    m = HighestWeightModule(q, hw)
+
+    def t_by_id(order):
+        cb = CanonicalBasis(m, order).compute_up_to(hmax)
+        out = {}
+        for nu in cb.contents():
+            for pos, b in enumerate(cb.elements(nu)):
+                assert isinstance(b.t, tuple) and len(b.t) == q.n, (nu, pos)
+                out[cb.element_id(nu, pos)] = b.t
+        return out
+
+    forward = t_by_id(tuple(range(q.n)))
+    assert forward and forward == t_by_id(tuple(reversed(range(q.n))))
+
+
 def test_expand_rejects_a_gram_matrix_off_the_lattice():
     # an element scaled by v^-1 pairs with itself in v^-2 + ..., outside
     # 1 + v^-1 Z[v^-1]: the Gram check refuses to expand against it
@@ -249,8 +269,7 @@ def test_expand_rejects_a_gram_matrix_off_the_lattice():
     elems = list(cb.elements(nu))
     b = elems[0]
     elems[0] = CBElement(b.content, b.vector.scale(vp(-1)), b.provenance,
-                         stats=b.stats, self_pairing=b.self_pairing,
-                         pairing_key=b.pairing_key)
+                         self_pairing=b.self_pairing)
     mutated.store[nu] = elems
     with pytest.raises(InternalCheckError, match="Gram entry"):
         mutated.expand(u)

@@ -5,6 +5,7 @@ import pytest
 from qcanon.qarith import ZERO, ONE, lp_rank
 from qcanon.cartan import HighestWeight, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
+from qcanon import canonical
 from qcanon.canonical import CanonicalBasis
 from qcanon import crystalgraph as cg
 
@@ -23,34 +24,34 @@ def test_t_stat_rank1(a1_d3):
     m, cb = build(a1_d3, 3)
     for k in range(4):
         (b,) = cb.elements((k,))
-        assert cg.t_stat(m, cb, b, 0) == k
+        assert b.t[0] == k
 
 
 def test_t_stat_highest(a2_adjoint):
     m, cb = build(a2_adjoint, 1)
     (b,) = cb.elements((0, 0))
-    assert cg.t_stat(m, cb, b, 0) == 0
-    assert cg.t_stat(m, cb, b, 1) == 0
+    assert b.t[0] == 0
+    assert b.t[1] == 0
 
 
 def test_t_stat_a2_fundamental(a2_fund):
     m, cb = build(a2_fund, 2)
     (b,) = cb.elements((1, 1))  # F2 F1 v
-    assert cg.t_stat(m, cb, b, 1) == 1
-    assert cg.t_stat(m, cb, b, 0) == 0
+    assert b.t[1] == 1
+    assert b.t[0] == 0
 
 
 def test_t_stat_distinguishes_zero_weight_elements(a2_adjoint):
     m, cb = build(a2_adjoint, 2)
-    stats = sorted((cg.t_stat(m, cb, b, 0), cg.t_stat(m, cb, b, 1))
-                   for b in cb.elements((1, 1)))
+    stats = sorted(b.t for b in cb.elements((1, 1)))
     # one element heads each string: F1F2 v has t_1 = 1, F2F1 v has t_2 = 1
     assert stats == [(0, 1), (1, 0)]
 
 
 def test_t_stat_matches_the_membership_rank():
-    # the rule t_stat replaced, kept as its oracle: b is in the image of
-    # F_i^(r) iff adding its unit row to the image rows keeps the rank
+    # the rule the support certificate replaced, kept as its oracle: b is in
+    # the image of F_i^(r) iff adding its unit row to the image rows keeps
+    # the rank
     for data in (A2_ADJ_Q, KRON3_Q, D4_Q):
         m, cb = build(parse_quiver_dict(data), 5)
         cases = 0
@@ -68,20 +69,19 @@ def test_t_stat_matches_the_membership_rank():
                         if lp_rank(rows + [unit]) == base:
                             expected[pos] = r
                 for pos, b in enumerate(elems):
-                    assert cg.t_stat(m, cb, b, i) == expected[pos], (data, nu, pos, i)
+                    assert b.t[i] == expected[pos], (data, nu, pos, i)
                     cases += 1
         assert cases > 0
 
 
 def test_t_stat_certifies_the_image_against_its_support(a2_adjoint, monkeypatch):
-    m, cb = build(a2_adjoint, 2)
+    m, cb = build(a2_adjoint, 1)
     # every image row reads as the sum of all elements: at (1,1) one row
     # touches both elements, so its rank 1 cannot span their two columns
     monkeypatch.setattr(cb, "expand",
                         lambda u: [ONE] * len(cb.elements(u.content)))
-    with pytest.raises(cg.GraphError, match="not spanned"):
-        for b in cb.elements((1, 1)):
-            cg.t_stat(m, cb, b, 0)
+    with pytest.raises(canonical.CompletionError, match="not spanned"):
+        cb.compute_up_to(2)
 
 
 # -- arrows ---------------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_pi_arrow_rank1(a1_d3):
     m, cb = build(a1_d3, 3)
     (top,) = cb.elements((0,))
     for k in range(1, 4):
-        elem, pos = cg.pi_arrow(m, cb, 0, k, top)
+        elem, pos = cg.pi_arrow(cb, 0, k, top)
         assert elem is cb.elements((k,))[pos]
         assert elem.vector.terms == {((0, k),): m.form(m.vacuum(), m.vacuum())}
 
@@ -99,7 +99,7 @@ def test_pi_arrow_rank1(a1_d3):
 def test_pi_arrow_a2(a2_fund):
     m, cb = build(a2_fund, 2)
     (b1,) = cb.elements((1, 0))
-    elem, _ = cg.pi_arrow(m, cb, 1, 1, b1)
+    elem, _ = cg.pi_arrow(cb, 1, 1, b1)
     assert elem.vector.terms == {((1, 1), (0, 1)): ONE}
 
 
@@ -109,21 +109,21 @@ def test_pi_arrow_missing_image():
     m = HighestWeightModule(q, hw)
     cb = CanonicalBasis(m).compute_up_to(2)
     (top,) = cb.elements((0,))
-    assert cg.pi_arrow(m, cb, 0, 2, top, missing_ok=True) is None
+    assert cg.pi_arrow(cb, 0, 2, top, missing_ok=True) is None
     with pytest.raises(cg.GraphError):
-        cg.pi_arrow(m, cb, 0, 2, top)
+        cg.pi_arrow(cb, 0, 2, top)
 
 
 def test_pi_arrow_rejects_bad_seed(a1_d3):
     m, cb = build(a1_d3, 3)
     (b1,) = cb.elements((1,))  # t_1 = 1, not a valid seed
     with pytest.raises(cg.GraphError):
-        cg.pi_arrow(m, cb, 0, 1, b1)
+        cg.pi_arrow(cb, 0, 1, b1)
 
 
 def test_left_graph_rank1_fan(a1_d2):
     m, cb = build(a1_d2, 2)
-    g = cg.build_left_graph(m, cb)
+    g = cg.build_left_graph(cb)
     assert sorted(g.arrows) == [
         ("1/0", "0/0", ("1", 1)),
         ("2/0", "0/0", ("1", 2)),
@@ -132,7 +132,7 @@ def test_left_graph_rank1_fan(a1_d2):
 
 def test_left_graph_a2_fundamental(a2_fund):
     m, cb = build(a2_fund, 2)
-    g = cg.build_left_graph(m, cb)
+    g = cg.build_left_graph(cb)
     assert g.arrows == [
         ("1,0/0", "0,0/0", ("1", 1)),
         ("1,1/0", "1,0/0", ("2", 1)),
@@ -141,11 +141,11 @@ def test_left_graph_a2_fundamental(a2_fund):
 
 def test_arrows_jump_whole_strings(a2_adjoint):
     m, cb = build(a2_adjoint, 4)
-    g = cg.build_left_graph(m, cb)
+    g = cg.build_left_graph(cb)
     for (nu, pos, i), (t, low, qpos) in g.arrow_map.items():
         target = cb.elements(low)[qpos]
-        assert cg.t_stat(m, cb, target, i) == 0
-        assert cg.t_stat(m, cb, cb.elements(nu)[pos], i) == t
+        assert target.t[i] == 0
+        assert cb.elements(nu)[pos].t[i] == t
 
 
 def test_pi_bijectivity_double_count(a2_adjoint):
@@ -156,12 +156,12 @@ def test_pi_bijectivity_double_count(a2_adjoint):
             for t in range(1, nu[i] + 1):
                 low = tuple(x - (t if k == i else 0) for k, x in enumerate(nu))
                 upper = [pos for pos, b in enumerate(elems)
-                         if cg.t_stat(m, cb, b, i) == t]
+                         if b.t[i] == t]
                 images = []
                 for b2 in cb.elements(low):
-                    if cg.t_stat(m, cb, b2, i) != 0:
+                    if b2.t[i] != 0:
                         continue
-                    hit = cg.pi_arrow(m, cb, i, t, b2, missing_ok=True)
+                    hit = cg.pi_arrow(cb, i, t, b2, missing_ok=True)
                     if hit is not None:
                         images.append(hit[1])
                 assert sorted(images) == upper
@@ -169,6 +169,7 @@ def test_pi_bijectivity_double_count(a2_adjoint):
 
 
 def test_one_rank_per_image_and_one_call_per_arrow(monkeypatch):
+    # each (content, i, r) image is ranked once, while its content is built
     calls = {"lp_rank": 0, "pi_arrow": 0}
 
     def counted(name, fn):
@@ -177,11 +178,12 @@ def test_one_rank_per_image_and_one_call_per_arrow(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cg, "lp_rank", counted("lp_rank", cg.lp_rank))
+    monkeypatch.setattr(canonical, "lp_rank", counted("lp_rank", canonical.lp_rank))
     monkeypatch.setattr(cg, "pi_arrow", counted("pi_arrow", cg.pi_arrow))
     m, cb = build(parse_quiver_dict(KRON3_Q), 7)
-    g = cg.build_left_graph(m, cb)
-    assert calls["lp_rank"] == len(cb.graph_cache["images"]) == 71
+    assert calls["lp_rank"] == 71
+    g = cg.build_left_graph(cb)
+    assert calls["lp_rank"] == 71
     assert calls["pi_arrow"] == len(g.arrows) == 45
 
 
@@ -191,13 +193,13 @@ def test_left_graph_rejects_two_seeds_on_one_element(monkeypatch):
     # element of its target content makes those two collide
     m, cb = build(parse_quiver_dict(KRON3_Q), 5)
 
-    def first_element(module, cb, i, t, seed, **_):
+    def first_element(cb, i, t, seed, **_):
         target = tuple(x + (t if k == i else 0) for k, x in enumerate(seed.content))
         return cb.elements(target)[0], 0
 
     monkeypatch.setattr(cg, "pi_arrow", first_element)
     with pytest.raises(cg.GraphError, match="two seeds"):
-        cg.build_left_graph(m, cb)
+        cg.build_left_graph(cb)
 
 
 # -- paths and order ---------------------------------------------------------------
@@ -205,27 +207,27 @@ def test_left_graph_rejects_two_seeds_on_one_element(monkeypatch):
 
 def test_sbar_rank1(a1_d3):
     m, cb = build(a1_d3, 3)
-    g = cg.build_left_graph(m, cb)
-    assert cg.sbar(m, cb, g, (0,), 0, (0,)) == ()
+    g = cg.build_left_graph(cb)
+    assert cg.sbar(cb, g, (0,), 0, (0,)) == ()
     for k in range(1, 4):
-        assert cg.sbar(m, cb, g, (k,), 0, (0,)) == ((0, k),)
+        assert cg.sbar(cb, g, (k,), 0, (0,)) == ((0, k),)
 
 
 def test_sbar_zero_weight_paths_distinct(a2_adjoint):
     m, cb = build(a2_adjoint, 4)
-    g = cg.build_left_graph(m, cb)
-    paths = {cg.sbar(m, cb, g, (1, 1), pos, (0, 1)) for pos in range(2)}
+    g = cg.build_left_graph(cb)
+    paths = {cg.sbar(cb, g, (1, 1), pos, (0, 1)) for pos in range(2)}
     assert len(paths) == 2
 
 
 def test_path_replay(a2_adjoint, kronecker):
     for datum in (a2_adjoint, kronecker):
         m, cb = build(datum, 4)
-        g = cg.build_left_graph(m, cb)
+        g = cg.build_left_graph(cb)
         for nu in cb.contents():
             for pos in range(len(cb.elements(nu))):
-                path = cg.sbar(m, cb, g, nu, pos, (0, 1))
-                assert cg.replay_path(m, cb, path) == (nu, pos)
+                path = cg.sbar(cb, g, nu, pos, (0, 1))
+                assert cg.replay_path(cb, path) == (nu, pos)
 
 
 def test_path_order():
@@ -244,21 +246,21 @@ def test_path_order():
 
 def test_path_order_strict_on_zero_weight(a2_adjoint):
     m, cb = build(a2_adjoint, 4)
-    g = cg.build_left_graph(m, cb)
-    p0 = cg.sbar(m, cb, g, (1, 1), 0, (0, 1))
-    p1 = cg.sbar(m, cb, g, (1, 1), 1, (0, 1))
+    g = cg.build_left_graph(cb)
+    p0 = cg.sbar(cb, g, (1, 1), 0, (0, 1))
+    p1 = cg.sbar(cb, g, (1, 1), 1, (0, 1))
     assert cg.path_sort_key(p0, (0, 1)) != cg.path_sort_key(p1, (0, 1))
 
 
 def test_monomial_basis_examples(a1_d3, a2_adjoint):
     m1, cb1 = build(a1_d3, 3)
-    g1 = cg.build_left_graph(m1, cb1)
-    positions, paths, vectors, _ = cg.monomial_basis(m1, cb1, g1, (2,), (0,))
+    g1 = cg.build_left_graph(cb1)
+    positions, paths, vectors, _ = cg.monomial_basis(cb1, g1, (2,), (0,))
     assert paths == [((0, 2),)]
     assert vectors[0].terms == {((0, 2),): ONE}
     m2, cb2 = build(a2_adjoint, 4)
-    g2 = cg.build_left_graph(m2, cb2)
-    positions, paths, vectors, _ = cg.monomial_basis(m2, cb2, g2, (1, 1), (0, 1))
+    g2 = cg.build_left_graph(cb2)
+    positions, paths, vectors, _ = cg.monomial_basis(cb2, g2, (1, 1), (0, 1))
     assert len(vectors) == 2
     words = sorted(w for vec in vectors for w in vec.terms)
     assert words == [((0, 1), (1, 1)), ((1, 1), (0, 1))]
@@ -269,12 +271,12 @@ def test_graph_invariant_under_declaration_order(a2_adjoint):
     q1, hw1 = a2_adjoint
     m1 = HighestWeightModule(q1, hw1)
     cb1 = CanonicalBasis(m1).compute_up_to(4)
-    g1 = cg.build_left_graph(m1, cb1)
+    g1 = cg.build_left_graph(cb1)
     q2, hw2 = parse_quiver_dict({"vertices": ["2", "1"], "edges": [["1", "2"]],
                                  "highest_weight": {"1": 1, "2": 1}})
     m2 = HighestWeightModule(q2, hw2)
     cb2 = CanonicalBasis(m2).compute_up_to(4)
-    g2 = cg.build_left_graph(m2, cb2)
+    g2 = cg.build_left_graph(cb2)
 
     def relabel(graph, quiver, cb):
         arrows = set()
@@ -294,9 +296,9 @@ def test_graph_invariant_under_declaration_order(a2_adjoint):
 
 def test_dot_export_is_deterministic_and_wellformed(a2_adjoint):
     m, cb = build(a2_adjoint, 2)
-    g = cg.build_left_graph(m, cb)
-    dot1 = cg.graph_to_dot(g, m.quiver)
-    dot2 = cg.graph_to_dot(cg.build_left_graph(m, cb), m.quiver)
+    g = cg.build_left_graph(cb)
+    dot1 = cg.graph_to_dot(g)
+    dot2 = cg.graph_to_dot(cg.build_left_graph(cb))
     assert dot1 == dot2
     assert dot1.startswith("digraph ") and dot1.rstrip().endswith("}")
     body = dot1.splitlines()[2:-1]
@@ -309,7 +311,7 @@ def test_dot_export_escapes_quotes_and_backslashes():
     ids = ['a"b', "c\\d"]
     m, cb = build(parse_quiver_dict({"vertices": ids, "edges": [ids],
                                      "highest_weight": dict.fromkeys(ids, 1)}), 2)
-    dot = cg.graph_to_dot(cg.build_left_graph(m, cb), m.quiver)
+    dot = cg.graph_to_dot(cg.build_left_graph(cb))
     assert '[label="(a\\"b,1)"];' in dot
     assert '[label="(c\\\\d,1)"];' in dot
     # with each well-formed quoted string replaced by Q, every body line is a
@@ -346,11 +348,11 @@ def test_string_length_axiom(data, hmax):
     for nu in cb.contents():
         for b in cb.elements(nu):
             for i in range(m.quiver.n):
-                if cg.t_stat(m, cb, b, i) != 0:
+                if b.t[i] != 0:
                     continue
                 length = m.coroot_pairing(nu, i)
                 for t in range(1, hmax - sum(nu) + 1):
-                    hit = cg.pi_arrow(m, cb, i, t, b, missing_ok=True)
+                    hit = cg.pi_arrow(cb, i, t, b, missing_ok=True)
                     assert (hit is not None) == (t <= length), (nu, i, t)
                     cases += 1
     assert cases > 0

@@ -1,7 +1,8 @@
 """Every name a qcanon module imports is used in that module, every
-function and class the package defines is used in the package, no module
-imports rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]),
-and the package re-exports every class and function under its own name."""
+function and class the package defines is used in the package, every
+parameter is read, the layers import one way only, no module imports
+rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]), and the
+package re-exports every class and function under its own name."""
 
 import ast
 import importlib
@@ -79,6 +80,73 @@ def test_detector_sees_dead_code():
                "    def unused_method(self):\n        return self\n",
                "x = Kept().method\n"]
     assert unreferenced_definitions(sources) == ["dead", "unused_method"]
+
+
+def unused_parameters(source):
+    """(function, parameter) pairs, ``self`` aside, where the function's
+    body never reads the parameter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            found += [(name, p) for p in params if p != "self" and p not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_detector_sees_an_unused_parameter():
+    source = ("def f(self, a, b, *rest, c=0, **kw):\n    return a + kw['x']\n\n\n"
+              "def g(x):\n    def h(y):\n        return x\n    return h\n\n\n"
+              "key = lambda e: 0\n")
+    assert unused_parameters(source) == [
+        ("f", "b"), ("f", "c"), ("f", "rest"), ("h", "y"), ("<lambda>", "e")]
+
+
+def package_imports(source):
+    """The qcanon modules a source imports, at any depth of the file."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("qcanon."))
+        elif isinstance(node, ast.ImportFrom):
+            # every relative import in the package is from the package
+            base = node.module or ""
+            if node.level:
+                base = "qcanon." + base if base else "qcanon"
+            if base == "qcanon":
+                out.update(alias.name for alias in node.names)
+            elif base.startswith("qcanon."):
+                out.add(base.split(".")[1])
+    return out
+
+
+# the basis owns t_i and the crystal layer reads it: neither looks back up
+LAYER_DIRECTION = {"canonical": {"crystalgraph", "verify"},
+                   "crystalgraph": {"canonical", "verify"}}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_DIRECTION))
+def test_layers_import_one_way(name):
+    source = (PACKAGE[0].parent / f"{name}.py").read_text()
+    assert package_imports(source) & LAYER_DIRECTION[name] == set()
+
+
+def test_detector_sees_a_package_import():
+    source = ("from . import cartan\nfrom .qarith import ONE\n"
+              "from qcanon import uminus\nfrom qcanon.verify import SUITES\n"
+              "import qcanon.hwmodule\nimport os\n\n\n"
+              "def f():\n    from . import crystalgraph as cg\n    return cg\n")
+    assert package_imports(source) == {"cartan", "qarith", "uminus", "verify",
+                                       "hwmodule", "crystalgraph"}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -27,19 +27,19 @@ def test_rank3_full_stack():
     assert m.freudenthal_multiplicity((1, 1, 1)) == 3
     for nu in cb.contents():
         assert len(cb.elements(nu)) == m.freudenthal_multiplicity(nu)
-    graph = cg.build_left_graph(m, cb)
+    graph = cg.build_left_graph(cb)
     order = (0, 1, 2)
     for nu in cb.contents():
         if not cb.elements(nu):
             continue
-        positions, paths, vectors, T = cg.monomial_basis(m, cb, graph, nu, order)
+        positions, paths, vectors, T = cg.monomial_basis(cb, graph, nu, order)
         for t in range(len(T)):
             assert T[t][t] == ONE
             for s in range(t):
                 assert not T[s][t]
         for pos in positions:
-            path = cg.sbar(m, cb, graph, nu, pos, order)
-            assert cg.replay_path(m, cb, path) == (nu, pos)
+            path = cg.sbar(cb, graph, nu, pos, order)
+            assert cg.replay_path(cb, path) == (nu, pos)
 
 
 def test_rank3_verify_suites():
@@ -70,11 +70,11 @@ def test_kronecker_height6_counts(kronecker):
     multi = [b for nu in cb.contents() for b in cb.elements(nu)
              if len(b.vector.terms) > 1]
     assert multi  # genuine corrections occur at height >= 5
-    graph = cg.build_left_graph(m, cb)
+    graph = cg.build_left_graph(cb)
     for nu in cb.contents():
         for pos in range(len(cb.elements(nu))):
-            path = cg.sbar(m, cb, graph, nu, pos, (0, 1))
-            assert cg.replay_path(m, cb, path) == (nu, pos)
+            path = cg.sbar(cb, graph, nu, pos, (0, 1))
+            assert cg.replay_path(cb, path) == (nu, pos)
 
 
 def test_trivial_module():
