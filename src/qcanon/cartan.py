@@ -64,18 +64,6 @@ class Quiver:
                     total += row[j] * x * y
         return total
 
-    def arrow_pairing(self, alpha, beta):
-        """sum over ordered pairs a_ij alpha_i beta_j (edge adjacency form)."""
-        total = 0
-        for i, x in enumerate(alpha):
-            if not x:
-                continue
-            row = self.a[i]
-            for j, y in enumerate(beta):
-                if y:
-                    total += row[j] * x * y
-        return total
-
     def __repr__(self):
         return f"Quiver(vertices={self.vertices!r}, edges={self.edges!r})"
 

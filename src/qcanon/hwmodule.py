@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import math
 
-from .qarith import LaurentPoly, ZERO, ONE, PivotBreakdown, qint, qfact, lp_sym_echelon
+from .qarith import (LaurentPoly, ZERO, ONE, PivotBreakdown, addmul, finish, qint, qfact,
+                     lp_sym_echelon)
 from .uminus import EMPTY_WORD, UMinusElement, concat_words, mono_mul, word_content
 from . import cartan
 
@@ -161,10 +162,11 @@ class HighestWeightModule:
         if u.content[i] == 0:
             return UMinusElement(u.content)
         content = cartan.vec_sub(u.content, cartan.unit_vector(self.quiver.n, i))
-        out = UMinusElement(content)
+        out = {}
         for w, c in u.terms.items():
-            out = out + UMinusElement(content, {y: c * cy for y, cy in self._e_word(i, w).items()})
-        return out
+            for y, cy in self._e_word(i, w).items():
+                addmul(out.setdefault(y, {}), c.c, cy.c)
+        return UMinusElement(content, {y: finish(acc) for y, acc in out.items()})
 
     def apply_E_divided(self, i, n, u):
         """E_i^(n) = E_i^n / [n]!; exact by construction on the module."""
@@ -186,8 +188,14 @@ class HighestWeightModule:
         """(w1 . v_L, w2 . v_L), peeling the leftmost divided power of w1.
 
         Recursion: (F_i^(n) x, y) = v/[n] (F_i^(n-1) x, K_i^- E_i y).
-        Every recursion node is itself a form value, so the division by
-        [n] is asserted exact at each step.
+        The sum over the words y of E_i y, each pairing times its
+        coefficient, accumulates in one exponent map (``qarith.addmul``).
+        The v^(1 - <wt y, a_i^vee>) of K_i^- is the same for every y: wt y
+        is wt w2 + alpha_i and <alpha_i, alpha_i^vee> = 2, so it is
+        v^(-1 - <wt w2, a_i^vee>), computed once and passed to each
+        ``addmul`` as its shift.  Every recursion node is itself a form
+        value, so the division by [n] is asserted exact at each step.  A
+        vanishing pairing is memoized as the shared ZERO.
         """
         if not w1:
             return ONE if not w2 else ZERO
@@ -197,17 +205,15 @@ class HighestWeightModule:
             return hit
         (i, n), x = w1[0], w1[1:]
         x1 = ((i, n - 1),) + x if n > 1 else x
-        acc = ZERO
+        shift = -1 - self.coroot_pairing(word_content(w2, self.quiver.n), i)
+        out = {}
         for y, c in self._e_word(i, w2).items():
             sub = self.pair_words(x1, y)
             if sub:
-                acc = acc + c * sub
-        if acc:
-            nu2 = word_content(w2, self.quiver.n)
-            low = tuple(a - b for a, b in zip(nu2, cartan.unit_vector(self.quiver.n, i)))
-            acc = acc.shift(1 - self.coroot_pairing(low, i))
-            if n > 1:
-                acc = acc.divexact(qint(n))
+                addmul(out, c.c, sub.c, shift=shift)
+        acc = finish(out)
+        if acc and n > 1:
+            acc = acc.divexact(qint(n))
         self._pair[key] = acc
         return acc
 
@@ -215,32 +221,37 @@ class HighestWeightModule:
         """The contravariant form, zero across distinct contents."""
         if u.content != w.content:
             return ZERO
-        acc = ZERO
+        out = {}
         for w1, c1 in u.terms.items():
+            row = {}
             for w2, c2 in w.terms.items():
                 p = self.pair_words(w1, w2)
                 if p:
-                    acc = acc + c1 * c2 * p
-        return acc
+                    addmul(row, c2.c, p.c)
+            addmul(out, c1.c, row)
+        return finish(out)
 
     def self_pairing(self, u):
         """(u, u), pairing each unordered pair of words of u once.
 
         The form is symmetric, so an off-diagonal pair counts twice; the
         Gram build checks that symmetry on every weight space it builds.
+        Word s contributes c_s (c_s (w_s, w_s) + 2 sum_{t > s} c_t (w_s, w_t)),
+        summed in one exponent map per row.
         """
         items = list(u.terms.items())
-        diag = ZERO
-        off = ZERO
+        out = {}
         for s, (w1, c1) in enumerate(items):
+            row = {}
             p = self.pair_words(w1, w1)
             if p:
-                diag = diag + c1 * c1 * p
+                addmul(row, c1.c, p.c)
             for w2, c2 in items[s + 1:]:
                 p = self.pair_words(w1, w2)
                 if p:
-                    off = off + c1 * c2 * p
-        return diag + off * 2
+                    addmul(row, c2.c, p.c, 2)
+            addmul(out, c1.c, row)
+        return finish(out)
 
     # -- weight spaces ----------------------------------------------------
 

@@ -4,6 +4,9 @@ Everything downstream (forms, Gram matrices, basis transitions) is built on
 ``LaurentPoly``, a sparse Laurent polynomial with arbitrary-precision
 integer coefficients, stored as a map exponent -> nonzero coefficient.
 
+Sums of products accumulate in one exponent -> int map (``addmul``, then
+``finish``) instead of a new polynomial per term.
+
 The module also provides the quantum combinatorial numbers [n], [n]!,
 Gaussian binomials, the bar involution v -> v^-1, the symmetric truncation
 used by the basis orthogonalization, and fraction-free (Bareiss)
@@ -223,6 +226,41 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly(1)
 
 
+# -- fused accumulation --------------------------------------------------
+
+
+def addmul(out, a, b, k=1, shift=0):
+    """Add k v^shift a b into ``out``, a fresh exponent -> int map that the
+    caller owns; ``a`` and ``b`` are exponent -> coefficient maps (such as
+    ``LaurentPoly.c``) and are only read.
+
+    A sum of products accumulates in one map instead of a new polynomial
+    per term.  The shorter operand drives the outer loop, so a monomial
+    costs one pass over the other operand.  Entries of ``out`` may cancel
+    to 0; ``finish`` drops them.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for e, x in a.items():
+        e += shift
+        x *= k
+        for f, y in b.items():
+            g = e + f
+            out[g] = get(g, 0) + x * y
+
+
+def finish(out):
+    """The polynomial accumulated in ``out`` by ``addmul``: its nonzero
+    entries, or the shared ZERO when every entry cancelled."""
+    c = {e: x for e, x in out.items() if x}
+    if not c:
+        return ZERO
+    r = LaurentPoly.__new__(LaurentPoly)
+    r.c = c
+    return r
+
+
 def _schoolbook(a, b):
     """Product of two exponent -> coefficient maps, term by term."""
     out = {}
@@ -308,8 +346,9 @@ def qint(n):
     return LaurentPoly({n - 1 - 2 * m: 1 for m in range(n)})
 
 
+@lru_cache(maxsize=None)
 def qfact(n):
-    """[n]! for n >= 0."""
+    """[n]! for n >= 0.  Cached like ``qint``."""
     if n < 0:
         raise ValueError("quantum factorial of a negative integer")
     out = ONE

@@ -3,9 +3,13 @@ algebra: words in divided powers, their product, the restriction coproduct
 with its explicit shift, the derivations, and Serre elements.
 
 The coproduct of a word is one slotwise pass over every splitting of its
-slot multiplicities.  The four derivations are its components with one
+slot multiplicities; the shift of a splitting is Lusztig's five-term
+exponent in a closed form read off one right-to-left scan
+(``_shift_exponent``).  The four derivations are its components with one
 factor F_i, read off by a single slot extraction that takes the side and,
-for the two that pair with the module, a twist.
+for the two that pair with the module, a twist; their exponents need only
+the running content beside the slot.  Coefficient sums accumulate in one
+exponent map per word (``qarith.addmul``), not a new polynomial per term.
 
 A word is a tuple ((i_1, a_1), ..., (i_k, a_k)) of (vertex index,
 multiplicity) pairs with all a_l >= 1 and no two adjacent entries sharing a
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from .qarith import LaurentPoly, ZERO, ONE, qbinom
+from .qarith import LaurentPoly, ZERO, ONE, addmul, finish, qbinom
 from . import cartan
 
 
@@ -181,60 +185,46 @@ def mono_mul(x, y):
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
             w, scal = concat_words(w1, w2)
-            c = c1 * c2 * scal
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return UMinusElement(cartan.vec_add(x.content, y.content), out)
+            addmul(out.setdefault(w, {}), c1.c, c2.c if scal is ONE else (c2 * scal).c)
+    return UMinusElement(cartan.vec_add(x.content, y.content),
+                         {w: finish(acc) for w, acc in out.items()})
 
 
 # -- restriction coproduct -------------------------------------------------
 
 
 def _shift_exponent(quiver, slots, bs):
-    """The shift M(tau, omega) for one slotwise splitting.
+    """The shift M(tau, omega) for one slotwise splitting, in one
+    right-to-left scan.
 
     ``slots`` is the raw word ((i_l, a_l)); ``bs`` the tau-multiplicities
-    b_l (the omega part is c_l = a_l - b_l).  Evaluated on the un-dropped
-    slot data; the five contributions are, in order: the cross term over
-    edge pairs with l' < l, the global edge term on total dimensions, the
-    two same-vertex slot-order terms, and the global same-vertex term.
+    b_l (the omega part is c_l = a_l - b_l).  With A = ``quiver.a``
+    (symmetric, zero diagonal) and tau_{>l} the tau content right of slot l,
+
+        M = - sum_l c_l (b_l + 2 tau_{>l}[i_l] - 2 (A tau_{>l})[i_l]).
+
+    This is Lusztig's five-term shift (Introduction to Quantum Groups,
+    1993, 1.2-1.4) summed slot by slot.  Each term pairs the omega part
+    c_l of a slot with tau on one side of it: the cross term over edge
+    pairs l' < l is -2 sum_l c_l (A tau_{<l})[i_l]; the global edge term
+    2 sum_l c_l (A tau)[i_l] cancels it on the left and leaves
+    2 (A tau_{>l})[i_l], since A has no diagonal; the two same-vertex
+    slot-order terms give c_l (tau_{<l} - tau_{>l})[i_l]; and the global
+    term -sum_i tau_i omega_i gives -c_l (tau_{<l} + b_l + tau_{>l})[i_l].
     """
-    n = quiver.n
-    k = len(slots)
-    cs = [slots[l][1] - bs[l] for l in range(k)]
-    tau = [0] * n
-    omega = [0] * n
-    for l in range(k):
-        tau[slots[l][0]] += bs[l]
-        omega[slots[l][0]] += cs[l]
+    a = quiver.a
+    d = [0] * quiver.n  # (I - A) tau_{>l}
     m = 0
-    # - sum_{h in H, l' < l} (tau^{l'}_{h'} omega^{l}_{h''} + tau^{l'}_{h''} omega^{l}_{h'})
-    for lp in range(k):
-        if not bs[lp]:
-            continue
-        ip = slots[lp][0]
-        for l in range(lp + 1, k):
-            if cs[l]:
-                m -= 2 * quiver.a[ip][slots[l][0]] * bs[lp] * cs[l]
-    # + sum_{h in H} (dim T_{h'} dim W_{h''} + dim T_{h''} dim W_{h'})
-    m += 2 * quiver.arrow_pairing(tau, omega)
-    # - sum_{i, l < l'} tau_i^{l'} omega_i^{l}  and  + sum_{i, l > l'} ...
-    for lp in range(k):
-        if not bs[lp]:
-            continue
-        ip = slots[lp][0]
-        for l in range(k):
-            if l == lp or not cs[l] or slots[l][0] != ip:
-                continue
-            if l < lp:
-                m -= bs[lp] * cs[l]
-            else:
-                m += bs[lp] * cs[l]
-    # - sum_i dim T_i dim W_i
-    m -= sum(tau[i] * omega[i] for i in range(n))
+    for l in range(len(slots) - 1, -1, -1):
+        i, top = slots[l]
+        b = bs[l]
+        if top - b:
+            m -= (top - b) * (b + 2 * d[i])
+        if b:
+            d[i] += b
+            for j, x in enumerate(a[i]):
+                if x:
+                    d[j] -= x * b
     return m
 
 
@@ -252,14 +242,9 @@ def restriction_coproduct(quiver, word):
     for bs in itertools.product(*(range(a + 1) for _, a in word)):
         tau_word, s1 = normalize_slots((i, b) for (i, _), b in zip(word, bs))
         omega_word, s2 = normalize_slots((i, a - b) for (i, a), b in zip(word, bs))
-        coeff = LaurentPoly.v_power(_shift_exponent(quiver, word, bs)) * s1 * s2
         key = (word_content(tau_word, n), tau_word, omega_word)
-        s = agg.get(key, ZERO) + coeff
-        if s:
-            agg[key] = s
-        else:
-            agg.pop(key, None)
-    return [(t, o, c) for (_, t, o), c in sorted(agg.items())]
+        addmul(agg.setdefault(key, {}), s1.c, s2.c, shift=_shift_exponent(quiver, word, bs))
+    return [(t, o, c) for (_, t, o), acc in sorted(agg.items()) if (c := finish(acc))]
 
 
 def rbar(quiver, x, i):
@@ -294,36 +279,29 @@ def _extraction(quiver, x, i, right, twisted):
 
     The term is the coproduct component with tau multiplicities a - delta_l
     (right: omega is the single F_i) or delta_l (left: tau is the single
-    F_i), so it carries v^M of that splitting.  With ``twisted`` it also
-    carries v^{-sum_k a_ik mu_k}, mu the content of the slots right (right)
-    or left (left) of slot l.
+    F_i), so it carries v^M of that splitting.  By the closed form of
+    ``_shift_exponent`` that is M = 1 - a + 2 (A mu)_i - 2 mu_i, with mu
+    the content of the slots right (right) or left (left) of slot l.  With
+    ``twisted`` it also carries v^{-(A mu)_i}.  mu is kept as a running
+    weight sum over the slots passed.
     """
     n = quiver.n
     if x.content[i] == 0:
         return UMinusElement(x.content)
+    per_edge = 1 if twisted else 2
+    weight = [per_edge * e - 2 * (k == i) for k, e in enumerate(quiver.a[i])]
     out = {}
     for word, c in x.terms.items():
-        for l, (j, a) in enumerate(word):
-            if j != i:
-                continue
-            if right:
-                bs = [b for _, b in word]
-                bs[l] -= 1
-            else:
-                bs = [0] * len(word)
-                bs[l] = 1
-            m = _shift_exponent(quiver, word, bs)
-            if twisted:
-                mu = word_content(word[l + 1:] if right else word[:l], n)
-                m -= sum(quiver.a[i][k] * mu[k] for k in range(n))
-            reduced, scal = normalize_slots(word[:l] + ((i, a - 1),) + word[l + 1:])
-            coeff = c * LaurentPoly.v_power(m) * scal
-            s = out.get(reduced, ZERO) + coeff
-            if s:
-                out[reduced] = s
-            else:
-                out.pop(reduced, None)
-    return UMinusElement(cartan.vec_sub(x.content, cartan.unit_vector(n, i)), out)
+        slots = range(len(word) - 1, -1, -1) if right else range(len(word))
+        passed = 0  # the mu terms of M: weight[j] * a summed over the slots passed
+        for l in slots:
+            j, a = word[l]
+            if j == i:
+                reduced, scal = normalize_slots(word[:l] + ((i, a - 1),) + word[l + 1:])
+                addmul(out.setdefault(reduced, {}), c.c, scal.c, shift=1 - a + passed)
+            passed += weight[j] * a
+    return UMinusElement(cartan.vec_sub(x.content, cartan.unit_vector(n, i)),
+                         {w: finish(acc) for w, acc in out.items()})
 
 
 def serre_element(quiver, i, j):

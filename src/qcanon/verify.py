@@ -350,11 +350,16 @@ def suite_coproduct(ctx, samples=50, hcap=4):
 def _coassoc_holds(q, w, memo=None):
     """(Delta x 1) Delta w == (1 x Delta) Delta w on every three-way split.
 
-    All splits are compared at once: the contents of the words of a key
-    (tau2, om2, om) fix its split (t1, t2, t3), so the merged comparison
-    fails exactly when the comparison of some split fails.  ``memo`` maps a
-    word to its full ``restriction_coproduct`` and may be shared across the
-    calls of one suite run; both sides of the comparison read it alike.
+    All splits are compared at once, in one signed map keyed by
+    (tau2, om2, om) and exponent: the left side adds into it, the right
+    side subtracts, and the check passes when every entry is 0.  The map
+    is flat on purpose: one exponent map per (tau2, om2, om) through
+    ``qarith.addmul`` measured slower and larger on D4, where almost every
+    coefficient is a monomial.  The contents of the words of a key fix its
+    split (t1, t2, t3), so the merged comparison fails exactly when the
+    comparison of some split fails.  ``memo`` maps a word to its full
+    ``restriction_coproduct`` and may be shared across the calls of one
+    suite run; both sides of the comparison read it alike.
     """
     if memo is None:
         memo = {}
@@ -365,16 +370,19 @@ def _coassoc_holds(q, w, memo=None):
             hit = memo[word] = restriction_coproduct(q, word)
         return hit
 
-    acc1, acc2 = {}, {}
+    signed = {}
     for tau, om, c in coproduct(w):
         for tau2, om2, c2 in coproduct(tau):
-            key = (tau2, om2, om)
-            acc1[key] = acc1.get(key, ZERO) + c * c2
+            for e1, x1 in c.c.items():
+                for e2, x2 in c2.c.items():
+                    key = (tau2, om2, om, e1 + e2)
+                    signed[key] = signed.get(key, 0) + x1 * x2
         for tau2, om2, c2 in coproduct(om):
-            key = (tau, tau2, om2)
-            acc2[key] = acc2.get(key, ZERO) + c * c2
-    return ({k: s for k, s in acc1.items() if s}
-            == {k: s for k, s in acc2.items() if s})
+            for e1, x1 in c.c.items():
+                for e2, x2 in c2.c.items():
+                    key = (tau, tau2, om2, e1 + e2)
+                    signed[key] = signed.get(key, 0) - x1 * x2
+    return not any(signed.values())
 
 
 # -- canonical basis suites ------------------------------------------------------

@@ -9,7 +9,9 @@ the 3-Kronecker h=6 and D4 h=4 `verify` digests before the zero test
 became a self-pairing, and the 3-Kronecker h=7 `basis` and D4 h=6 `graph`
 digests before canonical-basis coordinates replaced the greedy-basis solve
 and the fraction field, and the 3-Kronecker h=8 `dims` digest before
-full-rank weight spaces were certified modulo a prime; every later change
+full-rank weight spaces were certified modulo a prime, and the affine A2 and
+wild-3 `dims` and `basis` digests before the coproduct shift became a
+one-scan closed form and the form sums a fused accumulation; every later change
 that is meant to keep the output must keep these bytes.  Every `dims` row
 must also agree with the multiplicity oracle.
 """
@@ -33,6 +35,14 @@ DATA = {
            "highest_weight": {"c": 1, "1": 0, "2": 0, "3": 0}},
     "a3": {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
            "highest_weight": {"1": 1, "2": 0, "3": 1}},
+    # the 3-cycle 1 -> 2 -> 3 -> 1
+    "affine_a2": {"vertices": ["1", "2", "3"],
+                  "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
+                  "highest_weight": {"1": 1, "2": 0, "3": 0}},
+    # two arrows 1 -> 2 and two arrows 2 -> 3
+    "wild3": {"vertices": ["1", "2", "3"],
+              "edges": [["1", "2"], ["1", "2"], ["2", "3"], ["2", "3"]],
+              "highest_weight": {"1": 0, "2": 1, "3": 0}},
 }
 
 # (datum, max height, subcommand arguments) -> sha256 of stdout
@@ -71,6 +81,14 @@ GOLDEN = [
      "ecde4d97c0ccd8a61f6f7f35feb947834b12151b75dfb4050f92bf19ea1d1499"),
     ("kronecker3", 8, ("dims", "--format", "json"),
      "4b88d649d900e04af372669c43c2936411a2b543717257fd4d398e4c03ccfd73"),
+    ("affine_a2", 8, ("dims", "--format", "json"),
+     "a2f139d3fe74097b3cda9da2df3fe0eff5aea5a9acab2e8743af492098c19bca"),
+    ("affine_a2", 7, ("basis",),
+     "4051da563c9aeb695aa9107aca17f25743bbae576fce0b5d25990601d1abd099"),
+    ("wild3", 6, ("dims", "--format", "json"),
+     "863bab19c5961a97d047b9f34dda9f6a7ca3e34bbc7e4c704d825b90565ff635"),
+    ("wild3", 5, ("basis",),
+     "4299850a9c372fe37453b435dd48e9c16d65e0c10d02f90573237b5e424752a8"),
 ]
 
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcanon import qarith
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, sym_truncate, qint,
-                           qfact, qbinom, lp_rank, lp_sym_echelon,
-                           EVAL_POINT, EVAL_PRIME, ExactDivisionError,
+                           qfact, qbinom, lp_rank, lp_sym_echelon, addmul,
+                           finish, EVAL_POINT, EVAL_PRIME, ExactDivisionError,
                            PivotBreakdown)
 
 PRIME = 2147483647
@@ -111,6 +111,31 @@ def test_exact_division_inverts_multiplication(a, b):
 def test_divexact_raises_on_remainder():
     with pytest.raises(ExactDivisionError):
         qint(3).divexact(qint(2))
+
+
+@given(st.lists(st.tuples(small_polys, small_polys, st.integers(-3, 3),
+                          st.integers(-4, 4)), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_addmul_sums_products_without_touching_its_inputs(terms):
+    out = {}
+    expect = ZERO
+    for a, b, k, shift in terms:
+        before = (dict(a.c), dict(b.c))
+        addmul(out, a.c, b.c, k, shift)
+        assert (a.c, b.c) == before
+        expect = expect + (a * b * k).shift(shift)
+    got = finish(out)
+    assert got == expect
+    assert got.c is not out and all(got.c.values())
+
+
+def test_addmul_finishes_a_full_cancellation_as_the_shared_zero():
+    out = {}
+    p = LaurentPoly({0: 1, 3: -2})
+    addmul(out, p.c, qint(3).c)
+    addmul(out, qint(3).c, p.c, -1)
+    assert out and not any(out.values())
+    assert finish(out) is ZERO
 
 
 # -- sym_truncate ----------------------------------------------------------------

@@ -9,13 +9,16 @@ from qcanon.cartan import contents_of_height, contents_up_to
 from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
                            word_content, restriction_coproduct,
                            rbar, ibar, rbar_derivation, ibar_derivation,
-                           serre_element, normalize_slots, count_words)
+                           serre_element, normalize_slots, count_words,
+                           _shift_exponent)
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.cartan import HighestWeight, parse_quiver_dict
 
 KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3, "highest_weight": {"1": 1}}
 D4 = {"vertices": ["c", "1", "2", "3"], "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
       "highest_weight": {"c": 1}}
+A3 = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]]}
+WILD3 = {"vertices": ["1", "2", "3"], "edges": [["1", "2"]] * 2 + [["2", "3"]] * 2}
 
 
 def vp(k):
@@ -93,6 +96,91 @@ def components(q, word, tau_content):
     """The coproduct terms of a word whose first factor has the given content."""
     return [(t, o, c) for t, o, c in restriction_coproduct(q, word)
             if word_content(t, q.n) == tau_content]
+
+
+def five_term_shift(quiver, slots, bs):
+    """Oracle for ``_shift_exponent``: Lusztig's shift M(tau, omega) as its
+    five terms, in order: the cross term over edge pairs with l' < l, the
+    global edge term on total dimensions, the two same-vertex slot-order
+    terms, and the global same-vertex term."""
+    n = quiver.n
+    k = len(slots)
+    cs = [slots[l][1] - bs[l] for l in range(k)]
+    tau = [0] * n
+    omega = [0] * n
+    for l in range(k):
+        tau[slots[l][0]] += bs[l]
+        omega[slots[l][0]] += cs[l]
+    m = 0
+    # - sum_{h in H, l' < l} (tau^{l'}_{h'} omega^{l}_{h''} + tau^{l'}_{h''} omega^{l}_{h'})
+    for lp in range(k):
+        for l in range(lp + 1, k):
+            m -= 2 * quiver.a[slots[lp][0]][slots[l][0]] * bs[lp] * cs[l]
+    # + sum_{h in H} (dim T_{h'} dim W_{h''} + dim T_{h''} dim W_{h'})
+    m += 2 * sum(quiver.a[i][j] * tau[i] * omega[j] for i in range(n) for j in range(n))
+    # - sum_{i, l < l'} tau_i^{l'} omega_i^{l}  and  + sum_{i, l > l'} ...
+    for lp in range(k):
+        for l in range(k):
+            if l != lp and slots[l][0] == slots[lp][0]:
+                m += (1 if l > lp else -1) * bs[lp] * cs[l]
+    # - sum_i dim T_i dim W_i
+    m -= sum(tau[i] * omega[i] for i in range(n))
+    return m
+
+
+def random_word(rng, n, slots=6, mult=3):
+    word = []
+    for _ in range(rng.randint(1, slots)):
+        i = rng.choice([j for j in range(n) if not word or j != word[-1][0]])
+        word.append((i, rng.randint(1, mult)))
+    return tuple(word)
+
+
+SHIFT_DATA = (KRON3, D4, A3, WILD3)
+
+
+@pytest.mark.parametrize("datum", SHIFT_DATA, ids=("kronecker3", "d4", "a3", "wild3"))
+def test_one_scan_shift_matches_the_five_terms(datum):
+    q, _ = parse_quiver_dict(datum)
+    rng = random.Random(16)
+    for _ in range(40):
+        w = random_word(rng, q.n)
+        for bs in itertools.product(*(range(a + 1) for _, a in w)):
+            assert _shift_exponent(q, w, bs) == five_term_shift(q, w, bs), (w, bs)
+
+
+def extraction_oracle(q, w, i, right, twisted):
+    """Slot extraction with each term's exponent from the five-term shift
+    and the twist -sum_k a_ik mu_k read off the content mu beside the slot."""
+    out = {}
+    for l, (j, a) in enumerate(w):
+        if j != i:
+            continue
+        bs = [b for _, b in w] if right else [0] * len(w)
+        bs[l] = a - 1 if right else 1
+        m = five_term_shift(q, w, bs)
+        if twisted:
+            mu = word_content(w[l + 1:] if right else w[:l], q.n)
+            m -= sum(q.a[i][k] * mu[k] for k in range(q.n))
+        reduced, scal = normalize_slots(w[:l] + ((i, a - 1),) + w[l + 1:])
+        out[reduced] = out.get(reduced, ZERO) + vp(m) * scal
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("datum", SHIFT_DATA, ids=("kronecker3", "d4", "a3", "wild3"))
+def test_extraction_exponents_match_the_five_terms(datum):
+    q, _ = parse_quiver_dict(datum)
+    rng = random.Random(17)
+    for _ in range(60):
+        w = random_word(rng, q.n)
+        c = LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(3)}) or ONE
+        x = UMinusElement.monomial(q, w, c)
+        for i in {i for i, _ in w}:
+            for extract, right, twisted in ((rbar, True, False), (ibar, False, False),
+                                            (rbar_derivation, True, True),
+                                            (ibar_derivation, False, True)):
+                expect = extraction_oracle(q, w, i, right, twisted)
+                assert extract(q, x, i).terms == {k: v * c for k, v in expect.items()}
 
 
 def test_coproduct_spec_examples(a2_adjoint):

@@ -1,7 +1,7 @@
 import copy
 from collections import Counter
 
-from qcanon.qarith import LaurentPoly, qint, qbinom
+from qcanon.qarith import LaurentPoly, qint, qbinom, qfact
 from qcanon.cartan import contents_up_to, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.uminus import word_str
@@ -132,6 +132,39 @@ def test_coproduct_suite_catches_a_height_dependent_shift(monkeypatch):
         f"coassociativity fails on {word_str(w, q)}" for w in words)
 
 
+def test_coassociativity_sees_one_unit_moved_by_v_squared(monkeypatch):
+    # one unit of one coefficient of the coproduct of a height-2 word u moves
+    # from v^k to v^(k+2), which keeps every value at v = 1.  On a word w of
+    # height 3 with two distinct vertices that has u as a tau factor, the
+    # moved unit lands on keys (t, o, om) of the left side and (tau, t, o)
+    # of the right side, which never coincide, so only a comparison at
+    # every exponent sees it
+    real = verify.restriction_coproduct
+    for datum in (D4, KRON3):
+        q, hw = parse_quiver_dict(datum)
+        m = HighestWeightModule(q, hw)
+        words = [w for nu in contents_up_to(q.n, 3) if sum(nu) == 3
+                 for w in m.spanning_words(nu) if len({i for i, _ in w}) > 1]
+        assert words
+        for w in words:
+            assert verify._coassoc_holds(q, w)
+            u = next(t for t, _, _ in real(q, w) if sum(a for _, a in t) == 2)
+            terms = real(q, u)
+            s = next(s for s, (t, o, _) in enumerate(terms) if t and o)
+            t, o, c = terms[s]
+            e = min(c.c)
+            moved = c + LaurentPoly({e: -1, e + 2: 1})
+            assert moved != c and moved.at_one() == c.at_one()
+            bad = terms[:s] + [(t, o, moved)] + terms[s + 1:]
+
+            def patched(q1, word, u=u, bad=bad):
+                return bad if word == u else real(q1, word)
+
+            monkeypatch.setattr(verify, "restriction_coproduct", patched)
+            assert not verify._coassoc_holds(q, w), w
+            monkeypatch.setattr(verify, "restriction_coproduct", real)
+
+
 def _fresh_qint(n):
     if n < 0:
         return -_fresh_qint(-n)
@@ -146,14 +179,26 @@ def _fresh_qbinom(n, k):
     return num.divexact(den)
 
 
+def _fresh_qfact(n):
+    out = LaurentPoly(1)
+    for m in range(2, n + 1):
+        out = out * _fresh_qint(m)
+    return out
+
+
 def test_cached_quantum_numbers_are_unchanged_by_a_verify_run(a2_adjoint):
-    # qint and qbinom hand out shared values; no code path may mutate one
+    # qint, qbinom and qfact hand out shared values; no code path, and no
+    # accumulator of the form sums, may write into one
     qarith.qint.cache_clear()
     qarith.qbinom.cache_clear()
+    qarith.qfact.cache_clear()
     for r in verify.run_suites(ctx_for(a2_adjoint, 4), verify.DEFAULT_SUITES):
         assert r.passed, (r.name, r.failures)
     assert qarith.qint.cache_info().hits and qarith.qbinom.cache_info().hits
+    assert qarith.qfact.cache_info().hits
     for n in range(-12, 13):
         assert qint(n).c == _fresh_qint(n).c
         for k in range(9):
             assert qbinom(n, k).c == _fresh_qbinom(n, k).c
+    for n in range(13):
+        assert qfact(n).c == _fresh_qfact(n).c
