@@ -18,14 +18,17 @@ F_i^(r) applied to the basis words below, certified by one rank per
 reads the same values.
 
 The stored elements are the only coordinate system: ``expand`` writes a
-vector in them with Laurent coefficients, from its pairings with the
-elements and one integer recurrence against their Gram matrix I + N, N in
-v^-1 Z[v^-1], checked exactly.
+vector in them with Laurent coefficients, as the sum over its words of the
+coefficient times the word's coordinates.  Those are solved once per word
+and kept on the basis: one pairing row against the elements and one integer
+recurrence against their Gram matrix I + N, N in v^-1 Z[v^-1], checked
+exactly.  Word vectors are bar-invariant, so the recurrence needs no second
+row for the bar of the vector.
 """
 
 from __future__ import annotations
 
-from .qarith import LaurentPoly, ONE, lp_rank, sym_truncate
+from .qarith import LaurentPoly, ONE, addmul, finish, lp_rank, sym_truncate
 from .hwmodule import InternalCheckError
 from . import cartan
 
@@ -73,6 +76,7 @@ class CanonicalBasis:
         self.max_height = -1
         self._canon_cache = {}
         self._offsets = {}  # content -> N = Gram - I of the stored elements
+        self._word_coords = {}  # word -> its coordinates, from _solve_word
 
     def elements(self, nu):
         nu = tuple(nu)
@@ -184,30 +188,46 @@ class CanonicalBasis:
 
     def expand(self, u):
         """Laurent coordinates x of u against the stored elements at its
-        content, so that u = sum_t x_t b_t.
+        content, so that u = sum_t x_t b_t; a fresh list.
 
-        With y_t = (u, b_t) and the Gram matrix I + N of the elements, x
-        solves (I + N) x = y.  N lies in v^-1 Z[v^-1], so reading degree d
-        gives x_d = y_d - sum_{k >= 1} N_k x_{d+k}: integers only, from the
-        top degree max deg y down to -max deg y', where y' is the pairing
-        vector of bar(u) (its coordinates are the bars of x).  The result
-        is checked exactly: a nonzero residual raises InternalCheckError.
-        A passing check is a proof.  The count-vs-rank check of the
-        induction makes the elements as many as the rank, and
-        det(I + N) is 1 mod v^-1, so they are a basis of the weight space;
-        u - sum_t x_t b_t is then orthogonal to a basis, hence 0 by the
-        nondegeneracy of the form.
+        Coordinates are linear in u: u = sum_w c_w w over its words, so
+        x = sum_w c_w x(w), where x(w) are the coordinates of the word
+        vector w, solved once per basis (``_solve_word``) and kept, keyed
+        by the word (a word fixes its content).
         """
-        elems = self.elements(u.content)
-        offsets = self._gram_offsets(u.content)
+        x = [{} for _ in self.elements(u.content)]
+        for w, c in u.terms.items():
+            xw = self._word_coords.get(w)
+            if xw is None:
+                xw = self._word_coords[w] = self._solve_word(w)
+            for xs, p in zip(x, xw):
+                if p:
+                    addmul(xs, c.c, p.c)
+        return [finish(xs) for xs in x]
+
+    def _solve_word(self, w):
+        """Coordinates of the word vector w against the stored elements.
+
+        With y_t = (w, b_t) and the Gram matrix I + N of the elements, x
+        solves (I + N) x = y.  N lies in v^-1 Z[v^-1], so reading degree d
+        gives x_d = y_d - sum_{k >= 1} N_k x_{d+k}: integers only, from
+        D = max deg y (above it x vanishes) down to -D.  Word vectors and
+        the elements are bar-invariant, hence so is x, and [-D, D] is its
+        whole degree window.  The result is checked exactly: a nonzero
+        residual raises InternalCheckError.  A passing check is a proof.
+        The count-vs-rank check of the induction makes the elements as
+        many as the rank, and det(I + N) is 1 mod v^-1, so they are a basis
+        of the weight space; w - sum_t x_t b_t is then orthogonal to a
+        basis, hence 0 by the nondegeneracy of the form.
+        """
+        vec = self.module.monomial_vector(w)
+        elems = self.elements(vec.content)
+        offsets = self._gram_offsets(vec.content)
         form = self.module.form
-        y = [form(u, b.vector) for b in elems]
-        ubar = u.map_coeffs(LaurentPoly.bar)
-        ybar = [form(ubar, b.vector) for b in elems]
+        y = [form(vec, b.vector) for b in elems]
         top = max((p.degree() for p in y if p), default=0)
-        bottom = -max((p.degree() for p in ybar if p), default=0)
         x = [{} for _ in elems]
-        for d in range(top, bottom - 1, -1):
+        for d in range(top, -top - 1, -1):
             for s, row in enumerate(offsets):
                 c = y[s].coeff(d)
                 for t, p in row:
@@ -216,15 +236,14 @@ class CanonicalBasis:
                         c -= a * xt.get(d - k, 0)
                 if c:
                     x[s][d] = c
-        x = [LaurentPoly(xs) for xs in x]
         for s, row in enumerate(offsets):
-            acc = x[s]
+            acc = dict(x[s])
             for t, p in row:
-                acc = acc + p * x[t]
-            if acc != y[s]:
+                addmul(acc, p.c, x[t])
+            if finish(acc) != y[s]:
                 raise InternalCheckError(
-                    f"canonical-basis expansion at {u.content} leaves a residual")
-        return x
+                    f"canonical-basis expansion at {vec.content} leaves a residual")
+        return [finish(xs) for xs in x]
 
     def _gram_offsets(self, nu):
         """N = Gram - I of the stored elements at nu, as rows of nonzero

@@ -233,10 +233,9 @@ def suite_derivation(ctx, hcap=4):
                     pair_ix = q.sym_form(unit_vector(n, i), low)
                     combo = {}
                     for w2, c in ibar_derivation(q, x, i).terms.items():
-                        val = c * LaurentPoly.v_power(pair_ix - ctx.hw[i])
-                        combo[w2] = combo.get(w2, ZERO) + val
+                        combo[w2] = combo.get(w2, ZERO) + c.shift(pair_ix - ctx.hw[i])
                     for w2, c in rbar_derivation(q, x, i).terms.items():
-                        combo[w2] = combo.get(w2, ZERO) - c * LaurentPoly.v_power(ctx.hw[i])
+                        combo[w2] = combo.get(w2, ZERO) - c.shift(ctx.hw[i])
                     combo = {k: v for k, v in combo.items() if v}
                     try:
                         divided = {k: v.divexact(V_INV_MINUS_V) for k, v in combo.items()}

@@ -1,3 +1,7 @@
+import json
+import random
+from collections import Counter
+
 import pytest
 
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint
@@ -6,7 +10,7 @@ from qcanon.hwmodule import HighestWeightModule, InternalCheckError
 from qcanon.uminus import UMinusElement
 from qcanon.canonical import (CanonicalBasis, CBElement, verify_bar_invariant,
                               element_key)
-from qcanon import crystalgraph as cg
+from qcanon import cli, crystalgraph as cg
 
 
 def vp(k):
@@ -273,3 +277,129 @@ def test_expand_rejects_a_gram_matrix_off_the_lattice():
     mutated.store[nu] = elems
     with pytest.raises(InternalCheckError, match="Gram entry"):
         mutated.expand(u)
+
+
+# -- per-word coordinates against the two-row solve ------------------------------
+
+
+def two_row_expand(cb, u):
+    """Reference coordinates of u: pair u and bar(u) with every element and
+    run the integer recurrence against I + N from max deg y down to
+    -max deg y', where y' is the pairing row of bar(u) (whose coordinates
+    are the bars of x); the residual (I + N) x - y must vanish.  Valid for
+    any Laurent coefficients, bar-invariant or not, and solved per vector
+    with no cache."""
+    elems = cb.elements(u.content)
+    offsets = cb._gram_offsets(u.content)
+    form = cb.module.form
+    y = [form(u, b.vector) for b in elems]
+    ubar = u.map_coeffs(LaurentPoly.bar)
+    ybar = [form(ubar, b.vector) for b in elems]
+    top = max((p.degree() for p in y if p), default=0)
+    bottom = -max((p.degree() for p in ybar if p), default=0)
+    x = [{} for _ in elems]
+    for d in range(top, bottom - 1, -1):
+        for s, row in enumerate(offsets):
+            c = y[s].coeff(d)
+            for t, p in row:
+                for k, a in p.c.items():
+                    c -= a * x[t].get(d - k, 0)
+            if c:
+                x[s][d] = c
+    x = [LaurentPoly(xs) for xs in x]
+    for s, row in enumerate(offsets):
+        acc = x[s]
+        for t, p in row:
+            acc = acc + p * x[t]
+        assert acc == y[s], (u.content, s)
+    return x
+
+
+# name -> (quiver document, height bound)
+ORACLE_DATA = {
+    "kronecker3": (EXPAND_DATA["kronecker3"][0], 6),
+    "d4": (EXPAND_DATA["d4"][0], 5),
+    # two arrows 1 -> 2 and two arrows 2 -> 3
+    "wild3": ({"vertices": ["1", "2", "3"],
+               "edges": [["1", "2"], ["1", "2"], ["2", "3"], ["2", "3"]],
+               "highest_weight": {"1": 0, "2": 1, "3": 0}}, 5),
+}
+
+
+def random_laurent(rng):
+    return LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)
+                        for _ in range(rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DATA))
+def test_expand_matches_the_two_row_solve(name):
+    # random Laurent coefficients on spanning words (not bar-invariant, and
+    # the words are linearly dependent in the module), then every pi_arrow
+    # image
+    datum, hmax = ORACLE_DATA[name]
+    m, cb = build(parse_quiver_dict(datum), hmax)
+    rng = random.Random(name)
+    vectors = []
+    for nu in cb.contents():
+        words = m.spanning_words(nu)
+        for _ in range(3):
+            picked = rng.sample(words, min(len(words), rng.randint(1, 4)))
+            vectors.append(UMinusElement(nu, {w: random_laurent(rng) for w in picked}))
+    assert any(not c.is_bar_invariant() for u in vectors for c in u.terms.values())
+    for nu in cb.contents():
+        room = hmax - sum(nu)
+        for b in cb.elements(nu):
+            for i in range(m.quiver.n):
+                if b.t[i] == 0:
+                    for t in range(1, min(m.coroot_pairing(nu, i), room) + 1):
+                        vectors.append(m.apply_F(i, t, b.vector))
+    for u in vectors:
+        assert cb.expand(u) == two_row_expand(cb, u)
+    assert len(vectors) > 3 * len(cb.contents())
+
+
+def test_a_basis_build_solves_each_word_once(monkeypatch, tmp_path):
+    calls = Counter()
+    real = CanonicalBasis._solve_word
+
+    def counted(self, w):
+        calls[w] += 1
+        return real(self, w)
+
+    monkeypatch.setattr(CanonicalBasis, "_solve_word", counted)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(EXPAND_DATA["kronecker3"][0]))
+    assert cli.main(["basis", "--quiver", str(path), "--max-height", "6"]) == 0
+    assert calls and max(calls.values()) == 1
+
+
+def test_expand_sees_a_dropped_gram_entry():
+    # N without one off-diagonal entry: the element whose column lost it no
+    # longer solves to its unit vector, and the residual check says so
+    datum, _ = EXPAND_DATA["kronecker3"]
+    m, cb = build(parse_quiver_dict(datum), 5)
+    nu = (2, 3)
+    rows = cb._gram_offsets(nu)
+    s, k = next((s, k) for s, row in enumerate(rows)
+                for k, (t, _) in enumerate(row) if t != s)
+    t = rows[s][k][0]
+    mutated = CanonicalBasis(m)
+    mutated.store = cb.store
+    mutated._offsets[nu] = [row[:k] + row[k + 1:] if r == s else row
+                            for r, row in enumerate(rows)]
+    u = cb.elements(nu)[t].vector
+    assert cb.expand(u) == [ONE if r == t else ZERO for r in range(len(rows))]
+    with pytest.raises(InternalCheckError, match="leaves a residual"):
+        mutated.expand(u)
+
+
+def test_expand_returns_a_fresh_list():
+    datum, _ = EXPAND_DATA["kronecker3"]
+    m, cb = build(parse_quiver_dict(datum), 4)
+    for w in m.weight_space((2, 2)).basis:
+        u = m.monomial_vector(w)
+        first = cb.expand(u)
+        kept = list(first)
+        first[0] = LaurentPoly.v_power(7)
+        first.append(ONE)
+        assert cb.expand(u) == kept

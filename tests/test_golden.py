@@ -11,9 +11,11 @@ digests before canonical-basis coordinates replaced the greedy-basis solve
 and the fraction field, and the 3-Kronecker h=8 `dims` digest before
 full-rank weight spaces were certified modulo a prime, and the affine A2 and
 wild-3 `dims` and `basis` digests before the coproduct shift became a
-one-scan closed form and the form sums a fused accumulation; every later change
-that is meant to keep the output must keep these bytes.  Every `dims` row
-must also agree with the multiplicity oracle.
+one-scan closed form and the form sums a fused accumulation, and the affine
+A2 h=7 and wild-3 h=5 `graph` digests before canonical-basis coordinates
+were solved once per word; every later change that is meant to keep the
+output must keep these bytes.  Every `dims` row must also agree with the
+multiplicity oracle.
 """
 
 import hashlib
@@ -89,6 +91,10 @@ GOLDEN = [
      "863bab19c5961a97d047b9f34dda9f6a7ca3e34bbc7e4c704d825b90565ff635"),
     ("wild3", 5, ("basis",),
      "4299850a9c372fe37453b435dd48e9c16d65e0c10d02f90573237b5e424752a8"),
+    ("affine_a2", 7, ("graph", "--format", "json"),
+     "7025fd483684c38b4a79541cd44486872e89ac136e9e2b050a52fb74f6576982"),
+    ("wild3", 5, ("graph", "--format", "json"),
+     "01eae76ad823883c41e0e9b37dad29555231e54f41694bf46036451fb89b315f"),
 ]
 
 
