@@ -17,6 +17,18 @@ F_i^(r) applied to the basis words below, certified by one rank per
 (content, i, r).  The induction seeds from t_i = 0, and the left graph
 reads the same values.
 
+Each content's elements are stored sorted by ``element_key``, the moment
+the content is built and before any higher content is, so a storage
+position is the index of the element's id 'content/index'.  The sort moves
+no byte of the output.  An element is stored as F_i^(t) applied to its
+parent's vector, less sum_b C_b b.vector over the elements accepted before
+it (every element with a larger t_i among them).  Those elements and the
+new one are independent, so the C_b are the unique coordinates of the
+parent's image against them and do not depend on the order in which the
+elements are listed.  Which seed (i, t, parent) wins depends only on the
+schedule's order of the vertices.  Renumbering a lower content changes a
+parent's index, and no vector, provenance id or output order.
+
 The stored elements are the only coordinate system: ``expand`` writes a
 vector in them with Laurent coefficients, as the sum over its words of the
 coefficient times the word's coordinates.  Those are solved once per word
@@ -48,8 +60,8 @@ class CBElement:
 
     ``vector`` is the exact monomial combination, ``t`` the tuple of t_i
     values (set by the basis once the content is complete), and
-    ``provenance`` the seeding datum (i, t, parent position in the lower
-    content's list; None for the highest weight vector).
+    ``provenance`` the seeding datum (i, t, (lower content, parent
+    position)); the parent is None for the highest weight vector.
     ``CanonicalBasis.expand`` reads every vector against the content's list
     of elements, in which each element is a unit vector.
     """
@@ -60,7 +72,6 @@ class CBElement:
         self.provenance = provenance
         self.self_pairing = self_pairing
         self.t = None
-        self.pairing_key = None
 
 
 class CanonicalBasis:
@@ -74,7 +85,6 @@ class CanonicalBasis:
             raise ValueError("schedule order must be a permutation of the vertices")
         self.store = {}
         self.max_height = -1
-        self._canon_cache = {}
         self._offsets = {}  # content -> N = Gram - I of the stored elements
         self._word_coords = {}  # word -> its coordinates, from _solve_word
 
@@ -91,7 +101,8 @@ class CanonicalBasis:
         n = self.module.quiver.n
         for h in range(self.max_height + 1, hmax + 1):
             for nu in cartan.contents_of_height(n, h):
-                elems = self.store[nu] = self._compute_content(nu)
+                elems = self.store[nu] = sorted(
+                    self._compute_content(nu), key=lambda b: element_key(self.module, b))
                 if elems:
                     self._set_t(nu, elems)
         self.max_height = max(self.max_height, hmax)
@@ -269,46 +280,31 @@ class CanonicalBasis:
         self._offsets[nu] = rows
         return rows
 
-    # -- views -------------------------------------------------------------
-
-    def canonical_order(self, nu):
-        """Storage positions sorted by a presentation-free invariant.
-
-        Stored word expansions of one module element are not unique (words
-        are linearly dependent in the module), so the sort key is the
-        pairing row against the spanning monomials, serialized through
-        vertex ids: identical across scheduling orders and vertex
-        declaration orders.
-        """
-        nu = tuple(nu)
-        hit = self._canon_cache.get(nu)
-        if hit is not None:
-            return hit
-        elems = self.elements(nu)
-        order = sorted(range(len(elems)),
-                       key=lambda s: element_key(self.module, elems[s]))
-        self._canon_cache[nu] = order
-        return order
+    # -- ids -------------------------------------------------------------
 
     def element_id(self, nu, pos):
-        """Canonical id 'content/index' of the element stored at pos."""
-        idx = self.canonical_order(nu).index(pos)
-        return f"{cartan.content_str(nu)}/{idx}"
+        """Canonical id 'content/index' of the element stored at pos; the
+        elements of a content are stored in id order."""
+        return f"{cartan.content_str(nu)}/{pos}"
 
 
 def element_key(module, elem):
-    """Canonical sort key: the nonzero form values against the spanning
-    monomials, tagged by id-serialized words and sorted."""
-    if elem.pairing_key is not None:
-        return elem.pairing_key
+    """Id sort key: the nonzero form values of the element against the
+    normalized words of its content, each tagged by its word serialized
+    through vertex ids, sorted.
+
+    The key is a pairing row, not the stored word expansion, because words
+    are linearly dependent in the module: one element has many expansions,
+    and which one the induction stores depends on the schedule.  The form is
+    nondegenerate, so distinct elements have distinct rows, and the row
+    does not see the schedule or the vertex declaration order.
+    """
     q = module.quiver
     words = module.spanning_words(elem.content)
     row = module.pairing_row(elem.vector)
-    key = tuple(sorted(
+    return tuple(sorted(
         (tuple((q.vertex_id(i), a) for i, a in w), tuple(sorted(p.c.items())))
         for w, p in zip(words, row) if p))
-    elem.pairing_key = key
-    return key
 
 
 def verify_bar_invariant(module, b):

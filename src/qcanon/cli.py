@@ -283,8 +283,7 @@ def _basis_payload(quiver, hw, order, hmax):
             "rank": len(elems),
             "elements": [],
         }
-        for pos in cb.canonical_order(nu):
-            b = elems[pos]
+        for pos, b in enumerate(elems):
             i, t, parent = b.provenance
             parent_id = None
             if parent is not None:
@@ -328,19 +327,14 @@ def _graph_payload(quiver, hw, order, hmax, fmt):
     paths = {}
     listings = {}
     for nu in cb.contents():
-        elems = cb.elements(nu)
-        if not elems:
+        if not cb.elements(nu):
             continue
-        entries = []
-        for pos in range(len(elems)):
-            path = cg.sbar(cb, graph, nu, pos, order)
-            entries.append((cg.path_sort_key(path, order),
-                            cb.element_id(nu, pos),
-                            [[quiver.vertex_id(i), t] for i, t in path]))
-        entries.sort()
+        items = [(cb.element_id(nu, pos), path)
+                 for pos, path in cg.path_order(cb, graph, nu, order)]
         key = cartan.content_str(nu)
-        paths[key] = [{"id": eid, "path": p} for _, eid, p in entries]
-        listings[key] = [eid for _, eid, _ in entries]
+        paths[key] = [{"id": eid, "path": [[quiver.vertex_id(i), t] for i, t in path]}
+                      for eid, path in items]
+        listings[key] = [eid for eid, _ in items]
     doc = {
         "metadata": dict(_metadata(quiver, hw, order, hmax),
                          isomorphic_component_graph="nakajima-lagrangian",

@@ -71,8 +71,9 @@ class LeftGraph:
 
     ``vertices`` maps content -> canonical ids; ``arrows`` is a sorted list
     of (source id, target id, (vertex id, multiplicity)); ``arrow_map``
-    keeps the storage-level arrows (content, pos, i) -> (t, low content,
-    low pos) for replay.
+    keeps the arrows (content, pos, i) -> (t, low content, low pos) for
+    replay.  A position is the index of the element's id, since the basis
+    stores each content in id order.
     """
 
     def __init__(self, vertices, arrows, arrow_map=None):
@@ -92,10 +93,10 @@ def build_left_graph(cb):
     arrow_map = {}
     targets = []
     for nu in cb.contents():
-        order = cb.canonical_order(nu)
-        vertices[nu] = [cb.element_id(nu, pos) for pos in order]
+        elems = cb.elements(nu)
+        vertices[nu] = [cb.element_id(nu, pos) for pos in range(len(elems))]
         room = cb.max_height - cartan.height(nu)
-        for qpos, b in enumerate(cb.elements(nu)):
+        for qpos, b in enumerate(elems):
             for i in range(module.quiver.n):
                 t = b.t[i]
                 if t > 0:
@@ -154,28 +155,31 @@ def path_sort_key(path, order):
     return tuple((rank[i], t) for i, t in path)
 
 
+def path_order(cb, graph, nu, order):
+    """(pos, sbar path) for every element at nu, sorted by the path order.
+    Paths are distinct (sbar is injective); a repeat raises GraphError."""
+    items = []
+    for pos in range(len(cb.elements(nu))):
+        path = sbar(cb, graph, nu, pos, order)
+        items.append((path_sort_key(path, order), pos, path))
+    if len({key for key, _, _ in items}) != len(items):
+        raise GraphError(f"sbar not injective at {nu}")
+    items.sort()
+    return [(pos, path) for _, pos, path in items]
+
+
 def monomial_basis(cb, graph, nu, order):
     """Path monomials at one content, one per basis element.
 
-    Returns (positions, paths, vectors, transition): the first three sorted
-    by the path order ascending, and the transition matrix whose columns
-    are the canonical-basis coordinates of the vectors and whose rows are
-    the stored elements at ``positions``.  The vectors are asserted to form
-    a basis of the weight space.
+    Returns (positions, paths, vectors, transition): the first three in
+    ``path_order``, and the transition matrix whose columns are the
+    canonical-basis coordinates of the vectors and whose rows are the
+    stored elements at ``positions``.  The vectors are asserted to form a
+    basis of the weight space.
     """
-    elems = cb.elements(nu)
-    items = []
-    seen = set()
-    for pos in range(len(elems)):
-        path = sbar(cb, graph, nu, pos, order)
-        key = path_sort_key(path, order)
-        if key in seen:
-            raise GraphError(f"sbar not injective at {nu}")
-        seen.add(key)
-        items.append((key, pos, path))
-    items.sort()
-    positions = [pos for _, pos, _ in items]
-    paths = [path for _, _, path in items]
+    items = path_order(cb, graph, nu, order)
+    positions = [pos for pos, _ in items]
+    paths = [path for _, path in items]
     vectors = [cb.module.monomial_vector(tuple(path)) for path in paths]
     cols = [cb.expand(vec) for vec in vectors]
     if lp_rank(cols) != len(vectors):

@@ -139,22 +139,15 @@ class HighestWeightModule:
         out = {}
         for y, c in self._e_word(i, rest).items():
             yw, scal = concat_words(((j, a),), y)
-            s = out.get(yw, ZERO) + c * scal
-            if s:
-                out[yw] = s
-            else:
-                del out[yw]
+            addmul(out.setdefault(yw, {}), c.c, scal.c)
         if j == i:
             # E_i F_i^(a) w' = F_i^(a) E_i w' + [<wt(w'), a_i^vee> + 1 - a] F_i^(a-1) w'
             p = self.coroot_pairing(word_content(rest, self.quiver.n), i)
             coeff = qint(p + 1 - a)
             if coeff:
                 yw = ((i, a - 1),) + rest if a > 1 else rest
-                s = out.get(yw, ZERO) + coeff
-                if s:
-                    out[yw] = s
-                else:
-                    del out[yw]
+                addmul(out.setdefault(yw, {}), coeff.c, ONE.c)
+        out = {y: c for y, acc in out.items() if (c := finish(acc))}
         self._e_cache[key] = out
         return out
 
@@ -259,10 +252,10 @@ class HighestWeightModule:
         """All normalized words of content nu; vertex order lexicographic,
         higher multiplicities first.
 
-        The weight-space build does not read this list; it serves the
-        ``dims`` spanning count, the pairing rows behind the canonical
-        element ids, and the word samples of the low-height ``verify``
-        suites.
+        The weight-space build does not read this list, and neither does
+        ``dims``, which counts the words with ``uminus.count_words``.  It
+        serves the pairing rows behind the canonical element ids and the
+        word samples of the low-height ``verify`` suites.
         """
         nu = tuple(nu)
         hit = self._spanning.get(nu)
@@ -352,12 +345,12 @@ class HighestWeightModule:
         spanning = self.spanning_words(u.content)
         row = []
         for m in spanning:
-            acc = ZERO
+            acc = {}
             for w, c in u.terms.items():
                 p = self.pair_words(w, m)
                 if p:
-                    acc = acc + c * p
-            row.append(acc)
+                    addmul(acc, c.c, p.c)
+            row.append(finish(acc))
         return row
 
     def is_zero_vector(self, u):

@@ -95,13 +95,22 @@ def test_self_pairings_and_orthogonality(a2_adjoint, kronecker):
 
 
 def test_schedule_order_invariance(a2_adjoint, kronecker):
-    for datum in (a2_adjoint, kronecker):
-        m, cb1 = build(datum, 4)
-        cb2 = CanonicalBasis(m, (1, 0)).compute_up_to(4)
+    # each content is stored in id order, so a reversed schedule stores the
+    # same elements at the same positions, with strictly increasing keys
+    data = [(a2_adjoint, 4), (kronecker, 4),
+            (parse_quiver_dict(EXPAND_DATA["kronecker3"][0]), 6),
+            (parse_quiver_dict(EXPAND_DATA["d4"][0]), 5)]
+    for datum, hmax in data:
+        m, cb1 = build(datum, hmax)
+        cb2 = CanonicalBasis(m, tuple(reversed(range(m.quiver.n)))).compute_up_to(hmax)
         for nu in cb1.contents():
-            k1 = sorted(element_key(m, b) for b in cb1.elements(nu))
-            k2 = sorted(element_key(m, b) for b in cb2.elements(nu))
-            assert k1 == k2
+            e1, e2 = cb1.elements(nu), cb2.elements(nu)
+            k1 = [element_key(m, b) for b in e1]
+            assert k1 == [element_key(m, b) for b in e2]
+            assert all(a < b for a, b in zip(k1, k1[1:]))
+            for b1, b2 in zip(e1, e2):
+                assert b1.t == b2.t
+                assert m.vectors_equal(b1.vector, b2.vector)
 
 
 def test_orthogonalization_strips_accepted_components(a1_d2):

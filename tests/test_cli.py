@@ -271,6 +271,26 @@ def test_graph_dot_invariant_under_order_override(qfile, capsys):
     assert d1["metadata"]["sign_twist"] == "unknown"
 
 
+D4 = {"vertices": ["c", "1", "2", "3"], "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+      "highest_weight": {"c": 1}}
+
+
+@pytest.mark.parametrize("data, height, order", [
+    (KRON, 5, None), (KRON, 5, "2,1"), (D4, 4, None), (D4, 4, "3,2,1,c")])
+def test_basis_and_graph_share_one_path_order(qfile, capsys, data, height, order):
+    # both outputs list every content's ids in the same path order
+    args = ["--quiver", qfile(data), "--max-height", str(height)]
+    if order is not None:
+        args += ["--order", order]
+    code, out, _ = run_cli(capsys, "basis", *args)
+    assert code == 0
+    basis = {",".join(str(x) for x in block["content"].values()): block["path_order"]
+             for block in json.loads(out)["contents"] if block["rank"]}
+    code, out, _ = run_cli(capsys, "graph", "--format", "json", *args)
+    assert code == 0
+    assert basis and basis == json.loads(out)["order_listing"]
+
+
 def test_verify_passes_and_suite_selection(qfile, capsys):
     path = qfile(A2ADJ)
     code, out, _ = run_cli(capsys, "verify", "--quiver", path,

@@ -252,6 +252,18 @@ def test_path_order_strict_on_zero_weight(a2_adjoint):
     assert cg.path_sort_key(p0, (0, 1)) != cg.path_sort_key(p1, (0, 1))
 
 
+def test_path_order_sorts_and_rejects_a_repeated_path(a2_adjoint, monkeypatch):
+    m, cb = build(a2_adjoint, 4)
+    g = cg.build_left_graph(cb)
+    items = cg.path_order(cb, g, (1, 1), (1, 0))
+    assert sorted(pos for pos, _ in items) == [0, 1]
+    assert [path for _, path in items] == sorted(
+        (path for _, path in items), key=lambda p: cg.path_sort_key(p, (1, 0)))
+    monkeypatch.setattr(cg, "sbar", lambda *args: ((0, 1), (1, 1)))
+    with pytest.raises(cg.GraphError, match="not injective"):
+        cg.path_order(cb, g, (1, 1), (0, 1))
+
+
 def test_monomial_basis_examples(a1_d3, a2_adjoint):
     m1, cb1 = build(a1_d3, 3)
     g1 = cg.build_left_graph(cb1)

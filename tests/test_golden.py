@@ -13,7 +13,10 @@ full-rank weight spaces were certified modulo a prime, and the affine A2 and
 wild-3 `dims` and `basis` digests before the coproduct shift became a
 one-scan closed form and the form sums a fused accumulation, and the affine
 A2 h=7 and wild-3 h=5 `graph` digests before canonical-basis coordinates
-were solved once per word; every later change that is meant to keep the
+were solved once per word, and the D4 h=6 `basis` digest under a
+non-default schedule order and the 3-Kronecker h=7 `graph` digest under a
+non-default vertex declaration order before each content was stored in id
+order; every later change that is meant to keep the
 output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
@@ -32,6 +35,9 @@ DATA = {
                   "highest_weight": {"1": 1, "2": 0}},
     "kronecker3": {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
                    "highest_weight": {"1": 1, "2": 0}},
+    # 3-Kronecker with its vertices declared in reverse
+    "kronecker3_21": {"vertices": ["2", "1"], "edges": [["1", "2"]] * 3,
+                      "highest_weight": {"1": 1, "2": 0}},
     "d4": {"vertices": ["c", "1", "2", "3"],
            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
            "highest_weight": {"c": 1, "1": 0, "2": 0, "3": 0}},
@@ -95,6 +101,10 @@ GOLDEN = [
      "7025fd483684c38b4a79541cd44486872e89ac136e9e2b050a52fb74f6576982"),
     ("wild3", 5, ("graph", "--format", "json"),
      "01eae76ad823883c41e0e9b37dad29555231e54f41694bf46036451fb89b315f"),
+    ("d4", 6, ("basis", "--order", "3,2,1,c"),
+     "794457c2f6aa53fd050a66482509f35bdf6b507182d70282b7ddf694d8e610b6"),
+    ("kronecker3_21", 7, ("graph", "--format", "json"),
+     "486ec002bc5451dbfdc572b4726279226f87ed737ed8f1fd4c5d73afacb41454"),
 ]
 
 
