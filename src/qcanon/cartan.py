@@ -112,10 +112,9 @@ def vec_add(nu, nu2):
 
 
 def vec_sub(nu, nu2):
-    out = tuple(a - b for a, b in zip(nu, nu2))
-    if any(x < 0 for x in out):
+    if not weight_leq(nu2, nu):
         raise ValueError(f"{nu} - {nu2} leaves the positive cone")
-    return out
+    return tuple(a - b for a, b in zip(nu, nu2))
 
 
 def unit_vector(n, i, mult=1):

@@ -8,11 +8,12 @@ compare them in the module.  ``HighestWeightModule`` carries the operator
 actions E_i, F_i^(n), K_i^{+-}, the contravariant bilinear form normalized
 by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
 (a candidate spanning set, its Gram matrix, and one symmetric elimination
-of it that yields the basis and the rank: certified modulo a prime when
-the space has full rank, fraction-free and exact otherwise), and an independent
-weight-multiplicity oracle: the Weyl-Kac character formula divided by the
-denominator identity, which needs only the signed dot orbit of the Weyl
-group, in integers.
+of it that yields the basis and the rank: each pivot certified modulo a
+prime, each rejected word by an exact kernel relation among the words kept
+before it, and the fraction-free loop when either is missing), and an
+independent weight-multiplicity oracle: the Weyl-Kac character formula
+divided by the denominator identity, which needs only the signed dot orbit
+of the Weyl group, in integers.
 
 The module is generated from v_L by the divided powers, so
 L_nu = sum_{i, a} F_i^(a) L_{nu - a alpha_i}, and the weight space of nu is
@@ -43,6 +44,7 @@ computation raises ExactDivisionError and means a genuine bug.
 from __future__ import annotations
 
 import math
+from operator import sub
 
 from .qarith import (LaurentPoly, ZERO, ONE, PivotBreakdown, addmul, finish, qint, qfact,
                      lp_sym_echelon)
@@ -104,8 +106,9 @@ class HighestWeightModule:
         self._pair = {}
         self._spanning = {}
         self._spaces = {}
-        # (height, N_Lambda, N_0 less its 0 term), regrown for a higher nu
-        self._orbits = (-1, {}, {})
+        # (height, N_Lambda, N_0 less its 0 term as (height, beta, sign) by
+        # height), regrown for a higher nu
+        self._orbits = (-1, {}, [])
         self._weight_mult = {}
 
     # -- vectors --------------------------------------------------------
@@ -432,11 +435,16 @@ class HighestWeightModule:
         so m(nu) = N_Lambda(nu) - sum_{beta != 0} N_0(beta) m(nu - beta),
         in integers.  It reads only the Cartan matrix and Lambda and shares
         no code with the module action or the Gram build.
+
+        Each content's entry is filled once, after every content below it;
+        the orbit weights beta are kept sorted by height, so the sum stops
+        at the first one taller than nu and looks m(nu - beta) up directly.
         """
         nu = tuple(nu)
         if any(x < 0 for x in nu):
             return 0
-        hit = self._weight_mult.get(nu)
+        table = self._weight_mult
+        hit = table.get(nu)
         if hit is not None:
             return hit
         h = cartan.height(nu)
@@ -444,17 +452,28 @@ class HighestWeightModule:
             origin = cartan.zero_vector(len(nu))
             zero = self._dot_orbit(origin, h)
             del zero[origin]
-            self._orbits = (h, self._dot_orbit(self.hw.d, h), zero)
+            tall = sorted((cartan.height(beta), beta, sign) for beta, sign in zero.items())
+            self._orbits = (h, self._dot_orbit(self.hw.d, h), tall)
         _, top, zero = self._orbits
-        # every mu <= nu, each after all contents below it (lexicographic)
-        for mu in cartan.subvectors(nu):
-            if mu in self._weight_mult:
-                continue
+        # the table is a down-set, so nu is its only missing content when
+        # every nu - alpha_i is in it; else fill every missing mu <= nu, each
+        # after all contents below it (lexicographic)
+        below = (nu[:i] + (x - 1,) + nu[i + 1:] for i, x in enumerate(nu) if x)
+        if all(b in table for b in below):
+            todo = [nu]
+        else:
+            todo = [mu for mu in cartan.subvectors(nu) if mu not in table]
+        for mu in todo:
+            hmu = cartan.height(mu)
             m = top.get(mu, 0)
-            for beta, sign in zero.items():
-                if cartan.weight_leq(beta, mu):
-                    m -= sign * self._weight_mult[cartan.vec_sub(mu, beta)]
+            for hbeta, beta, sign in zero:
+                if hbeta > hmu:
+                    break
+                # mu - beta is in the table exactly when it has no negative entry
+                low = table.get(tuple(map(sub, mu, beta)))
+                if low:
+                    m -= sign * low
             if m < 0:
                 raise InternalCheckError(f"negative weight multiplicity {m} at {mu}")
-            self._weight_mult[mu] = m
-        return self._weight_mult[nu]
+            table[mu] = m
+        return table[nu]

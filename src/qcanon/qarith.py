@@ -13,16 +13,19 @@ used by the basis orthogonalization, and fraction-free (Bareiss)
 elimination: the rank of a Laurent matrix, and the symmetric elimination
 with diagonal pivots that weight spaces are built on.
 
-The symmetric elimination first tries a certificate modulo the prime
-2^61 - 1: if all leading principal minors are nonzero at one fixed point
-of F_p, they are nonzero in Z[v, v^-1] and the matrix has full rank with
-every row a pivot, with no Laurent arithmetic.  A rank-deficient matrix
-(or one whose minor merely vanishes at that point) falls back to the exact
-Bareiss loop, which alone decides which rows are dependent.
+The symmetric elimination is one pass at a fixed point of F_p, p = 2^61 - 1,
+plus exact certificates.  A residual diagonal that is nonzero at that point
+is nonzero in Z[v, v^-1], so pivots need no Laurent arithmetic.  A row whose
+residual vanishes there is rejected only under an exact kernel relation: a
+combination of it and the earlier pivots with small Laurent coefficients,
+found modulo p, lifted to integers and checked to vanish in every column.
+Anything else (a modular zero diagonal over a nonzero row, or no relation
+found) runs the exact Bareiss loop, so the pivots are always the loop's.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 
@@ -173,16 +176,17 @@ class LaurentPoly:
         return sum(self.c.values())
 
     def eval_mod(self, a, p):
-        """Evaluate at v = a over the prime field F_p (a invertible mod p):
-        Horner's rule over the exponent range, then one factor a^low."""
-        c = self.c
-        if not c:
-            return 0
-        lo, hi = min(c), max(c)
+        """Evaluate at v = a over the prime field F_p (a invertible mod p),
+        term by term from a table of the powers of a shared by every call
+        at the same point."""
+        powers = _POWERS.setdefault((a, p), {})
         total = 0
-        for k in range(hi, lo - 1, -1):
-            total = (total * a + c.get(k, 0)) % p
-        return total * pow(a, lo, p) % p
+        for k, x in self.c.items():
+            w = powers.get(k)
+            if w is None:
+                w = powers[k] = pow(a, k, p)
+            total += x * w
+        return total % p
 
     def in_vinv_span(self):
         """True when every exponent is strictly negative (p in v^-1 Z[v^-1])."""
@@ -224,6 +228,8 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly(1)
+# (a, p) -> {k: a^k mod p}, the powers ``eval_mod`` has met so far
+_POWERS = {}
 
 
 # -- fused accumulation --------------------------------------------------
@@ -417,40 +423,174 @@ class PivotBreakdown(ArithmeticError):
     """Diagonal pivoting met a zero residual diagonal over a nonzero row."""
 
 
-# The certificate's evaluation point: v = EVAL_POINT in F_EVAL_PRIME.
+# The modular pass's evaluation point: v = EVAL_POINT in F_EVAL_PRIME.
 EVAL_PRIME = (1 << 61) - 1
 EVAL_POINT = 1234567
-
-
-def _full_rank_mod_p(rows):
-    """True when every leading principal minor of ``rows`` is nonzero at
-    v = EVAL_POINT over F_EVAL_PRIME.
-
-    Diagonal pivots in row order; the pivots found are the ratios of
-    consecutive leading principal minors of the evaluated matrix.
-    Evaluation is a ring map Z[v, v^-1] -> F_p, so a minor that is nonzero
-    there is nonzero as a Laurent polynomial.  False at the first modular
-    zero, which proves nothing either way.
-    """
-    p, a = EVAL_PRIME, EVAL_POINT
-    m = [[e.eval_mod(a, p) for e in r] for r in rows]
-    n = len(m)
-    for s in range(n):
-        top = m[s]
-        if not top[s]:
-            return False
-        inv = pow(top[s], -1, p)
-        for row in m[s + 1:]:
-            f = row[s] * inv % p
-            if f:
-                for t in range(s + 1, n):
-                    row[t] = (row[t] - f * top[t]) % p
-    return True
+# Widest relation the certificate search tries: the largest difference of
+# exponents over all its coefficients.
+SPAN_CAP = 8
+# Numerator and denominator bound of a lifted residue; a wrong lift only
+# fails the exact check.
+_LIFT_BOUND = 1 << 20
 
 
 def lp_sym_echelon(rows):
-    """Elimination free of fractions of a symmetric LaurentPoly matrix with
-    diagonal pivots taken in row order (Bareiss 1968).
+    """The pivots of the fraction-free elimination of a symmetric
+    LaurentPoly matrix with diagonal pivots taken in row order (Bareiss
+    1968): the greedy prefix of independent rows.
+
+    Read off one modular pass plus exact certificates.  The pass runs the
+    same pivots on the matrix evaluated at v = EVAL_POINT over
+    F_EVAL_PRIME, carrying beside each row its multipliers on the original
+    rows (an identity block), and sorts each row s into one of three kinds.
+    Evaluation is a ring map Z[v, v^-1] -> F_p, so while the pivots so far
+    agree, the modular residual diagonal of s is the exact one (a bordered
+    minor) evaluated, over the evaluated minor of the pivots, which is not 0.
+
+    - pivot: the residual diagonal is nonzero mod p, so it is nonzero in
+      Z[v, v^-1] and the exact loop keeps s too;
+    - dependent: the whole residual row is 0 mod p.  The row is rejected
+      once a relation sum_k c_k rows[k] = 0 with Laurent c over the earlier
+      pivots and s, c_s != 0, is checked exactly in every column: row s
+      then lies in the span of the pivots, so its exact residual row
+      vanishes and the exact loop rejects s too.  The search tries span 0
+      (integer coefficients, lifted from the multipliers by rational
+      reconstruction) and then spans up to SPAN_CAP (``_span_relation``);
+    - ambiguous: the diagonal is 0 mod p over a nonzero row.
+
+    An ambiguous row, or a dependent row with no certificate, runs the exact
+    loop ``_exact_sym_echelon`` from the start, which alone raises
+    PivotBreakdown; a modular zero never marks a row dependent by itself.
+    """
+    n = len(rows)
+    p, a = EVAL_PRIME, EVAL_POINT
+    ev = [[0] * (2 * n) for _ in range(n)]  # the matrix mod p | an identity block
+    for s, row in enumerate(rows):
+        ev[s][n + s] = 1
+        for t in range(s, n):
+            ev[s][t] = ev[t][s] = row[t].eval_mod(a, p)
+    pivots = []
+    kept = []  # (pivot index, inverse of its diagonal, reduced row | multipliers)
+    for s in range(n):
+        row = ev[s]
+        for t, inv, prow in kept:
+            f = row[t] * inv % p
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, prow)]
+        if row[s]:
+            pivots.append(s)
+            kept.append((s, pow(row[s], -1, p), row))
+        elif any(row[:n]) or not _certified(rows, s, row[n:]):
+            return _exact_sym_echelon(rows)
+    return pivots
+
+
+def _certified(rows, s, mult):
+    """True when a relation with c_s != 0, supported where the modular
+    multipliers ``mult`` of row s are nonzero, passes the exact check."""
+    support = [k for k, x in enumerate(mult) if x]
+    if len(support) == 1:
+        # c_s rows[s] = 0 holds only for a zero row
+        return not any(rows[s])
+    return any(c.get(s) and _is_relation(rows, c)
+               for c in _relations(rows, support, mult))
+
+
+def _relations(rows, support, mult):
+    """Candidate relations {k: exponent -> int}: span 0 from the
+    multipliers, then one per span 1, ..., SPAN_CAP that the coefficient
+    equations pin to a line."""
+    ints = _lift([mult[k] for k in support])
+    if ints is not None:
+        yield {k: {0: x} for k, x in zip(support, ints)}
+    for d in range(1, SPAN_CAP + 1):
+        c = _span_relation(rows, support, d)
+        if c is not None:
+            yield c
+
+
+def _span_relation(rows, support, d):
+    """The relation with c_k = sum_{e=0}^{d} c_{k,e} v^e over k in
+    ``support`` that the coefficient equations of sum_k c_k rows[k][t] = 0
+    fix up to scale modulo EVAL_PRIME, lifted to integers; None when they
+    leave no line or the line does not lift.
+
+    Equations join in column order, each reduced into a reduced echelon
+    form.  The first time they leave one free unknown, the line they cut
+    contains every relation of this shape, so it is lifted then and the
+    remaining equations are never read: the exact check is the proof.
+    """
+    p = EVAL_PRIME
+    width = d + 1
+    unknowns = len(support) * width
+    echelon = {}  # leading unknown -> reduced equation, leading entry 1
+    for t in range(len(rows)):
+        col = [rows[k][t].c for k in support]
+        for g in sorted({f + e for c in col for f in c for e in range(width)}):
+            eq = [c.get(g - e, 0) % p for c in col for e in range(width)]
+            for lead, prow in echelon.items():
+                f = eq[lead]
+                if f:
+                    eq = [(x - f * y) % p for x, y in zip(eq, prow)]
+            lead = next((i for i, x in enumerate(eq) if x), None)
+            if lead is None:
+                continue
+            inv = pow(eq[lead], -1, p)
+            eq = [x * inv % p for x in eq]
+            for other, prow in echelon.items():
+                f = prow[lead]
+                if f:
+                    echelon[other] = [(x - f * y) % p for x, y in zip(prow, eq)]
+            echelon[lead] = eq
+            if len(echelon) == unknowns - 1:
+                free = next(i for i in range(unknowns) if i not in echelon)
+                sol = [0] * unknowns
+                sol[free] = 1
+                for other, prow in echelon.items():
+                    sol[other] = -prow[free] % p
+                ints = _lift(sol)
+                if ints is None:
+                    return None
+                return {k: {e: x for e, x in enumerate(ints[j * width:(j + 1) * width]) if x}
+                        for j, k in enumerate(support)}
+    return None
+
+
+def _lift(residues):
+    """Integers proportional to ``residues`` mod EVAL_PRIME, each residue
+    read as a fraction with numerator and denominator at most _LIFT_BOUND
+    (rational reconstruction by the extended Euclidean algorithm); None
+    when one has no such fraction."""
+    p = EVAL_PRIME
+    fracs = []
+    for x in residues:
+        r0, r1, s0, s1 = p, x, 0, 1
+        while r1 > _LIFT_BOUND:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > _LIFT_BOUND:
+            return None
+        fracs.append((r1, s1) if s1 > 0 else (-r1, -s1))
+    den = math.lcm(*(b for _, b in fracs))
+    return [a * (den // b) for a, b in fracs]
+
+
+def _is_relation(rows, c):
+    """Exactly: sum_k c_k rows[k][t] = 0 in every column t."""
+    for t in range(len(rows)):
+        acc = {}
+        for k, ck in c.items():
+            e = rows[k][t]
+            if e:
+                addmul(acc, ck, e.c)
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _exact_sym_echelon(rows):
+    """The fraction-free elimination itself, the fallback of
+    ``lp_sym_echelon``.
 
     Row s is reduced against the pivot rows kept so far and becomes a pivot
     when its residual diagonal is nonzero; that diagonal is the leading
@@ -458,13 +598,6 @@ def lp_sym_echelon(rows):
     indices.  A zero residual diagonal over a nonzero residual row raises
     PivotBreakdown; otherwise the pivots are the greedy prefix of
     independent rows.
-
-    Full rank is certified first, modulo a prime: when every leading
-    principal minor is nonzero at v = EVAL_POINT in F_EVAL_PRIME, it is
-    nonzero in Z[v, v^-1], every residual diagonal below is nonzero, and
-    the loop would keep every row, so all indices are returned without a
-    Laurent operation.  At the first modular zero the exact loop runs from
-    the start; a modular zero never marks a row dependent.
 
     Every division is exact: after j stages the entry (s, t) is the
     bordered minor det A[P_j + s, P_j + t] of the first j pivots P_j, and
@@ -476,8 +609,6 @@ def lp_sym_echelon(rows):
     Only pivot columns and columns >= s are carried.
     """
     n = len(rows)
-    if _full_rank_mod_p(rows):
-        return list(range(n))
     pivots = []
     kept = []  # pivot row p as {column: entry} over columns > p
     diag = []

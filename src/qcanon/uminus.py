@@ -29,6 +29,7 @@ and is stored as the ``UMinusElement`` x; the module's F_i^(n) is
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .qarith import LaurentPoly, ZERO, ONE, addmul, finish, qbinom
 from . import cartan
@@ -53,24 +54,24 @@ def word_str(word, quiver):
 
 def count_words(content):
     """Number of normalized words of a content, without listing them: a
-    memoized count over (remaining content, last vertex)."""
-    memo = {}
+    count over (remaining content, last vertex), memoized for the process
+    (``_count_from``), so a run that counts every content up to a height
+    counts each lower one once."""
+    return _count_from(tuple(content), None)
 
-    def rec(remaining, last):
-        if not any(remaining):
-            return 1
-        key = (remaining, last)
-        hit = memo.get(key)
-        if hit is None:
-            hit = 0
-            for i, top in enumerate(remaining):
-                if i != last:
-                    for a in range(1, top + 1):
-                        hit += rec(remaining[:i] + (top - a,) + remaining[i + 1:], i)
-            memo[key] = hit
-        return hit
 
-    return rec(tuple(content), None)
+@lru_cache(maxsize=None)
+def _count_from(remaining, last):
+    """Normalized words of content ``remaining`` whose first letter is not
+    vertex ``last``; depends on nothing but the two arguments."""
+    if not any(remaining):
+        return 1
+    total = 0
+    for i, top in enumerate(remaining):
+        if i != last:
+            for a in range(1, top + 1):
+                total += _count_from(remaining[:i] + (top - a,) + remaining[i + 1:], i)
+    return total
 
 
 def normalize_slots(slots):

@@ -473,6 +473,11 @@ def suite_triangularity(ctx):
     return res
 
 
+def _t_and_pairings(basis, nu):
+    """Each element's t_i tuple and self-pairing at nu, in id order."""
+    return [(b.t, b.self_pairing) for b in basis.elements(nu)]
+
+
 def suite_crystal(ctx):
     res = SuiteResult("crystal")
     q = ctx.quiver
@@ -517,11 +522,16 @@ def suite_crystal(ctx):
             res.ok()
         else:
             res.fail(f"arrow ({q.vertex_id(i)},{t}) at {nu} targets t_i != 0")
-    # graph invariance under a permuted scheduling order
+    # graph invariance under a permuted scheduling order; the vertex lists
+    # only count elements, so the elements' t_i and self-pairings are
+    # compared too, content by content in id order
     if n > 1:
         other = CanonicalBasis(ctx.module, tuple(reversed(ctx.order))).compute_up_to(ctx.max_height)
         g2 = cg.build_left_graph(other)
-        if g2.arrows == graph.arrows and g2.vertices == graph.vertices:
+        if (g2.arrows == graph.arrows and g2.vertices == graph.vertices
+                and other.contents() == cb.contents()
+                and all(_t_and_pairings(other, nu) == _t_and_pairings(cb, nu)
+                        for nu in cb.contents())):
             res.ok()
         else:
             res.fail("left graph differs under a permuted vertex order")

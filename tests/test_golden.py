@@ -16,8 +16,10 @@ A2 h=7 and wild-3 h=5 `graph` digests before canonical-basis coordinates
 were solved once per word, and the D4 h=6 `basis` digest under a
 non-default schedule order and the 3-Kronecker h=7 `graph` digest under a
 non-default vertex declaration order before each content was stored in id
-order; every later change that is meant to keep the
-output must keep these bytes.  Every `dims` row must also agree with the
+order, and the Kronecker-4 h=8 and affine A2 h=10 `dims` digests before
+rank-deficient weight spaces were certified by exact kernel relations
+instead of the fraction-free fallback; every later change that is meant to
+keep the output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
 
@@ -43,6 +45,8 @@ DATA = {
            "highest_weight": {"c": 1, "1": 0, "2": 0, "3": 0}},
     "a3": {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
            "highest_weight": {"1": 1, "2": 0, "3": 1}},
+    "kronecker4": {"vertices": ["1", "2"], "edges": [["1", "2"]] * 4,
+                   "highest_weight": {"1": 1, "2": 0}},
     # the 3-cycle 1 -> 2 -> 3 -> 1
     "affine_a2": {"vertices": ["1", "2", "3"],
                   "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
@@ -105,6 +109,10 @@ GOLDEN = [
      "794457c2f6aa53fd050a66482509f35bdf6b507182d70282b7ddf694d8e610b6"),
     ("kronecker3_21", 7, ("graph", "--format", "json"),
      "486ec002bc5451dbfdc572b4726279226f87ed737ed8f1fd4c5d73afacb41454"),
+    ("kronecker4", 8, ("dims", "--format", "json"),
+     "656cae171f2ac8737916a6bcb20e8c8e2bc041e3be119452915a3015a701c196"),
+    ("affine_a2", 10, ("dims", "--format", "json"),
+     "f33b582fded437a1772576b9c9319e49821c82d7304c9582d869948b13181df5"),
 ]
 
 

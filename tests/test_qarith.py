@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcanon import qarith
+from qcanon.cartan import parse_quiver_dict
+from qcanon.hwmodule import HighestWeightModule
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, sym_truncate, qint,
                            qfact, qbinom, lp_rank, lp_sym_echelon, addmul,
                            finish, EVAL_POINT, EVAL_PRIME, ExactDivisionError,
@@ -367,3 +369,93 @@ def test_json_terms_form():
 def test_laurent_polys_are_unhashable():
     with pytest.raises(TypeError):
         hash(ONE)
+
+
+# -- exact kernel relations for rank-deficient matrices ---------------------------
+
+
+def _kronecker_space(vertices, nu):
+    q, hw = parse_quiver_dict({"vertices": vertices, "edges": [["1", "2"]] * 2,
+                               "highest_weight": {"1": 1, "2": 0}})
+    module = HighestWeightModule(q, hw)
+    space = module.weight_space(nu)
+    return space, module._gram(space.spanning)
+
+
+def _no_fallback(rows):
+    raise AssertionError("exact fallback on a certified matrix")
+
+
+def test_span_zero_relation_certifies_a_rejected_row(monkeypatch):
+    # Kronecker (1,0) with vertex 2 declared first: at (5, 5) eight
+    # candidates have rank 7, and rows 0 - 3 + 5 = 0 reject row 5
+    _, gram = _kronecker_space(["2", "1"], (5, 5))
+    assert len(gram) == 8
+    expected = qarith._exact_sym_echelon(gram)
+    assert expected == [0, 1, 2, 3, 4, 6, 7]
+    assert qarith._is_relation(gram, {0: {0: 1}, 3: {0: -1}, 5: {0: 1}})
+    monkeypatch.setattr(qarith, "_exact_sym_echelon", _no_fallback)
+    assert lp_sym_echelon(gram) == expected
+
+
+def test_wide_relations_are_found_by_the_span_solve(monkeypatch):
+    # Kronecker (1,0) at (4, 6): six candidates of rank 1, rejected by
+    # relations of span up to 6 such as (1 + 2v^2 + 2v^4 + v^6) r_0 = v^3 r_2
+    _, gram = _kronecker_space(["1", "2"], (4, 6))
+    expected = qarith._exact_sym_echelon(gram)
+    assert expected == [0]
+    relation = {0: {0: -1, 2: -2, 4: -2, 6: -1}, 2: {3: 1}}
+    assert qarith._is_relation(gram, relation)
+    # a narrower candidate fails the exact check; span 6 finds this one
+    narrow = qarith._span_relation(gram, [0, 2], 5)
+    assert narrow is None or not qarith._is_relation(gram, narrow)
+    wide = qarith._span_relation(gram, [0, 2], 6)
+    assert wide in (relation, {k: {e: -x for e, x in c.items()} for k, c in relation.items()})
+    monkeypatch.setattr(qarith, "_exact_sym_echelon", _no_fallback)
+    assert lp_sym_echelon(gram) == expected
+
+
+def _counted_fallback(monkeypatch):
+    calls = []
+    exact = qarith._exact_sym_echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact(rows)
+    monkeypatch.setattr(qarith, "_exact_sym_echelon", counted)
+    return calls
+
+
+@pytest.mark.parametrize("vertices,nu", [(["2", "1"], (5, 5)), (["1", "2"], (4, 6))])
+def test_a_wrong_relation_falls_back_to_the_same_pivots(monkeypatch, vertices, nu):
+    reference, gram = _kronecker_space(vertices, nu)
+    expected = qarith._exact_sym_echelon(gram)
+    calls = _counted_fallback(monkeypatch)
+
+    def wrong(rows, support, mult):
+        # the rejected row alone: c_s != 0, but the row is not zero
+        yield {support[-1]: {0: 1}}
+    monkeypatch.setattr(qarith, "_relations", wrong)
+    assert lp_sym_echelon(gram) == expected
+    assert calls == [len(gram)]
+    space, _ = _kronecker_space(vertices, nu)
+    assert space.basis == reference.basis and space.rank == reference.rank
+
+
+def test_a_span_cap_of_zero_falls_back_on_a_wide_relation(monkeypatch):
+    reference, gram = _kronecker_space(["1", "2"], (4, 6))
+    expected = qarith._exact_sym_echelon(gram)
+    calls = _counted_fallback(monkeypatch)
+    assert lp_sym_echelon(gram) == expected and calls == []
+    monkeypatch.setattr(qarith, "SPAN_CAP", 0)
+    assert lp_sym_echelon(gram) == expected and calls == [len(gram)]
+    space, _ = _kronecker_space(["1", "2"], (4, 6))
+    assert space.basis == reference.basis and space.rank == reference.rank
+
+
+def test_lift_reads_small_fractions_off_residues():
+    p = EVAL_PRIME
+    residues = [3 * pow(2, -1, p) % p, p - 1, 0, 5]
+    assert qarith._lift(residues) == [3, -2, 0, 10]
+    # a residue with no small numerator and denominator does not lift
+    assert qarith._lift([pow(3, 61, p) * pow(7, -40, p) % p]) is None

@@ -12,6 +12,7 @@ from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
                            serre_element, normalize_slots, count_words,
                            _shift_exponent)
 from qcanon.hwmodule import HighestWeightModule
+from qcanon import uminus
 from qcanon.cartan import HighestWeight, parse_quiver_dict
 
 KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3, "highest_weight": {"1": 1}}
@@ -85,10 +86,13 @@ def test_word_text_form(a2_adjoint):
 
 
 def test_word_count_matches_the_enumeration(a2_adjoint):
+    # the count is memoized for the process: start empty, ask for the
+    # tallest contents first, and let two quivers on two vertices share it
+    uminus._count_from.cache_clear()
     for (q, hw), hmax in ((a2_adjoint, 8), (parse_quiver_dict(KRON3), 7),
                           (parse_quiver_dict(D4), 5)):
         m = HighestWeightModule(q, hw)
-        for nu in contents_up_to(q.n, hmax):
+        for nu in reversed(contents_up_to(q.n, hmax)):
             assert count_words(nu) == len(m.spanning_words(nu)), nu
 
 

@@ -202,3 +202,15 @@ def test_cached_quantum_numbers_are_unchanged_by_a_verify_run(a2_adjoint):
             assert qbinom(n, k).c == _fresh_qbinom(n, k).c
     for n in range(13):
         assert qfact(n).c == _fresh_qfact(n).c
+
+
+def test_crystal_suite_compares_elements_across_schedules(kronecker):
+    # the vertex lists of the two graphs only count elements: a self-pairing
+    # that differs between the schedules must fail the invariance check
+    ctx = ctx_for(kronecker, 3)
+    assert verify.suite_crystal(ctx).passed
+    nu = [nu for nu in ctx.cb.contents() if ctx.cb.elements(nu)][-1]
+    b = ctx.cb.elements(nu)[0]
+    b.self_pairing = b.self_pairing + LaurentPoly({-1: 1})
+    res = verify.suite_crystal(ctx)
+    assert res.failures == ["left graph differs under a permuted vertex order"]
