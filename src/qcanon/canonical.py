@@ -13,9 +13,11 @@ Once a content's elements are stored, each element b gets ``b.t``, where
 the weight space below.  That image is spanned by the canonical basis
 elements it contains (Kashiwara; Lusztig), so it is read as a set of
 positions: the columns touched by the canonical-basis coordinates of
-F_i^(r) applied to the basis words below, certified by one rank per
-(content, i, r).  The induction seeds from t_i = 0, and the left graph
-reads the same values.
+F_i^(r) applied to the basis words below.  One modular rank per
+(content, i, r) (``qarith.rank_mod_p``) certifies that those rows span the
+coordinate subspace of the columns they touch; a rank that falls short at
+the evaluation point raises CompletionError, with no exact fallback.  The
+induction seeds from t_i = 0, and the left graph reads the same values.
 
 Each content's elements are stored sorted by ``element_key``, the moment
 the content is built and before any higher content is, so a storage
@@ -40,7 +42,7 @@ row for the bar of the vector.
 
 from __future__ import annotations
 
-from .qarith import LaurentPoly, ONE, addmul, finish, lp_rank, sym_truncate
+from .qarith import LaurentPoly, ONE, addmul, finish, rank_mod_p, sym_truncate
 from .hwmodule import InternalCheckError
 from . import cartan
 
@@ -184,15 +186,20 @@ class CanonicalBasis:
         """Positions at nu of the canonical basis elements in the image of
         F_i^(r).  The coordinate rows of F_i^(r) on the basis words at
         nu - r alpha_i span the coordinate subspace of the positions they
-        touch, so their rank must equal the number of those positions."""
+        touch, so their rank must equal the number of those positions.  The
+        rows live on those positions, so a modular rank (a lower bound) that
+        reaches the number certifies the span."""
         mod = self.module
         low = nu[:i] + (nu[i] - r,) + nu[i + 1:]
         rows = [self.expand(mod.apply_F(i, r, mod.monomial_vector(w)))
                 for w in mod.weight_space(low).basis]
         support = {pos for row in rows for pos, c in enumerate(row) if c}
-        if lp_rank(rows) != len(support):
-            raise CompletionError(f"image of F_{i}^({r}) at {nu} is not spanned "
-                                  "by the canonical basis elements it contains")
+        rank = rank_mod_p(rows)
+        if rank < len(support):
+            raise CompletionError(
+                f"image of F_{i}^({r}) at {nu} is not spanned by the canonical basis "
+                f"elements it contains, or its rank is not certified at the evaluation "
+                f"point ({rank} < {len(support)})")
         return support
 
     # -- coordinates -----------------------------------------------------------

@@ -4,18 +4,20 @@ read off from paths.
 
 The functions that walk the basis take it alone: they read the module as
 ``cb.module`` and t_i(b) as ``b.t[i]``, which the basis sets, certified by
-one rank per image, as it builds each content.  Arrows jump whole
+one modular rank per image, as it builds each content.  Arrows jump whole
 i-strings: each element with t_i = 0 seeds one arrow (i, t) for every
 1 <= t <= <wt, alpha_i^vee>, to the unique element with t_i = t whose
 F_i^(t)-expansion it leads with coefficient exactly 1, and every element
 with t_i > 0 must be reached exactly once.  Every vector is read in
 canonical-basis coordinates (``CanonicalBasis.expand``), where a stored
-element is its own unit vector.
+element is its own unit vector.  The path monomials at a content are
+certified to be a basis by the same modular rank (``qarith.rank_mod_p``):
+one that falls short at the evaluation point raises GraphError.
 """
 
 from __future__ import annotations
 
-from .qarith import ONE, lp_rank
+from .qarith import ONE, rank_mod_p
 from . import cartan
 
 
@@ -174,16 +176,19 @@ def monomial_basis(cb, graph, nu, order):
     Returns (positions, paths, vectors, transition): the first three in
     ``path_order``, and the transition matrix whose columns are the
     canonical-basis coordinates of the vectors and whose rows are the
-    stored elements at ``positions``.  The vectors are asserted to form a
-    basis of the weight space.
+    stored elements at ``positions``.  The vectors are certified to form a
+    basis of the weight space: as many as the elements, with a modular rank
+    (a lower bound) equal to their number.
     """
     items = path_order(cb, graph, nu, order)
     positions = [pos for pos, _ in items]
     paths = [path for _, path in items]
     vectors = [cb.module.monomial_vector(tuple(path)) for path in paths]
     cols = [cb.expand(vec) for vec in vectors]
-    if lp_rank(cols) != len(vectors):
-        raise GraphError(f"path monomials do not span at {nu}")
+    rank = rank_mod_p(cols)
+    if rank < len(vectors):
+        raise GraphError(f"path monomials do not span at {nu}, or their rank is not "
+                         f"certified at the evaluation point ({rank} < {len(vectors)})")
     return positions, paths, vectors, [[col[p] for col in cols] for p in positions]
 
 

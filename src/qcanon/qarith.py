@@ -9,13 +9,16 @@ Sums of products accumulate in one exponent -> int map (``addmul``, then
 
 The module also provides the quantum combinatorial numbers [n], [n]!,
 Gaussian binomials, the bar involution v -> v^-1, the symmetric truncation
-used by the basis orthogonalization, and fraction-free (Bareiss)
-elimination: the rank of a Laurent matrix, and the symmetric elimination
-with diagonal pivots that weight spaces are built on.
+used by the basis orthogonalization, and elimination at one fixed point of
+F_p, p = 2^61 - 1: the symmetric elimination with diagonal pivots that
+weight spaces are built on, and ``rank_mod_p``, a certified lower bound of
+a rank, against which the canonical-basis image supports and the path
+monomial bases are checked.  The one fraction-free (Bareiss) loop is the
+symmetric elimination's exact fallback.
 
-The symmetric elimination is one pass at a fixed point of F_p, p = 2^61 - 1,
-plus exact certificates.  A residual diagonal that is nonzero at that point
-is nonzero in Z[v, v^-1], so pivots need no Laurent arithmetic.  A row whose
+The symmetric elimination is one pass at that point plus exact
+certificates.  A residual diagonal that is nonzero at that point is
+nonzero in Z[v, v^-1], so pivots need no Laurent arithmetic.  A row whose
 residual vanishes there is rejected only under an exact kernel relation: a
 combination of it and the earlier pivots with small Laurent coefficients,
 found modulo p, lifted to integers and checked to vanish in every column.
@@ -72,12 +75,6 @@ class LaurentPoly:
     def low(self):
         """Minimal exponent, or None for the zero polynomial."""
         return min(self.c) if self.c else None
-
-    def span(self):
-        """Difference of extreme exponents; 0 for zero (pivot heuristic)."""
-        if not self.c:
-            return 0
-        return max(self.c) - min(self.c)
 
     def coeff(self, k):
         return self.c.get(k, 0)
@@ -377,53 +374,14 @@ def qbinom(n, k):
     return out
 
 
-# -- fraction-free linear algebra ----------------------------------------
-
-
-def lp_rank(rows):
-    """Rank of a LaurentPoly matrix by Bareiss elimination, free of fractions.
-
-    Pivot choice within a column: nonzero entry with minimal exponent span,
-    first such row on ties (bounds coefficient growth, no correctness
-    impact).
-    """
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    prev = ONE
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        best = None
-        for rr in range(r, m):
-            e = rows[rr][c]
-            if e:
-                sp = e.span()
-                if best is None or sp < best[0]:
-                    best = (sp, rr)
-        if best is None:
-            continue
-        rr = best[1]
-        if rr != r:
-            rows[r], rows[rr] = rows[rr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            fac = rows[i][c]
-            # rows with fac = 0 still rescale by piv/prev (Sylvester identity)
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[i][j] * piv - fac * rows[r][j]).divexact(prev)
-            rows[i][c] = ZERO
-        prev = piv
-        r += 1
-    return r
+# -- elimination ---------------------------------------------------------
 
 
 class PivotBreakdown(ArithmeticError):
     """Diagonal pivoting met a zero residual diagonal over a nonzero row."""
 
 
-# The modular pass's evaluation point: v = EVAL_POINT in F_EVAL_PRIME.
+# The evaluation point of both modular passes: v = EVAL_POINT in F_EVAL_PRIME.
 EVAL_PRIME = (1 << 61) - 1
 EVAL_POINT = 1234567
 # Widest relation the certificate search tries: the largest difference of
@@ -483,6 +441,29 @@ def lp_sym_echelon(rows):
         elif any(row[:n]) or not _certified(rows, s, row[n:]):
             return _exact_sym_echelon(rows)
     return pivots
+
+
+def rank_mod_p(rows):
+    """A certified lower bound of the rank of a LaurentPoly matrix: the rank
+    of the matrix evaluated at v = EVAL_POINT over F_EVAL_PRIME.
+
+    Evaluation is a ring map Z[v, v^-1] -> F_p, so a minor that is nonzero
+    there is nonzero in Z[v, v^-1].  The bound falls short of the rank only
+    when EVAL_POINT is a root mod p of every maximal nonzero minor; a caller
+    that needs the rank refuses then, and no exact rank runs.
+    """
+    p, a = EVAL_PRIME, EVAL_POINT
+    kept = []  # (pivot column, inverse of its entry, reduced row)
+    for row in rows:
+        row = [e.eval_mod(a, p) for e in row]
+        for c, inv, prow in kept:
+            f = row[c] * inv % p
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, prow)]
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is not None:
+            kept.append((c, pow(row[c], -1, p), row))
+    return len(kept)
 
 
 def _certified(rows, s, mult):

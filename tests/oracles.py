@@ -1,0 +1,54 @@
+"""Reference implementations the tests compare the package against.
+
+Not a test module (pytest collects only ``test_*.py``).  Nothing here
+evaluates at a point of F_p or imports the package's elimination, so a
+check against these references shares no code with what it checks.
+"""
+
+from qcanon.qarith import ONE, ZERO
+
+
+def span(p):
+    """Difference of extreme exponents; 0 for zero (pivot heuristic)."""
+    if not p.c:
+        return 0
+    return max(p.c) - min(p.c)
+
+
+def lp_rank(rows):
+    """Rank of a LaurentPoly matrix by Bareiss elimination, free of fractions.
+
+    Pivot choice within a column: nonzero entry with minimal exponent span,
+    first such row on ties (bounds coefficient growth, no correctness
+    impact).
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    prev = ONE
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        best = None
+        for rr in range(r, m):
+            e = rows[rr][c]
+            if e:
+                sp = span(e)
+                if best is None or sp < best[0]:
+                    best = (sp, rr)
+        if best is None:
+            continue
+        rr = best[1]
+        if rr != r:
+            rows[r], rows[rr] = rows[rr], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, m):
+            fac = rows[i][c]
+            # rows with fac = 0 still rescale by piv/prev (Sylvester identity)
+            for j in range(c + 1, n):
+                rows[i][j] = (rows[i][j] * piv - fac * rows[r][j]).divexact(prev)
+            rows[i][c] = ZERO
+        prev = piv
+        r += 1
+    return r

@@ -2,12 +2,14 @@ import re
 
 import pytest
 
-from qcanon.qarith import ZERO, ONE, lp_rank
+from qcanon.qarith import ZERO, ONE, qbinom
 from qcanon.cartan import HighestWeight, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon import canonical
 from qcanon.canonical import CanonicalBasis
 from qcanon import crystalgraph as cg
+
+from oracles import lp_rank
 
 
 def build(quiver_hw, hmax, order=None):
@@ -52,7 +54,8 @@ def test_t_stat_matches_the_membership_rank():
     # the rule the support certificate replaced, kept as its oracle: b is in
     # the image of F_i^(r) iff adding its unit row to the image rows keeps
     # the rank
-    for data in (A2_ADJ_Q, KRON3_Q, D4_Q):
+    dependent = 0  # nonzero image rows less their rank
+    for data in (A2_ADJ_Q, KRON3_Q, D4_Q, A2_33_Q, KRON_21_Q):
         m, cb = build(parse_quiver_dict(data), 5)
         cases = 0
         for nu in cb.contents():
@@ -64,6 +67,7 @@ def test_t_stat_matches_the_membership_rank():
                     rows = [cb.expand(m.apply_F(i, r, m.monomial_vector(w)))
                             for w in m.weight_space(low).basis]
                     base = lp_rank(rows)
+                    dependent += sum(1 for row in rows if any(row)) - base
                     for pos in range(len(elems)):
                         unit = [ONE if p == pos else ZERO for p in range(len(elems))]
                         if lp_rank(rows + [unit]) == base:
@@ -72,6 +76,10 @@ def test_t_stat_matches_the_membership_rank():
                     assert b.t[i] == expected[pos], (data, nu, pos, i)
                     cases += 1
         assert cases > 0
+    # F_i^(r) has a kernel on the basis words below, so the certificate
+    # meets dependent rows: 2 on the A2 adjoint, 6 on A2 (3,3) and 7 on
+    # Kronecker (2,1)
+    assert dependent == 15
 
 
 def test_t_stat_certifies_the_image_against_its_support(a2_adjoint, monkeypatch):
@@ -170,7 +178,7 @@ def test_pi_bijectivity_double_count(a2_adjoint):
 
 def test_one_rank_per_image_and_one_call_per_arrow(monkeypatch):
     # each (content, i, r) image is ranked once, while its content is built
-    calls = {"lp_rank": 0, "pi_arrow": 0}
+    calls = {"rank_mod_p": 0, "pi_arrow": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -178,12 +186,13 @@ def test_one_rank_per_image_and_one_call_per_arrow(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(canonical, "lp_rank", counted("lp_rank", canonical.lp_rank))
+    monkeypatch.setattr(canonical, "rank_mod_p",
+                        counted("rank_mod_p", canonical.rank_mod_p))
     monkeypatch.setattr(cg, "pi_arrow", counted("pi_arrow", cg.pi_arrow))
     m, cb = build(parse_quiver_dict(KRON3_Q), 7)
-    assert calls["lp_rank"] == 71
+    assert calls["rank_mod_p"] == 71
     g = cg.build_left_graph(cb)
-    assert calls["lp_rank"] == 71
+    assert calls["rank_mod_p"] == 71
     assert calls["pi_arrow"] == len(g.arrows) == 45
 
 
@@ -278,6 +287,17 @@ def test_monomial_basis_examples(a1_d3, a2_adjoint):
     assert words == [((0, 1), (1, 1)), ((1, 1), (0, 1))]
 
 
+def test_monomial_basis_certifies_the_span(a2_adjoint, monkeypatch):
+    m, cb = build(a2_adjoint, 4)
+    g = cg.build_left_graph(cb)
+    # every path monomial reads as the sum of all elements: at (1,1) the two
+    # columns are equal, so their rank 1 cannot span two elements
+    monkeypatch.setattr(cb, "expand",
+                        lambda u: [ONE] * len(cb.elements(u.content)))
+    with pytest.raises(cg.GraphError, match="do not span"):
+        cg.monomial_basis(cb, g, (1, 1), (0, 1))
+
+
 def test_graph_invariant_under_declaration_order(a2_adjoint):
     # rebuild everything with the two vertices declared in the other order
     q1, hw1 = a2_adjoint
@@ -345,6 +365,10 @@ A2_ADJ_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]],
             "highest_weight": {"1": 1, "2": 1}}
 D4_Q = {"vertices": ["c", "1", "2", "3"], "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
         "highest_weight": {"c": 1}}
+A2_33_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]],
+           "highest_weight": {"1": 3, "2": 3}}
+KRON_21_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 2,
+             "highest_weight": {"1": 2, "2": 1}}
 
 
 @pytest.mark.parametrize("data,hmax", [(A2_ADJ_Q, 5), (A3_Q, 5), (KRON_Q, 6),
@@ -368,3 +392,69 @@ def test_string_length_axiom(data, hmax):
                     assert (hit is not None) == (t <= length), (nu, i, t)
                     cases += 1
     assert cases > 0
+
+
+# -- positivity and leading terms of the divided powers -----------------------------
+
+A2_21_Q = {"vertices": ["1", "2"], "edges": [["1", "2"]],
+           "highest_weight": {"1": 2, "2": 1}}
+AFFINE_A2_Q = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
+               "highest_weight": {"1": 1, "2": 0, "3": 0}}
+WILD3_Q = {"vertices": ["1", "2", "3"], "edges": [["1", "2"]] * 2 + [["2", "3"]] * 2,
+           "highest_weight": {"1": 0, "2": 1, "3": 0}}
+
+
+@pytest.mark.parametrize("data,hmax", [(A2_21_Q, 6), (KRON_Q, 7), (AFFINE_A2_Q, 7),
+                                       (WILD3_Q, 5)],
+                         ids=["a2_21", "kronecker", "affine_a2", "wild3"])
+def test_divided_powers_are_positive_with_crystal_leading_terms(data, hmax):
+    # Let t = t_i(b) and phi = t + <h_i, wt b>.  On the canonical basis
+    # (Kashiwara, Duke 63 (1991); Lusztig, ch. 14), with positive
+    # coefficients in N[v, v^-1]:
+    #   F_i^(n) b = [t+n choose n] b'' + sum c b', t_i(b') > t + n,
+    #   E_i^(n) b = [phi+n choose n] b''' + sum c b', t_i(b') > t - n,
+    # where b'' (t_i = t + n) occurs iff n <= phi and b''' (t_i = t - n)
+    # iff n <= t.  Both lie on b's i-string, so they are read off the left
+    # graph: the arrows of b's seed (the string head, t_i = 0).
+    m, cb = build(parse_quiver_dict(data), hmax)
+    g = cg.build_left_graph(cb)
+    on_string = {(i, t, low, qpos): (nu, pos)
+                 for (nu, pos, i), (t, low, qpos) in g.arrow_map.items()}
+    cases = 0
+    for nu in cb.contents():
+        for pos, b in enumerate(cb.elements(nu)):
+            for i in range(m.quiver.n):
+                t = b.t[i]
+                phi = t + m.coroot_pairing(nu, i)
+                seed = g.arrow_map[(nu, pos, i)][1:] if t else (nu, pos)
+
+                def string_element(s):
+                    return seed if s == 0 else on_string.get((i, s) + seed)
+
+                for n in range(1, hmax - sum(nu) + 1):
+                    up = tuple(x + (n if k == i else 0) for k, x in enumerate(nu))
+                    lead = string_element(t + n) if n <= phi else None
+                    assert (lead is not None) == (n <= phi), (nu, pos, i, n)
+                    _check_expansion(cb, cb.expand(m.apply_F(i, n, b.vector)), up, i,
+                                     t + n, lead, qbinom(t + n, n))
+                    cases += 1
+                for n in range(1, nu[i] + 1):
+                    down = tuple(x - (n if k == i else 0) for k, x in enumerate(nu))
+                    lead = string_element(t - n) if n <= t else None
+                    assert (lead is not None) == (n <= t), (nu, pos, i, n)
+                    _check_expansion(cb, cb.expand(m.apply_E_divided(i, n, b.vector)),
+                                     down, i, t - n, lead, qbinom(phi + n, n))
+                    cases += 1
+    assert cases > 0
+
+
+def _check_expansion(cb, coeffs, content, i, level, lead, binom):
+    """Coefficients in N[v, v^-1]; the element ``lead`` (content, pos) has
+    coefficient ``binom``; every other summand has t_i > ``level``."""
+    elems = cb.elements(content)
+    for pos, c in enumerate(coeffs):
+        if (content, pos) == lead:
+            assert c == binom, (content, pos, i)
+        elif c:
+            assert elems[pos].t[i] > level, (content, pos, i)
+            assert all(x > 0 for x in c.c.values()), (content, pos, i, c)

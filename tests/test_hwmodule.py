@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qfact, qbinom, lp_rank
+from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qfact, qbinom
 from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
                            parse_quiver_dict)
 from qcanon import hwmodule
 from qcanon.hwmodule import HighestWeightModule, ResourceCapError
 from qcanon.uminus import UMinusElement, mono_mul, serre_element
 from qcanon.canonical import CanonicalBasis
+
+from oracles import lp_rank
 
 
 def vp(k):
@@ -386,6 +388,22 @@ def test_resource_cap(kronecker, monkeypatch):
     m = HighestWeightModule(q, hw)
     with pytest.raises(ResourceCapError):
         m.spanning_words((3, 3))
+
+
+def test_gram_and_elimination_checks_raise(a2_adjoint, monkeypatch):
+    q, hw = a2_adjoint
+    m = HighestWeightModule(q, hw)
+    # the Gram matrix at (1,1) runs over two candidate words
+    assert len(m._candidates((1, 1))) == 2
+    monkeypatch.setattr(m, "pair_words", lambda s, t: ONE if s < t else ZERO)
+    with pytest.raises(hwmodule.InternalCheckError, match="Gram asymmetry"):
+        m.weight_space((1, 1))
+    # symmetric, but every self-pairing vanishes over a nonzero row: the
+    # elimination breaks down, which the anisotropic form rules out
+    v = LaurentPoly.v_power(1)
+    monkeypatch.setattr(m, "pair_words", lambda s, t: ZERO if s == t else v)
+    with pytest.raises(hwmodule.InternalCheckError, match="isotropic nonzero row"):
+        m.weight_space((1, 1))
 
 
 # -- the symmetric elimination against independent references -------------------

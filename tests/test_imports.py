@@ -1,8 +1,9 @@
 """Every name a qcanon module imports is used in that module, every
 function and class the package defines is used in the package, every
 parameter is read, the layers import one way only, no module imports
-rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]), and the
-package re-exports every class and function under its own name."""
+rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]), the
+package re-exports every class and function under its own name, and the
+tests' reference eliminations share no elimination with the package."""
 
 import ast
 import importlib
@@ -191,3 +192,41 @@ def test_detector_sees_an_alias():
     namespace = {}
     exec("class UMinusElement:\n    pass\n\n\nModuleVector = UMinusElement\n", namespace)
     assert renamed_exports(namespace) == ["ModuleVector"]
+
+
+ORACLES = Path(__file__).parent / "oracles.py"
+# the package's eliminations and their evaluation point
+ELIMINATION_NAMES = {"lp_sym_echelon", "rank_mod_p", "_exact_sym_echelon",
+                     "EVAL_POINT", "EVAL_PRIME"}
+
+
+def qarith_names(source):
+    """The names a source takes from ``qcanon.qarith``: imported from it, or
+    read as attributes of the module under any name it is bound to."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "qcanon.qarith":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "qcanon":
+            modules.update(alias.asname or "qarith" for alias in node.names
+                           if alias.name == "qarith")
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "qcanon.qarith")
+    names.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules)
+    return names
+
+
+def test_oracles_share_no_elimination_with_the_package():
+    source = ORACLES.read_text()
+    assert "def lp_rank(" in source
+    assert qarith_names(source) & ELIMINATION_NAMES == set()
+
+
+def test_detector_sees_qarith_names():
+    source = ("from qcanon.qarith import ONE, rank_mod_p\n"
+              "from qcanon import qarith as qa\nimport qcanon.qarith\n\n\n"
+              "def f():\n    return qa.EVAL_POINT + qcanon.qarith.EVAL_PRIME\n")
+    assert qarith_names(source) == {"ONE", "rank_mod_p", "EVAL_POINT", "EVAL_PRIME"}

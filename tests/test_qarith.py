@@ -7,9 +7,11 @@ from qcanon import qarith
 from qcanon.cartan import parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, sym_truncate, qint,
-                           qfact, qbinom, lp_rank, lp_sym_echelon, addmul,
+                           qfact, qbinom, lp_sym_echelon, rank_mod_p, addmul,
                            finish, EVAL_POINT, EVAL_PRIME, ExactDivisionError,
                            PivotBreakdown)
+
+from oracles import lp_rank
 
 PRIME = 2147483647
 
@@ -205,6 +207,8 @@ def test_rank_agrees_with_random_prime_field_specialization():
         # specialization can only drop the rank; equality with overwhelming
         # probability at a random point
         assert rk == rk_p
+        # the package's certified lower bound, at its fixed point
+        assert rank_mod_p(rows) == rk
 
 
 # -- symmetric elimination against independent references ---------------------
@@ -337,6 +341,18 @@ def test_singular_matrix_keeps_fewer_pivots_than_rows():
     pivots = lp_sym_echelon(a)
     assert len(pivots) < 3 and len(pivots) == lp_rank(a)
     assert lp_sym_echelon([[ONE, V], [V, V * V]]) == [0]
+
+
+def test_modular_rank_is_a_lower_bound():
+    # a nonzero entry that vanishes at the evaluation point reads rank 0:
+    # the modular rank bounds the rank from below and never from above
+    assert lp_rank([[VANISHING]]) == 1
+    assert rank_mod_p([[VANISHING]]) == 0
+    a = [[ONE, V], [V, V * V + VANISHING]]
+    assert lp_rank(a) == 2 and rank_mod_p(a) == 1
+    assert rank_mod_p([[ONE, V], [V, V * V]]) == 1
+    assert rank_mod_p([[ZERO, ZERO], [ZERO, V]]) == 1
+    assert rank_mod_p([]) == 0
 
 
 def test_full_rank_is_certified_without_laurent_arithmetic(monkeypatch):
