@@ -18,7 +18,10 @@ non-default schedule order and the 3-Kronecker h=7 `graph` digest under a
 non-default vertex declaration order before each content was stored in id
 order, and the Kronecker-4 h=8 and affine A2 h=10 `dims` digests before
 rank-deficient weight spaces were certified by exact kernel relations
-instead of the fraction-free fallback; every later change that is meant to
+instead of the fraction-free fallback, and the large-weight A2 (6,6) h=8
+`dims` and `basis` and Kronecker (3,3) h=7 `dims` digests before each
+weight-space candidate became F_i applied to a basis word one content
+lower; every later change that is meant to
 keep the output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
@@ -45,6 +48,10 @@ DATA = {
            "highest_weight": {"c": 1, "1": 0, "2": 0, "3": 0}},
     "a3": {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
            "highest_weight": {"1": 1, "2": 0, "3": 1}},
+    "a2_66": {"vertices": ["1", "2"], "edges": [["1", "2"]],
+              "highest_weight": {"1": 6, "2": 6}},
+    "kronecker_33": {"vertices": ["1", "2"], "edges": [["1", "2"]] * 2,
+                     "highest_weight": {"1": 3, "2": 3}},
     "kronecker4": {"vertices": ["1", "2"], "edges": [["1", "2"]] * 4,
                    "highest_weight": {"1": 1, "2": 0}},
     # the 3-cycle 1 -> 2 -> 3 -> 1
@@ -113,6 +120,12 @@ GOLDEN = [
      "656cae171f2ac8737916a6bcb20e8c8e2bc041e3be119452915a3015a701c196"),
     ("affine_a2", 10, ("dims", "--format", "json"),
      "f33b582fded437a1772576b9c9319e49821c82d7304c9582d869948b13181df5"),
+    ("a2_66", 8, ("dims", "--format", "json"),
+     "d6e5cbb1b1809392554f485f53d0afd5e7c91722aeb009b5e58065cdc5356042"),
+    ("kronecker_33", 7, ("dims", "--format", "json"),
+     "7be08135a76310cc2660d0d06e50b691fa50cec9a131bac00a8e5e084117bcd3"),
+    ("a2_66", 8, ("basis",),
+     "56d8c13ece7d11b95d72cbffb20ac8518f6f431670aff5e579e9a41374da6a8a"),
 ]
 
 
