@@ -15,18 +15,10 @@ independent weight-multiplicity oracle: the Weyl-Kac character formula
 divided by the denominator identity, which needs only the signed dot orbit
 of the Weyl group, in integers.
 
-The module is generated from v_L by the divided powers, so
-L_nu = sum_{i, a} F_i^(a) L_{nu - a alpha_i}, and the weight space of nu is
-spanned by the candidates F_i^(a) b, with 1 <= a <= nu_i and b a basis word
-of nu - a alpha_i that does not start with vertex i.  Their number grows
-with the module, not with the number of normalized words of nu.  The basis
-is still the greedy prefix of independent words in ``spanning_words``
-order: a word (i, a) w' whose tail w' is not a basis word of
-nu - a alpha_i lies in the span of earlier words of nu, namely F_i^(a)
-applied to earlier words of the lower content, where an earlier word
-starting with (i, b) turns into the word (i, a + b) ..., and higher
-multiplicities sort first.  So every greedy basis word is a candidate, and
-the greedy prefix of the candidates in the same order is the same basis.
+The module is generated from v_L by the F_i, so
+L_nu = sum_i F_i L_{nu - alpha_i} for any basis of the lower weight spaces,
+and the candidates F_i b, b a basis word of nu - alpha_i, span L_nu; their
+number grows with the module, not with the number of normalized words.
 
 Vector coordinates are read against the canonical basis
 (``canonical.CanonicalBasis.expand``), not against these monomial bases.
@@ -82,11 +74,10 @@ def check_content_count(n, hmax):
 class WeightSpaceModel:
     """Selected monomial model of one weight space.
 
-    ``spanning`` is the candidate spanning set (F_i^(a) applied to the basis
-    words of each nu - a alpha_i, in ``spanning_words`` order; see the
-    module docstring) and ``basis`` the words the greedy prefix of its Gram
-    matrix keeps (the pivots of ``qarith.lp_sym_echelon``), which is the
-    greedy-prefix basis of all normalized words of nu.
+    ``spanning`` is the candidate spanning set (F_i applied to the basis
+    words of each nu - alpha_i, shortest words first; see the module
+    docstring) and ``basis`` the words the greedy prefix of its Gram matrix
+    keeps (the pivots of ``qarith.lp_sym_echelon``).
     """
 
     def __init__(self, content, spanning, basis, rank):
@@ -289,17 +280,20 @@ class HighestWeightModule:
         return out
 
     def _candidates(self, nu):
-        """F_i^(a) applied to the basis words of every nu - a alpha_i,
-        sorted like ``spanning_words``; [()] at nu = 0."""
+        """F_i applied to the basis words of every nu - alpha_i, shortest
+        words first, then in ``spanning_words`` order; [()] at nu = 0.
+
+        The order picks which candidates the elimination keeps; short words
+        first keep its kernel relations narrow, so the exact fallback seldom
+        runs."""
         if not any(nu):
             return [EMPTY_WORD]
         out = []
         for i, top in enumerate(nu):
-            for a in range(1, top + 1):
-                low = nu[:i] + (top - a,) + nu[i + 1:]
-                out.extend(((i, a),) + b for b in self.weight_space(low).basis
-                           if not b or b[0][0] != i)
-        out.sort(key=lambda w: [(i, -a) for i, a in w])
+            if top:
+                low = nu[:i] + (top - 1,) + nu[i + 1:]
+                out.extend(concat_words(((i, 1),), b)[0] for b in self.weight_space(low).basis)
+        out.sort(key=lambda w: (len(w), [(i, -a) for i, a in w]))
         return out
 
     def _gram(self, spanning):

@@ -8,7 +8,7 @@ import pytest
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qfact, qbinom
 from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
                            parse_quiver_dict)
-from qcanon import hwmodule
+from qcanon import hwmodule, qarith
 from qcanon.hwmodule import HighestWeightModule, ResourceCapError
 from qcanon.uminus import UMinusElement, mono_mul, serre_element
 from qcanon.canonical import CanonicalBasis
@@ -373,7 +373,7 @@ def test_serre_elements_annihilate_the_module(a2_adjoint, kronecker):
 
 
 def test_weight_spaces_pair_only_candidate_words(a2_adjoint):
-    # the Gram matrices run over F_i^(a)-images of the lower bases: 154
+    # the Gram matrices run over F_i-images of the lower bases: 28
     # memoized pairings here, against 250,952 for a Gram over every word
     q, hw = a2_adjoint
     m = HighestWeightModule(q, hw)
@@ -436,14 +436,59 @@ def test_elimination_matches_reference_on_every_spanning_word(name):
         gram = [[m.pair_words(s, t) for t in words] for s in words]
         # the rank agrees with a plain Bareiss echelon of the whole Gram matrix
         assert lp_rank(gram) == space.rank == len(space.basis)
-        # the basis is the greedy prefix of all words: s is kept iff its
-        # Gram row raises the rank of the rows kept before it
-        kept, prefix = [], []
-        for w, row in zip(words, gram):
-            if lp_rank(kept + [row]) > len(kept):
-                kept.append(row)
-                prefix.append(w)
-        assert space.basis == prefix
+        # the basis words pair with all words in rank-many independent rows,
+        # so they are independent and span the weight space
+        rows = [[m.pair_words(s, t) for t in words] for s in space.basis]
+        assert lp_rank(rows) == space.rank
+
+
+@pytest.mark.parametrize("arrows,weight,hmax", [(2, (3, 3), 7), (1, (6, 6), 8),
+                                                (2, (7, 7), 6)])
+def test_large_weights_need_no_exact_fallback(monkeypatch, arrows, weight, hmax):
+    # shortest candidates first keep every kernel relation within SPAN_CAP
+    # at these large highest weights
+    calls = []
+    exact = qarith._exact_sym_echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact(rows)
+    monkeypatch.setattr(qarith, "_exact_sym_echelon", counted)
+    q, hw = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]] * arrows,
+                               "highest_weight": {"1": weight[0], "2": weight[1]}})
+    m = HighestWeightModule(q, hw)
+    for nu in contents_up_to(q.n, hmax):
+        assert m.weight_space(nu).rank == m.freudenthal_multiplicity(nu)
+    assert calls == []
+
+
+class ReversedModule(HighestWeightModule):
+    """Keeps the greedy prefix of the candidates in reverse order, so every
+    weight space is built on a different basis of the spaces below it."""
+
+    def _candidates(self, nu):
+        return super()._candidates(nu)[::-1]
+
+
+@pytest.mark.parametrize("datum,hmax", [
+    ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 2,
+      "highest_weight": {"1": 1, "2": 0}}, 7),
+    ({"vertices": ["1", "2"], "edges": [["1", "2"]],
+      "highest_weight": {"1": 3, "2": 3}}, 7),
+    ({"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
+      "highest_weight": {"1": 1, "2": 0, "3": 0}}, 7),
+])
+def test_any_lower_basis_spans(datum, hmax):
+    # L_nu = sum_i F_i L_{nu - alpha_i} holds for any basis of the lower spaces
+    q, hw = parse_quiver_dict(datum)
+    m = ReversedModule(q, hw)
+    reference = HighestWeightModule(q, hw)
+    differ = 0
+    for nu in contents_up_to(q.n, hmax):
+        space = m.weight_space(nu)
+        assert space.rank == m.freudenthal_multiplicity(nu)
+        differ += space.basis != reference.weight_space(nu).basis
+    assert differ
 
 
 # -- the self-pairing zero test against the pairing-row oracle --------------------

@@ -390,12 +390,33 @@ def test_laurent_polys_are_unhashable():
 # -- exact kernel relations for rank-deficient matrices ---------------------------
 
 
+# Candidate words of Kronecker (1,0) under an earlier candidate rule (F_i^(a)
+# applied to lower basis words), kept so that these matrices stay fixed: eight
+# words at (5, 5) with vertex 2 declared first, six at (4, 6)
+_CERTIFICATE_WORDS = {
+    (5, 5): [((0, 2), (1, 3), (0, 2), (1, 1), (0, 1), (1, 1)),
+             ((0, 1), (1, 2), (0, 2), (1, 2), (0, 2), (1, 1)),
+             ((0, 1), (1, 2), (0, 2), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1)),
+             ((0, 1), (1, 1), (0, 2), (1, 3), (0, 2), (1, 1)),
+             ((0, 1), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1)),
+             ((1, 1), (0, 3), (1, 3), (0, 2), (1, 1)),
+             ((1, 1), (0, 2), (1, 2), (0, 2), (1, 1), (0, 1), (1, 1)),
+             ((1, 1), (0, 2), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1))],
+    (4, 6): [((1, 4), (0, 3), (1, 2), (0, 1)),
+             ((1, 3), (0, 2), (1, 2), (0, 1), (1, 1), (0, 1)),
+             ((1, 3), (0, 1), (1, 1), (0, 2), (1, 2), (0, 1)),
+             ((1, 3), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1)),
+             ((1, 2), (0, 1), (1, 2), (0, 2), (1, 2), (0, 1)),
+             ((1, 2), (0, 1), (1, 2), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1))],
+}
+
+
 def _kronecker_space(vertices, nu):
+    """The weight space at nu and the Gram matrix of its certificate words."""
     q, hw = parse_quiver_dict({"vertices": vertices, "edges": [["1", "2"]] * 2,
                                "highest_weight": {"1": 1, "2": 0}})
     module = HighestWeightModule(q, hw)
-    space = module.weight_space(nu)
-    return space, module._gram(space.spanning)
+    return module.weight_space(nu), module._gram(_CERTIFICATE_WORDS[nu])
 
 
 def _no_fallback(rows):
@@ -404,7 +425,7 @@ def _no_fallback(rows):
 
 def test_span_zero_relation_certifies_a_rejected_row(monkeypatch):
     # Kronecker (1,0) with vertex 2 declared first: at (5, 5) eight
-    # candidates have rank 7, and rows 0 - 3 + 5 = 0 reject row 5
+    # words have rank 7, and rows 0 - 3 + 5 = 0 reject row 5
     _, gram = _kronecker_space(["2", "1"], (5, 5))
     assert len(gram) == 8
     expected = qarith._exact_sym_echelon(gram)
@@ -415,7 +436,7 @@ def test_span_zero_relation_certifies_a_rejected_row(monkeypatch):
 
 
 def test_wide_relations_are_found_by_the_span_solve(monkeypatch):
-    # Kronecker (1,0) at (4, 6): six candidates of rank 1, rejected by
+    # Kronecker (1,0) at (4, 6): six words of rank 1, rejected by
     # relations of span up to 6 such as (1 + 2v^2 + 2v^4 + v^6) r_0 = v^3 r_2
     _, gram = _kronecker_space(["1", "2"], (4, 6))
     expected = qarith._exact_sym_echelon(gram)
