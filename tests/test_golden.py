@@ -21,7 +21,9 @@ rank-deficient weight spaces were certified by exact kernel relations
 instead of the fraction-free fallback, and the large-weight A2 (6,6) h=8
 `dims` and `basis` and Kronecker (3,3) h=7 `dims` digests before each
 weight-space candidate became F_i applied to a basis word one content
-lower; every later change that is meant to
+lower, and the A2 (6,6) h=10 `dims` and A2 (3,4) h=11 `basis` digests
+before the exact fraction-free fallback of the weight-space elimination
+was deleted; every later change that is meant to
 keep the output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
@@ -50,6 +52,8 @@ DATA = {
            "highest_weight": {"1": 1, "2": 0, "3": 1}},
     "a2_66": {"vertices": ["1", "2"], "edges": [["1", "2"]],
               "highest_weight": {"1": 6, "2": 6}},
+    "a2_34": {"vertices": ["1", "2"], "edges": [["1", "2"]],
+              "highest_weight": {"1": 3, "2": 4}},
     "kronecker_33": {"vertices": ["1", "2"], "edges": [["1", "2"]] * 2,
                      "highest_weight": {"1": 3, "2": 3}},
     "kronecker4": {"vertices": ["1", "2"], "edges": [["1", "2"]] * 4,
@@ -126,6 +130,10 @@ GOLDEN = [
      "7be08135a76310cc2660d0d06e50b691fa50cec9a131bac00a8e5e084117bcd3"),
     ("a2_66", 8, ("basis",),
      "56d8c13ece7d11b95d72cbffb20ac8518f6f431670aff5e579e9a41374da6a8a"),
+    ("a2_66", 10, ("dims", "--format", "json"),
+     "bf452262b4d01b612079067ba120b1cfcf9ccc8431f0c930f436c0b6a7b05bcd"),
+    ("a2_34", 11, ("basis",),
+     "cc2d8c247b4cdd942454c5119f9f5f655a376295b35ad8eeb610b73a1878119f"),
 ]
 
 
