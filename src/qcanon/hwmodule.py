@@ -10,7 +10,7 @@ by (v_L, v_L) = 1 with F_i adjoint to v K_i^-1 E_i, weight-space models
 (a candidate spanning set, its Gram matrix, and one symmetric elimination
 of it that yields the basis and the rank: each pivot certified modulo a
 prime, each rejected word by an exact kernel relation among the words kept
-before it, and the fraction-free loop when either is missing), and an
+before it, and InternalCheckError when either is missing), and an
 independent weight-multiplicity oracle: the Weyl-Kac character formula
 divided by the denominator identity, which needs only the signed dot orbit
 of the Weyl group, in integers.
@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 from operator import sub
 
-from .qarith import (LaurentPoly, ZERO, ONE, PivotBreakdown, addmul, finish, qint, qfact,
-                     lp_sym_echelon)
+from .qarith import (LaurentPoly, ZERO, ONE, PivotBreakdown, UncertifiedRow, addmul, finish,
+                     qint, qfact, lp_sym_echelon)
 from .uminus import EMPTY_WORD, UMinusElement, concat_words, mono_mul, word_content
 from . import cartan
 
@@ -284,8 +284,7 @@ class HighestWeightModule:
         words first, then in ``spanning_words`` order; [()] at nu = 0.
 
         The order picks which candidates the elimination keeps; short words
-        first keep its kernel relations narrow, so the exact fallback seldom
-        runs."""
+        first keep its kernel relations narrow, so their search is short."""
         if not any(nu):
             return [EMPTY_WORD]
         out = []
@@ -323,9 +322,13 @@ class HighestWeightModule:
             sel = lp_sym_echelon(gram)
         except PivotBreakdown as exc:
             # the form is anisotropic on the module, so a vanishing
-            # self-pairing must force the whole pairing row to vanish
+            # self-pairing must force the whole pairing row to vanish; a
+            # diagonal that vanishes only at the evaluation point lands here too
             raise InternalCheckError(
-                f"isotropic nonzero row in Gram matrix at {nu}; form degeneracy") from exc
+                f"isotropic nonzero row in Gram matrix at {nu}: form degeneracy "
+                f"or an unlucky evaluation point") from exc
+        except UncertifiedRow as exc:
+            raise InternalCheckError(f"Gram matrix at {nu}: {exc}") from exc
         model = WeightSpaceModel(nu, spanning, [spanning[s] for s in sel], len(sel))
         self._spaces[nu] = model
         return model

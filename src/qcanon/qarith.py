@@ -13,17 +13,18 @@ used by the basis orthogonalization, and elimination at one fixed point of
 F_p, p = 2^61 - 1: the symmetric elimination with diagonal pivots that
 weight spaces are built on, and ``rank_mod_p``, a certified lower bound of
 a rank, against which the canonical-basis image supports and the path
-monomial bases are checked.  The one fraction-free (Bareiss) loop is the
-symmetric elimination's exact fallback.
+monomial bases are checked.  The package has no fraction-free loop.
 
 The symmetric elimination is one pass at that point plus exact
 certificates.  A residual diagonal that is nonzero at that point is
 nonzero in Z[v, v^-1], so pivots need no Laurent arithmetic.  A row whose
 residual vanishes there is rejected only under an exact kernel relation: a
-combination of it and the earlier pivots with small Laurent coefficients,
-found modulo p, lifted to integers and checked to vanish in every column.
-Anything else (a modular zero diagonal over a nonzero row, or no relation
-found) runs the exact Bareiss loop, so the pivots are always the loop's.
+combination of it and the earlier pivots with Laurent coefficients of span
+at most a Cramer bound, found modulo p, lifted to integers and checked to
+vanish in every column.  Anything else is refused, never retried:
+PivotBreakdown when the diagonal vanishes at the point over a row that no
+relation can reject (a true breakdown or an unlucky point), and
+UncertifiedRow when a row that vanishes there has no checked relation.
 """
 
 from __future__ import annotations
@@ -378,47 +379,53 @@ def qbinom(n, k):
 
 
 class PivotBreakdown(ArithmeticError):
-    """Diagonal pivoting met a zero residual diagonal over a nonzero row."""
+    """Diagonal pivoting met a residual diagonal that is 0 at the evaluation
+    point over a row it cannot reject: a true breakdown or an unlucky point,
+    not told apart."""
+
+
+class UncertifiedRow(ArithmeticError):
+    """A row whose residual vanishes at the evaluation point has no kernel
+    relation that passes the exact check."""
 
 
 # The evaluation point of both modular passes: v = EVAL_POINT in F_EVAL_PRIME.
 EVAL_PRIME = (1 << 61) - 1
 EVAL_POINT = 1234567
-# Widest relation the certificate search tries: the largest difference of
-# exponents over all its coefficients.
-SPAN_CAP = 8
 # Numerator and denominator bound of a lifted residue; a wrong lift only
 # fails the exact check.
 _LIFT_BOUND = 1 << 20
 
 
 def lp_sym_echelon(rows):
-    """The pivots of the fraction-free elimination of a symmetric
-    LaurentPoly matrix with diagonal pivots taken in row order (Bareiss
-    1968): the greedy prefix of independent rows.
+    """The pivots of a symmetric LaurentPoly matrix with diagonal pivots
+    taken in row order: the greedy prefix of independent rows.
 
     Read off one modular pass plus exact certificates.  The pass runs the
-    same pivots on the matrix evaluated at v = EVAL_POINT over
-    F_EVAL_PRIME, carrying beside each row its multipliers on the original
-    rows (an identity block), and sorts each row s into one of three kinds.
-    Evaluation is a ring map Z[v, v^-1] -> F_p, so while the pivots so far
-    agree, the modular residual diagonal of s is the exact one (a bordered
-    minor) evaluated, over the evaluated minor of the pivots, which is not 0.
+    pivots on the matrix evaluated at v = EVAL_POINT over F_EVAL_PRIME,
+    carrying beside each row its multipliers on the original rows (an
+    identity block).  Evaluation is a ring map Z[v, v^-1] -> F_p, so while
+    the pivots so far are exact, the modular residual diagonal of row s is
+    its exact residual (a bordered minor over the minor of the pivots)
+    evaluated.  Each row has one of four outcomes:
 
     - pivot: the residual diagonal is nonzero mod p, so it is nonzero in
-      Z[v, v^-1] and the exact loop keeps s too;
-    - dependent: the whole residual row is 0 mod p.  The row is rejected
-      once a relation sum_k c_k rows[k] = 0 with Laurent c over the earlier
-      pivots and s, c_s != 0, is checked exactly in every column: row s
-      then lies in the span of the pivots, so its exact residual row
-      vanishes and the exact loop rejects s too.  The search tries span 0
-      (integer coefficients, lifted from the multipliers by rational
-      reconstruction) and then spans up to SPAN_CAP (``_span_relation``);
-    - ambiguous: the diagonal is 0 mod p over a nonzero row.
+      Z[v, v^-1];
+    - rejected: the whole residual row is 0 mod p, and a relation
+      sum_k c_k rows[k] = 0 with Laurent c over the earlier pivots and s,
+      c_s != 0, passes an exact check in every column, so row s lies in the
+      span of the pivots.  The search tries span 0 (integer coefficients,
+      lifted from the multipliers by rational reconstruction) and then
+      spans 1, ..., B, where B bounds the span of every primitive relation
+      over those rows (``_cramer_span``);
+    - PivotBreakdown: the residual diagonal is 0 mod p over a row whose
+      residual is nonzero mod p, or that no relation of span <= B over
+      those rows admits even modulo p;
+    - UncertifiedRow: the residual row is 0 mod p, but no relation passes
+      the exact check.
 
-    An ambiguous row, or a dependent row with no certificate, runs the exact
-    loop ``_exact_sym_echelon`` from the start, which alone raises
-    PivotBreakdown; a modular zero never marks a row dependent by itself.
+    Laurent polynomials are evaluated, and their products are summed by
+    ``addmul`` in the exact check; no LaurentPoly is multiplied or divided.
     """
     n = len(rows)
     p, a = EVAL_PRIME, EVAL_POINT
@@ -438,8 +445,10 @@ def lp_sym_echelon(rows):
         if row[s]:
             pivots.append(s)
             kept.append((s, pow(row[s], -1, p), row))
-        elif any(row[:n]) or not _certified(rows, s, row[n:]):
-            return _exact_sym_echelon(rows)
+        elif any(row[:n]):
+            raise PivotBreakdown(f"zero residual diagonal over a nonzero row at {s}")
+        else:
+            _certify(rows, s, row[n:])
     return pivots
 
 
@@ -466,45 +475,60 @@ def rank_mod_p(rows):
     return len(kept)
 
 
-def _certified(rows, s, mult):
-    """True when a relation with c_s != 0, supported where the modular
-    multipliers ``mult`` of row s are nonzero, passes the exact check."""
+def _certify(rows, s, mult):
+    """Return when a relation with c_s != 0, supported where the modular
+    multipliers ``mult`` of row s are nonzero, passes the exact check.
+
+    Else raise PivotBreakdown when the equations of span B =
+    ``_cramer_span`` over the support admit only 0 modulo EVAL_PRIME: a
+    primitive relation over the support would reduce to a nonzero solution,
+    so row s is outside the span of the other support rows though its
+    diagonal vanishes at the point.  Else raise UncertifiedRow."""
     support = [k for k, x in enumerate(mult) if x]
-    if len(support) == 1:
-        # c_s rows[s] = 0 holds only for a zero row
-        return not any(rows[s])
-    return any(c.get(s) and _is_relation(rows, c)
-               for c in _relations(rows, support, mult))
+    if any(c.get(s) and _is_relation(rows, c) for c in _relations(rows, support, mult)):
+        return
+    d = _cramer_span(rows, support)
+    if sum(1 for _ in _span_echelon(rows, support, d)) == len(support) * (d + 1):
+        raise PivotBreakdown(f"zero residual diagonal over an independent row at {s}")
+    raise UncertifiedRow(f"no certified kernel relation rejects row {s}")
 
 
 def _relations(rows, support, mult):
     """Candidate relations {k: exponent -> int}: span 0 from the
-    multipliers, then one per span 1, ..., SPAN_CAP that the coefficient
-    equations pin to a line."""
+    multipliers, then one per span 1, ..., ``_cramer_span`` that the
+    coefficient equations pin to a line."""
     ints = _lift([mult[k] for k in support])
     if ints is not None:
         yield {k: {0: x} for k, x in zip(support, ints)}
-    for d in range(1, SPAN_CAP + 1):
+    for d in range(1, _cramer_span(rows, support) + 1):
         c = _span_relation(rows, support, d)
         if c is not None:
             yield c
 
 
-def _span_relation(rows, support, d):
-    """The relation with c_k = sum_{e=0}^{d} c_{k,e} v^e over k in
-    ``support`` that the coefficient equations of sum_k c_k rows[k][t] = 0
-    fix up to scale modulo EVAL_PRIME, lifted to integers; None when they
-    leave no line or the line does not lift.
+def _cramer_span(rows, support):
+    """A bound on the span of every primitive relation over the ``support``
+    rows: the span of the Cramer relation, whose c_k is a signed maximal
+    minor of the other rows.
 
-    Equations join in column order, each reduced into a reduced echelon
-    form.  The first time they leave one free unknown, the line they cut
-    contains every relation of this shape, so it is lifted then and the
-    remaining equations are never read: the exact check is the proof.
-    """
+    With lo_k and hi_k the least and greatest exponents over the nonzero
+    entries of row k, c_k lies in degrees [sum lo - lo_k, sum hi - hi_k].
+    Every relation is a Laurent multiple of the primitive one, so the
+    minimal span is at most (sum hi - min hi) - (sum lo - max lo)."""
+    lo = [min(min(e.c) for e in rows[k] if e) for k in support]
+    hi = [max(max(e.c) for e in rows[k] if e) for k in support]
+    return sum(hi) - min(hi) - sum(lo) + max(lo)
+
+
+def _span_echelon(rows, support, d):
+    """The coefficient equations of sum_k c_k rows[k][t] = 0, with
+    c_k = sum_{e=0}^{d} c_{k,e} v^e over k in ``support``, joined in column
+    order into a reduced echelon form modulo EVAL_PRIME (leading unknown ->
+    equation, leading entry 1); yields the form each time an equation
+    raises its rank."""
     p = EVAL_PRIME
     width = d + 1
-    unknowns = len(support) * width
-    echelon = {}  # leading unknown -> reduced equation, leading entry 1
+    echelon = {}
     for t in range(len(rows)):
         col = [rows[k][t].c for k in support]
         for g in sorted({f + e for c in col for f in c for e in range(width)}):
@@ -523,17 +547,32 @@ def _span_relation(rows, support, d):
                 if f:
                     echelon[other] = [(x - f * y) % p for x, y in zip(prow, eq)]
             echelon[lead] = eq
-            if len(echelon) == unknowns - 1:
-                free = next(i for i in range(unknowns) if i not in echelon)
-                sol = [0] * unknowns
-                sol[free] = 1
-                for other, prow in echelon.items():
-                    sol[other] = -prow[free] % p
-                ints = _lift(sol)
-                if ints is None:
-                    return None
-                return {k: {e: x for e, x in enumerate(ints[j * width:(j + 1) * width]) if x}
-                        for j, k in enumerate(support)}
+            yield echelon
+
+
+def _span_relation(rows, support, d):
+    """The relation of span d over ``support`` that the coefficient
+    equations (``_span_echelon``) fix up to scale modulo EVAL_PRIME, lifted
+    to integers; None when they leave no line or the line does not lift.
+
+    The first time the equations leave one free unknown, the line they cut
+    contains every relation of this shape, so it is lifted then and the
+    remaining equations are never read: the exact check is the proof.
+    """
+    width = d + 1
+    unknowns = len(support) * width
+    for echelon in _span_echelon(rows, support, d):
+        if len(echelon) == unknowns - 1:
+            free = next(i for i in range(unknowns) if i not in echelon)
+            sol = [0] * unknowns
+            sol[free] = 1
+            for other, prow in echelon.items():
+                sol[other] = -prow[free] % EVAL_PRIME
+            ints = _lift(sol)
+            if ints is None:
+                return None
+            return {k: {e: x for e, x in enumerate(ints[j * width:(j + 1) * width]) if x}
+                    for j, k in enumerate(support)}
     return None
 
 
@@ -567,49 +606,3 @@ def _is_relation(rows, c):
         if any(acc.values()):
             return False
     return True
-
-
-def _exact_sym_echelon(rows):
-    """The fraction-free elimination itself, the fallback of
-    ``lp_sym_echelon``.
-
-    Row s is reduced against the pivot rows kept so far and becomes a pivot
-    when its residual diagonal is nonzero; that diagonal is the leading
-    principal minor of the pivot block so far.  Returns the list of kept
-    indices.  A zero residual diagonal over a nonzero residual row raises
-    PivotBreakdown; otherwise the pivots are the greedy prefix of
-    independent rows.
-
-    Every division is exact: after j stages the entry (s, t) is the
-    bordered minor det A[P_j + s, P_j + t] of the first j pivots P_j, and
-    Sylvester's identity makes d_{j-1} times the stage-j entry equal to
-    d_j * old - old[p_j] * pivot[t] (d_j is the j-th pivot).
-    Symmetry halves the work: the bordered minors are symmetric in (s, t),
-    so the residual of row s at an earlier non-pivot column t equals the
-    residual of row t at column s, which vanished when t was rejected.
-    Only pivot columns and columns >= s are carried.
-    """
-    n = len(rows)
-    pivots = []
-    kept = []  # pivot row p as {column: entry} over columns > p
-    diag = []
-    for s in range(n):
-        cols = pivots + list(range(s, n))
-        row = {t: rows[s][t] for t in cols}
-        for j, p in enumerate(pivots):
-            d, fac, prow = diag[j], row.pop(p), kept[j]
-            for t in cols[j + 1:]:
-                e = row[t] * d if row[t] else ZERO
-                if fac and prow[t]:
-                    e = e - fac * prow[t]
-                if e and j:
-                    e = e.divexact(diag[j - 1])
-                row[t] = e
-        d = row.pop(s)
-        if d:
-            pivots.append(s)
-            kept.append(row)
-            diag.append(d)
-        elif any(row.values()):
-            raise PivotBreakdown(f"zero residual diagonal over a nonzero row at {s}")
-    return pivots

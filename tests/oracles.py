@@ -52,3 +52,14 @@ def lp_rank(rows):
         prev = piv
         r += 1
     return r
+
+
+def greedy_prefix(rows):
+    """The indices of the rows that raise the ``lp_rank`` of the rows kept
+    before them."""
+    kept, prefix = [], []
+    for s, row in enumerate(rows):
+        if lp_rank(kept + [row]) > len(kept):
+            kept.append(row)
+            prefix.append(s)
+    return prefix

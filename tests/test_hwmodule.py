@@ -13,7 +13,7 @@ from qcanon.hwmodule import HighestWeightModule, ResourceCapError
 from qcanon.uminus import UMinusElement, mono_mul, serre_element
 from qcanon.canonical import CanonicalBasis
 
-from oracles import lp_rank
+from oracles import greedy_prefix, lp_rank
 
 
 def vp(k):
@@ -406,6 +406,18 @@ def test_gram_and_elimination_checks_raise(a2_adjoint, monkeypatch):
         m.weight_space((1, 1))
 
 
+def test_an_uncertified_row_is_an_internal_check_error(kronecker, monkeypatch):
+    q, hw = kronecker
+    m = HighestWeightModule(q, hw)
+    for nu in ((1, 3), (2, 2)):
+        m.weight_space(nu)
+    # at (2, 3) two candidates have rank 1; with no candidate relation the
+    # rejected row is refused
+    monkeypatch.setattr(qarith, "_relations", lambda rows, support, mult: iter(()))
+    with pytest.raises(hwmodule.InternalCheckError, match="no certified kernel relation"):
+        m.weight_space((2, 3))
+
+
 # -- the symmetric elimination against independent references -------------------
 
 # name -> (quiver document, height bound)
@@ -444,22 +456,28 @@ def test_elimination_matches_reference_on_every_spanning_word(name):
 
 @pytest.mark.parametrize("arrows,weight,hmax", [(2, (3, 3), 7), (1, (6, 6), 8),
                                                 (2, (7, 7), 6)])
-def test_large_weights_need_no_exact_fallback(monkeypatch, arrows, weight, hmax):
-    # shortest candidates first keep every kernel relation within SPAN_CAP
-    # at these large highest weights
-    calls = []
-    exact = qarith._exact_sym_echelon
-
-    def counted(rows):
-        calls.append(len(rows))
-        return exact(rows)
-    monkeypatch.setattr(qarith, "_exact_sym_echelon", counted)
+def test_large_weights_need_no_exact_fallback(arrows, weight, hmax):
+    # the elimination has no exact loop to fall back on: every weight space
+    # at these large highest weights is certified, and its rank is right
     q, hw = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]] * arrows,
                                "highest_weight": {"1": weight[0], "2": weight[1]}})
     m = HighestWeightModule(q, hw)
     for nu in contents_up_to(q.n, hmax):
         assert m.weight_space(nu).rank == m.freudenthal_multiplicity(nu)
-    assert calls == []
+
+
+@pytest.mark.parametrize("arrows,weight,nu", [(1, (3, 4), (4, 7)), (2, (1, 0), (8, 6)),
+                                              (3, (1, 0), (7, 3))])
+def test_relations_wider_than_eight_certify_rejected_rows(arrows, weight, nu):
+    # 3, 11 and 9 candidates, each set with a rejected row whose kernel
+    # relation has span 10 to 16; coefficients reach 40
+    q, hw = parse_quiver_dict({"vertices": ["1", "2"], "edges": [["1", "2"]] * arrows,
+                               "highest_weight": {"1": weight[0], "2": weight[1]}})
+    m = HighestWeightModule(q, hw)
+    space = m.weight_space(nu)
+    pivots = [space.spanning.index(w) for w in space.basis]
+    assert pivots == greedy_prefix(m._gram(space.spanning))
+    assert space.rank == m.freudenthal_multiplicity(nu) < len(space.spanning)
 
 
 class ReversedModule(HighestWeightModule):

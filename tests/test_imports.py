@@ -196,7 +196,7 @@ def test_detector_sees_an_alias():
 
 ORACLES = Path(__file__).parent / "oracles.py"
 # the package's eliminations and their evaluation point
-ELIMINATION_NAMES = {"lp_sym_echelon", "rank_mod_p", "_exact_sym_echelon",
+ELIMINATION_NAMES = {"lp_sym_echelon", "rank_mod_p", "_cramer_span",
                      "EVAL_POINT", "EVAL_PRIME"}
 
 

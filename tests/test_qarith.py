@@ -9,9 +9,9 @@ from qcanon.hwmodule import HighestWeightModule
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, sym_truncate, qint,
                            qfact, qbinom, lp_sym_echelon, rank_mod_p, addmul,
                            finish, EVAL_POINT, EVAL_PRIME, ExactDivisionError,
-                           PivotBreakdown)
+                           PivotBreakdown, UncertifiedRow)
 
-from oracles import lp_rank
+from oracles import greedy_prefix, lp_rank
 
 PRIME = 2147483647
 
@@ -237,12 +237,7 @@ def _check_against_reference(a):
         return None
     assert len(pivots) == lp_rank(a)
     # the pivots are the greedy prefix of independent rows
-    kept, prefix = [], []
-    for s, row in enumerate(a):
-        if lp_rank(kept + [row]) > len(kept):
-            kept.append(row)
-            prefix.append(s)
-    assert pivots == prefix
+    assert pivots == greedy_prefix(a)
     # and every leading principal minor of the pivot block is nonzero
     assert all(_det([[a[s][t] for t in pivots[:k + 1]] for s in pivots[:k + 1]])
                for k in range(len(pivots)))
@@ -308,7 +303,7 @@ def test_sym_elimination_reports_breakdown_and_singular_factor():
     assert lp_sym_echelon([]) == []
 
 
-# -- the modular full-rank certificate and its exact fallback ------------------
+# -- the modular full-rank certificate and its refusals --------------------------
 
 
 V = LaurentPoly.v_power(1)
@@ -326,13 +321,17 @@ def test_eval_mod_matches_termwise_evaluation():
     assert ZERO.eval_mod(EVAL_POINT, EVAL_PRIME) == 0
 
 
-def test_modular_zero_pivot_falls_back_to_exact_elimination():
-    # 1 x 1: the only pivot vanishes mod p but not in Z[v, v^-1]
-    assert lp_sym_echelon([[VANISHING]]) == [0]
-    # unit first pivot, determinant (v^2 + v - a) - v^2 = v - a
+def test_modular_zero_pivot_is_refused_as_a_breakdown():
+    # 1 x 1: the only pivot vanishes mod p but not in Z[v, v^-1]; with no
+    # exact loop to tell an unlucky point from a breakdown, both are refused
+    with pytest.raises(PivotBreakdown):
+        lp_sym_echelon([[VANISHING]])
+    # unit first pivot, determinant (v^2 + v - a) - v^2 = v - a: row 1
+    # vanishes mod p, but no relation with row 0 exists even mod p
     a = [[ONE, V], [V, V * V + VANISHING]]
     assert _det(a) == VANISHING
-    assert lp_sym_echelon(a) == [0, 1]
+    with pytest.raises(PivotBreakdown):
+        lp_sym_echelon(a)
 
 
 def test_singular_matrix_keeps_fewer_pivots_than_rows():
@@ -358,12 +357,17 @@ def test_modular_rank_is_a_lower_bound():
 def test_full_rank_is_certified_without_laurent_arithmetic(monkeypatch):
     a = [[ONE, V, V * V], [V, V * V + ONE, ONE], [V * V, ONE, V.shift(-3)]]
     assert all(_det([r[:k] for r in a[:k]]) for k in (1, 2, 3))
+    # rank-deficient: a span-0 and a span-6 certificate, built beforehand
+    _, span0 = _kronecker_space(["2", "1"], (5, 5))
+    _, span6 = _kronecker_space(["1", "2"], (4, 6))
 
     def forbidden(*args):
         raise AssertionError("Laurent arithmetic in a certified elimination")
     monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
     monkeypatch.setattr(LaurentPoly, "divexact", forbidden)
     assert lp_sym_echelon(a) == [0, 1, 2]
+    assert lp_sym_echelon(span0) == [0, 1, 2, 3, 4, 6, 7]
+    assert lp_sym_echelon(span6) == [0]
 
 
 # -- serialization ---------------------------------------------------------------
@@ -419,27 +423,22 @@ def _kronecker_space(vertices, nu):
     return module.weight_space(nu), module._gram(_CERTIFICATE_WORDS[nu])
 
 
-def _no_fallback(rows):
-    raise AssertionError("exact fallback on a certified matrix")
-
-
-def test_span_zero_relation_certifies_a_rejected_row(monkeypatch):
+def test_span_zero_relation_certifies_a_rejected_row():
     # Kronecker (1,0) with vertex 2 declared first: at (5, 5) eight
     # words have rank 7, and rows 0 - 3 + 5 = 0 reject row 5
     _, gram = _kronecker_space(["2", "1"], (5, 5))
     assert len(gram) == 8
-    expected = qarith._exact_sym_echelon(gram)
+    expected = greedy_prefix(gram)
     assert expected == [0, 1, 2, 3, 4, 6, 7]
     assert qarith._is_relation(gram, {0: {0: 1}, 3: {0: -1}, 5: {0: 1}})
-    monkeypatch.setattr(qarith, "_exact_sym_echelon", _no_fallback)
     assert lp_sym_echelon(gram) == expected
 
 
-def test_wide_relations_are_found_by_the_span_solve(monkeypatch):
+def test_wide_relations_are_found_by_the_span_solve():
     # Kronecker (1,0) at (4, 6): six words of rank 1, rejected by
     # relations of span up to 6 such as (1 + 2v^2 + 2v^4 + v^6) r_0 = v^3 r_2
     _, gram = _kronecker_space(["1", "2"], (4, 6))
-    expected = qarith._exact_sym_echelon(gram)
+    expected = greedy_prefix(gram)
     assert expected == [0]
     relation = {0: {0: -1, 2: -2, 4: -2, 6: -1}, 2: {3: 1}}
     assert qarith._is_relation(gram, relation)
@@ -448,46 +447,33 @@ def test_wide_relations_are_found_by_the_span_solve(monkeypatch):
     assert narrow is None or not qarith._is_relation(gram, narrow)
     wide = qarith._span_relation(gram, [0, 2], 6)
     assert wide in (relation, {k: {e: -x for e, x in c.items()} for k, c in relation.items()})
-    monkeypatch.setattr(qarith, "_exact_sym_echelon", _no_fallback)
+    # the Cramer bound of those two rows admits span 6
+    assert qarith._cramer_span(gram, [0, 2]) >= 6
     assert lp_sym_echelon(gram) == expected
 
 
-def _counted_fallback(monkeypatch):
-    calls = []
-    exact = qarith._exact_sym_echelon
-
-    def counted(rows):
-        calls.append(len(rows))
-        return exact(rows)
-    monkeypatch.setattr(qarith, "_exact_sym_echelon", counted)
-    return calls
-
-
 @pytest.mark.parametrize("vertices,nu", [(["2", "1"], (5, 5)), (["1", "2"], (4, 6))])
-def test_a_wrong_relation_falls_back_to_the_same_pivots(monkeypatch, vertices, nu):
-    reference, gram = _kronecker_space(vertices, nu)
-    expected = qarith._exact_sym_echelon(gram)
-    calls = _counted_fallback(monkeypatch)
+def test_a_wrong_relation_is_refused(monkeypatch, vertices, nu):
+    _, gram = _kronecker_space(vertices, nu)
 
     def wrong(rows, support, mult):
         # the rejected row alone: c_s != 0, but the row is not zero
         yield {support[-1]: {0: 1}}
     monkeypatch.setattr(qarith, "_relations", wrong)
-    assert lp_sym_echelon(gram) == expected
-    assert calls == [len(gram)]
-    space, _ = _kronecker_space(vertices, nu)
-    assert space.basis == reference.basis and space.rank == reference.rank
+    with pytest.raises(UncertifiedRow, match="row"):
+        lp_sym_echelon(gram)
 
 
-def test_a_span_cap_of_zero_falls_back_on_a_wide_relation(monkeypatch):
-    reference, gram = _kronecker_space(["1", "2"], (4, 6))
-    expected = qarith._exact_sym_echelon(gram)
-    calls = _counted_fallback(monkeypatch)
-    assert lp_sym_echelon(gram) == expected and calls == []
-    monkeypatch.setattr(qarith, "SPAN_CAP", 0)
-    assert lp_sym_echelon(gram) == expected and calls == [len(gram)]
-    space, _ = _kronecker_space(["1", "2"], (4, 6))
-    assert space.basis == reference.basis and space.rank == reference.rank
+def test_a_bound_below_the_relation_span_is_refused(monkeypatch):
+    _, gram = _kronecker_space(["1", "2"], (4, 6))
+    assert lp_sym_echelon(gram) == [0]
+    # no relation of span <= 5 rejects row 2, so the row reads as outside
+    # the span of row 0, and no pivots are returned
+    monkeypatch.setattr(qarith, "_cramer_span", lambda rows, support: 5)
+    pivots = None
+    with pytest.raises(PivotBreakdown, match="at 2"):
+        pivots = lp_sym_echelon(gram)
+    assert pivots is None
 
 
 def test_lift_reads_small_fractions_off_residues():
