@@ -23,7 +23,9 @@ instead of the fraction-free fallback, and the large-weight A2 (6,6) h=8
 weight-space candidate became F_i applied to a basis word one content
 lower, and the A2 (6,6) h=10 `dims` and A2 (3,4) h=11 `basis` digests
 before the exact fraction-free fallback of the weight-space elimination
-was deleted; every later change that is meant to
+was deleted, and the affine A3 h=8 and multi-digit-id h=6 `basis` digests
+before element ids were read off lazily compared pairing streams instead
+of full pairing rows; every later change that is meant to
 keep the output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
@@ -62,6 +64,15 @@ DATA = {
     "affine_a2": {"vertices": ["1", "2", "3"],
                   "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
                   "highest_weight": {"1": 1, "2": 0, "3": 0}},
+    # the 4-cycle 1 -> 2 -> 3 -> 4 -> 1
+    "affine_a3": {"vertices": ["1", "2", "3", "4"],
+                  "edges": [["1", "2"], ["2", "3"], ["3", "4"], ["4", "1"]],
+                  "highest_weight": {"1": 1, "2": 0, "3": 0, "4": 0}},
+    # ids that sort as strings ("10" < "11" < "9") against their
+    # declaration order; two arrows 9 -> 10 and one 10 -> 11
+    "multidigit": {"vertices": ["9", "10", "11"],
+                   "edges": [["9", "10"], ["9", "10"], ["10", "11"]],
+                   "highest_weight": {"9": 1, "10": 0, "11": 1}},
     # two arrows 1 -> 2 and two arrows 2 -> 3
     "wild3": {"vertices": ["1", "2", "3"],
               "edges": [["1", "2"], ["1", "2"], ["2", "3"], ["2", "3"]],
@@ -134,6 +145,10 @@ GOLDEN = [
      "bf452262b4d01b612079067ba120b1cfcf9ccc8431f0c930f436c0b6a7b05bcd"),
     ("a2_34", 11, ("basis",),
      "cc2d8c247b4cdd942454c5119f9f5f655a376295b35ad8eeb610b73a1878119f"),
+    ("affine_a3", 8, ("basis",),
+     "28e6320293ec5710511f3baca0ea693ff885f8f9f7d73003c850686ffa9e024c"),
+    ("multidigit", 6, ("basis",),
+     "34d2b5161e84f2379d9f33feb4820e811be959adbca99e343b75ccf1e1cab954"),
 ]
 
 
