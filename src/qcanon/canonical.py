@@ -19,17 +19,22 @@ coordinate subspace of the columns they touch; a rank that falls short at
 the evaluation point raises CompletionError, with no exact fallback.  The
 induction seeds from t_i = 0, and the left graph reads the same values.
 
-Each content's elements are stored sorted by ``element_key``, the moment
-the content is built and before any higher content is, so a storage
-position is the index of the element's id 'content/index'.  The sort moves
-no byte of the output.  An element is stored as F_i^(t) applied to its
-parent's vector, less sum_b C_b b.vector over the elements accepted before
-it (every element with a larger t_i among them).  Those elements and the
-new one are independent, so the C_b are the unique coordinates of the
-parent's image against them and do not depend on the order in which the
-elements are listed.  Which seed (i, t, parent) wins depends only on the
-schedule's order of the vertices.  Renumbering a lower content changes a
-parent's index, and no vector, provenance id or output order.
+Each content's elements are stored in id order the moment the content is
+built, before any higher content is, so a storage position is the index of
+the element's id 'content/index'.  The order is that of the elements'
+pairing rows against the normalized words of the content; the rows are
+walked lazily, word by word, only as far as two of them first differ, and
+the walk skips the words whose suffix lies in a zero weight space.  The
+sort moves no byte of the output.
+
+An element is stored as F_i^(t) applied to its parent's vector, less
+sum_b C_b b.vector over the elements accepted before it (every element
+with a larger t_i among them).  Those elements and the new one are
+independent, so the C_b are the unique coordinates of the parent's image
+against them and do not depend on the order in which the elements are
+listed.  Which seed (i, t, parent) wins depends only on the schedule's
+order of the vertices.  Renumbering a lower content changes a parent's
+index, and no vector, provenance id or output order.
 
 The stored elements are the only coordinate system: ``expand`` writes a
 vector in them with Laurent coefficients, as the sum over its words of the
@@ -43,8 +48,8 @@ row for the bar of the vector.
 from __future__ import annotations
 
 from .qarith import LaurentPoly, ONE, addmul, finish, rank_mod_p, sym_truncate
-from .hwmodule import InternalCheckError
-from . import cartan
+from .hwmodule import InternalCheckError, ResourceCapError
+from . import cartan, hwmodule
 
 
 class OrthogonalizationError(RuntimeError):
@@ -89,6 +94,7 @@ class CanonicalBasis:
         self.max_height = -1
         self._offsets = {}  # content -> N = Gram - I of the stored elements
         self._word_coords = {}  # word -> its coordinates, from _solve_word
+        self._by_id = sorted(range(n), key=module.quiver.vertex_id)  # a slot's walk order
 
     def elements(self, nu):
         nu = tuple(nu)
@@ -103,8 +109,7 @@ class CanonicalBasis:
         n = self.module.quiver.n
         for h in range(self.max_height + 1, hmax + 1):
             for nu in cartan.contents_of_height(n, h):
-                elems = self.store[nu] = sorted(
-                    self._compute_content(nu), key=lambda b: element_key(self.module, b))
+                elems = self.store[nu] = self._id_sorted(nu, self._compute_content(nu))
                 if elems:
                     self._set_t(nu, elems)
         self.max_height = max(self.max_height, hmax)
@@ -162,6 +167,77 @@ class CanonicalBasis:
                 raise OrthogonalizationError(
                     f"offending degree did not decrease ({prev_max} -> {worst})")
             prev_max = worst
+
+    # -- id order ----------------------------------------------------------
+
+    def _id_sorted(self, nu, elems):
+        """The elements at nu in id order: by their nonzero pairings with the
+        normalized words of nu, each tagged by its word serialized through
+        vertex ids, in the order of the serialized words.
+
+        That order is a pairing row, not the stored word expansion, because
+        words are linearly dependent in the module: one element has many
+        expansions, and which one the induction stores depends on the
+        schedule.  The form is nondegenerate, so distinct elements have
+        distinct rows, and the row does not see the schedule or the vertex
+        declaration order.  Each row is a lazy stream (``_pairing_entries``)
+        and a comparison reads two of them only as far as their first
+        difference; a row that ends first sorts first.
+        """
+        if len(elems) < 2:
+            return elems
+        visits = [0]
+        return [s.elem for s in sorted(
+            _Stream(b, self._pairing_entries(nu, b, visits)) for b in elems)]
+
+    def _pairing_entries(self, nu, b, visits):
+        """Yield (serialized word, sorted pairing terms) for the normalized
+        words of nu that pair nonzero with b, in the order of the serialized
+        words.
+
+        The walk is depth first: each slot takes the vertices sorted by
+        their ids as strings, then a ascending.  No word of a content is a
+        prefix of another, so this is the sorted order of the serialized
+        words.  A word is F applied to the vector of its suffix, which lies
+        in L_mu for the suffix's content mu; the walk skips every subtree
+        whose remaining content stores no element (L_mu = 0), since each of
+        its words is zero in the module.  ``visits`` counts the words the
+        walks of one content reach, against ``hwmodule.SPANNING_CAP``.
+        """
+        mod = self.module
+        vid = mod.quiver.vertex_id
+        terms = list(b.vector.terms.items())
+        word = []
+
+        def walk(remaining, last):
+            if not any(remaining):
+                visits[0] += 1
+                if visits[0] > hwmodule.SPANNING_CAP:
+                    raise ResourceCapError(
+                        f"id walk at {nu} visits more than cap "
+                        f"{hwmodule.SPANNING_CAP} words")
+                w = tuple(word)
+                acc = {}
+                for t, c in terms:
+                    p = mod.pair_words(t, w)
+                    if p:
+                        addmul(acc, c.c, p.c)
+                p = finish(acc)
+                if p:
+                    yield tuple((vid(i), a) for i, a in w), tuple(sorted(p.c.items()))
+                return
+            for i in self._by_id:
+                if i == last or remaining[i] == 0:
+                    continue
+                for a in range(1, remaining[i] + 1):
+                    remaining[i] -= a
+                    if self.store[tuple(remaining)]:
+                        word.append((i, a))
+                        yield from walk(remaining, i)
+                        word.pop()
+                    remaining[i] += a
+
+        return walk(list(nu), None)
 
     # -- the t_i statistic ------------------------------------------------
 
@@ -295,23 +371,35 @@ class CanonicalBasis:
         return f"{cartan.content_str(nu)}/{pos}"
 
 
-def element_key(module, elem):
-    """Id sort key: the nonzero form values of the element against the
-    normalized words of its content, each tagged by its word serialized
-    through vertex ids, sorted.
+class _Stream:
+    """One element's pairing entries, read only as far as a comparison
+    needs."""
 
-    The key is a pairing row, not the stored word expansion, because words
-    are linearly dependent in the module: one element has many expansions,
-    and which one the induction stores depends on the schedule.  The form is
-    nondegenerate, so distinct elements have distinct rows, and the row
-    does not see the schedule or the vertex declaration order.
-    """
-    q = module.quiver
-    words = module.spanning_words(elem.content)
-    row = module.pairing_row(elem.vector)
-    return tuple(sorted(
-        (tuple((q.vertex_id(i), a) for i, a in w), tuple(sorted(p.c.items())))
-        for w, p in zip(words, row) if p))
+    __slots__ = ("elem", "_entries", "_seen")
+
+    def __init__(self, elem, entries):
+        self.elem = elem
+        self._entries = entries
+        self._seen = []
+
+    def _entry(self, k):
+        seen = self._seen
+        while len(seen) <= k:
+            e = next(self._entries, None)
+            if e is None:
+                return None
+            seen.append(e)
+        return seen[k]
+
+    def __lt__(self, other):
+        k = 0
+        while True:
+            a, b = self._entry(k), other._entry(k)
+            if a != b:
+                return b is not None and (a is None or a < b)
+            if a is None:
+                return False
+            k += 1
 
 
 def verify_bar_invariant(module, b):

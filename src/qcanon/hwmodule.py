@@ -36,7 +36,8 @@ computation raises ExactDivisionError and means a genuine bug.
 from __future__ import annotations
 
 import math
-from operator import sub
+from heapq import heappop, heappush
+from operator import add, sub
 
 from .qarith import (LaurentPoly, ZERO, ONE, PivotBreakdown, UncertifiedRow, addmul, finish,
                      qint, qfact, lp_sym_echelon)
@@ -54,7 +55,8 @@ class InternalCheckError(AssertionError):
 
 # Most contents of height <= max height a run may enumerate.
 CONTENT_CAP = 100_000
-# Most normalized words ``spanning_words`` may enumerate at one content.
+# Most normalized words ``spanning_words`` may enumerate, and the id walks
+# of ``canonical`` may reach, at one content.
 SPANNING_CAP = 200_000
 # Most Gram entries (candidates squared) ``weight_space`` may build at one
 # content; 3-Kronecker (1,0) reaches 17 ** 2 at (4,4), the most of any
@@ -69,6 +71,54 @@ def check_content_count(n, hmax):
     if count > CONTENT_CAP:
         raise ResourceCapError(
             f"{count} contents up to height {hmax} exceed cap {CONTENT_CAP}")
+
+
+class DotOrbit:
+    """The signed dot orbit {nu: (-1)^l(w)} of lam over the w in W with
+    w(lam + rho) - rho = lam - nu, grown height by height (``signs``).
+
+    A step at vertex i reflects lam + rho - nu in alpha_i; it goes down by
+    (<lam - nu, alpha_i^vee> + 1) alpha_i when that number is positive, and
+    it flips the sign.  lam + rho is regular dominant, so such a step
+    lengthens w by one, and every w has a reduced word whose steps all go
+    strictly down: the steps from nu = 0 meet each orbit weight with the
+    sign of its length.  Steps wait in a heap by the height they reach, so
+    ``grow`` takes each step once over all heights.  Reads only the Cartan
+    matrix.
+    """
+
+    def __init__(self, cart, lam):
+        self.cart = cart
+        self.lam = lam
+        origin = (0,) * len(lam)
+        self.signs = {origin: 1}
+        self._steps = []  # heap of (height, nu, sign) not yet taken
+        self._step_from(origin, 0)
+
+    def _step_from(self, nu, h):
+        sign = -self.signs[nu]
+        for i, row in enumerate(self.cart):
+            step = self.lam[i] - sum(c * x for c, x in zip(row, nu)) + 1
+            if step > 0:
+                low = nu[:i] + (nu[i] + step,) + nu[i + 1:]
+                heappush(self._steps, (h + step, low, sign))
+
+    def grow(self, hmax):
+        """Reach every orbit weight of height <= hmax; the ones new since the
+        last call, as (height, nu, sign) in increasing order."""
+        new = []
+        steps = self._steps
+        while steps and steps[0][0] <= hmax:
+            h, low, sign = heappop(steps)
+            seen = self.signs.get(low)
+            if seen is None:
+                self.signs[low] = sign
+                new.append((h, low, sign))
+                self._step_from(low, h)
+            elif seen != sign:
+                raise InternalCheckError(
+                    f"dot orbit of {self.lam} meets {low} with both signs")
+        return new
 
 
 class WeightSpaceModel:
@@ -95,11 +145,12 @@ class HighestWeightModule:
         self.hw = hw
         self._e_cache = {}
         self._pair = {}
+        self._coweights = {}  # content -> <wt, a_j^vee> over every j
         self._spanning = {}
         self._spaces = {}
-        # (height, N_Lambda, N_0 less its 0 term as (height, beta, sign) by
-        # height), regrown for a higher nu
-        self._orbits = (-1, {}, [])
+        self._top = DotOrbit(quiver.cartan, hw.d)  # N_Lambda
+        self._zero = DotOrbit(quiver.cartan, (0,) * quiver.n)  # N_0
+        self._zero_tall = []  # N_0 less its 0 term, as (height, beta, sign)
         self._weight_mult = {}
 
     # -- vectors --------------------------------------------------------
@@ -121,22 +172,26 @@ class HighestWeightModule:
             raise ValueError("divided power exponent must be >= 1")
         return mono_mul(self.monomial_vector(((i, n),)), u)
 
-    def _e_word(self, i, w):
-        """E_i(w . v_L) as a word -> coefficient map one step down."""
+    def _e_word(self, i, w, p=None):
+        """E_i(w . v_L) as a word -> coefficient map one step down; ``p`` is
+        <wt(w), a_i^vee>, read off w when not passed down."""
         if not w:
             return {}
         key = (i, w)
         hit = self._e_cache.get(key)
         if hit is not None:
             return hit
+        if p is None:
+            p = self.coroot_pairing(word_content(w, self.quiver.n), i)
         (j, a), rest = w[0], w[1:]
+        # wt(w') = wt(w) + a alpha_j for w = F_j^(a) w'
+        p += a * self.quiver.cartan[i][j]
         out = {}
-        for y, c in self._e_word(i, rest).items():
+        for y, c in self._e_word(i, rest, p).items():
             yw, scal = concat_words(((j, a),), y)
             addmul(out.setdefault(yw, {}), c.c, scal.c)
         if j == i:
             # E_i F_i^(a) w' = F_i^(a) E_i w' + [<wt(w'), a_i^vee> + 1 - a] F_i^(a-1) w'
-            p = self.coroot_pairing(word_content(rest, self.quiver.n), i)
             coeff = qint(p + 1 - a)
             if coeff:
                 yw = ((i, a - 1),) + rest if a > 1 else rest
@@ -171,8 +226,10 @@ class HighestWeightModule:
 
     # -- contravariant form ----------------------------------------------
 
-    def pair_words(self, w1, w2):
-        """(w1 . v_L, w2 . v_L), peeling the leftmost divided power of w1.
+    def pair_words(self, w1, w2, wt=None):
+        """(w1 . v_L, w2 . v_L), peeling the leftmost divided power of w1;
+        ``wt`` is <wt(w2), a_j^vee> over every j, read off w2 when not
+        passed down.
 
         Recursion: (F_i^(n) x, y) = v/[n] (F_i^(n-1) x, K_i^- E_i y).
         The sum over the words y of E_i y, each pairing times its
@@ -192,10 +249,17 @@ class HighestWeightModule:
             return hit
         (i, n), x = w1[0], w1[1:]
         x1 = ((i, n - 1),) + x if n > 1 else x
-        shift = -1 - self.coroot_pairing(word_content(w2, self.quiver.n), i)
+        if wt is None:
+            nu = word_content(w2, self.quiver.n)
+            wt = self._coweights.get(nu)
+            if wt is None:
+                wt = self._coweights[nu] = tuple(
+                    self.coroot_pairing(nu, j) for j in range(len(nu)))
+        shift = -1 - wt[i]
+        wt_y = tuple(map(add, wt, self.quiver.cartan[i]))  # wt y = wt w2 + alpha_i
         out = {}
-        for y, c in self._e_word(i, w2).items():
-            sub = self.pair_words(x1, y)
+        for y, c in self._e_word(i, w2, wt[i]).items():
+            sub = self.pair_words(x1, y, wt_y)
             if sub:
                 addmul(out, c.c, sub.c, shift=shift)
         acc = finish(out)
@@ -247,9 +311,10 @@ class HighestWeightModule:
         higher multiplicities first.
 
         The weight-space build does not read this list, and neither does
-        ``dims``, which counts the words with ``uminus.count_words``.  It
-        serves the pairing rows behind the canonical element ids and the
-        word samples of the low-height ``verify`` suites.
+        ``dims``, which counts the words with ``uminus.count_words``, nor do
+        ``basis`` and ``graph``, whose element ids walk the words lazily
+        (``canonical.CanonicalBasis._id_sorted``).  It serves the word
+        samples of the low-height ``verify`` suites.
         """
         nu = tuple(nu)
         hit = self._spanning.get(nu)
@@ -333,25 +398,7 @@ class HighestWeightModule:
         self._spaces[nu] = model
         return model
 
-    # -- pairing rows and the zero test --------------------------------------
-
-    def pairing_row(self, u):
-        """Pairings of u against every normalized word of its content.
-
-        Enumerates ``spanning_words``; ``canonical.element_key`` reads
-        element ids off this row, and the tests use it as an oracle for
-        ``is_zero_vector`` that shares only ``pair_words`` with it.
-        """
-        spanning = self.spanning_words(u.content)
-        row = []
-        for m in spanning:
-            acc = {}
-            for w, c in u.terms.items():
-                p = self.pair_words(w, m)
-                if p:
-                    addmul(acc, c.c, p.c)
-            row.append(finish(acc))
-        return row
+    # -- the zero test ----------------------------------------------------
 
     def is_zero_vector(self, u):
         """Zero in the module iff (u, u) = 0.
@@ -382,42 +429,6 @@ class HighestWeightModule:
 
     # -- Weyl-Kac multiplicity oracle -----------------------------------------
 
-    def _dot_orbit(self, lam, hmax):
-        """{nu: (-1)^l(w)} over the w in W with w(lam + rho) - rho = lam - nu
-        and height(nu) <= hmax.
-
-        The walk starts at nu = 0.  A step at vertex i reflects
-        lam + rho - nu in alpha_i; it goes down by
-        (<lam - nu, alpha_i^vee> + 1) alpha_i when that number is positive,
-        and it flips the sign.  lam + rho is regular dominant, so such a
-        step lengthens w by one, and every w has a reduced word whose steps
-        all go strictly down: the walk meets each orbit weight of height
-        <= hmax, with the sign of its length.  Reads only the Cartan matrix.
-        """
-        cart = self.quiver.cartan
-        n = len(lam)
-        orbit = {(0,) * n: 1}
-        frontier = [(0,) * n]
-        while frontier:
-            reached = []
-            for nu in frontier:
-                sign = -orbit[nu]
-                room = hmax - cartan.height(nu)
-                for i, row in enumerate(cart):
-                    step = lam[i] - sum(c * x for c, x in zip(row, nu)) + 1
-                    if not 0 < step <= room:
-                        continue
-                    low = nu[:i] + (nu[i] + step,) + nu[i + 1:]
-                    seen = orbit.get(low)
-                    if seen is None:
-                        orbit[low] = sign
-                        reached.append(low)
-                    elif seen != sign:
-                        raise InternalCheckError(
-                            f"dot orbit of {lam} meets {low} with both signs")
-            frontier = reached
-        return orbit
-
     def freudenthal_multiplicity(self, nu):
         """Weight multiplicity of Lambda - sum nu_i alpha_i, independently of
         the Gram-rank computation.
@@ -433,9 +444,11 @@ class HighestWeightModule:
         in integers.  It reads only the Cartan matrix and Lambda and shares
         no code with the module action or the Gram build.
 
-        Each content's entry is filled once, after every content below it;
-        the orbit weights beta are kept sorted by height, so the sum stops
-        at the first one taller than nu and looks m(nu - beta) up directly.
+        Each content's entry is filled once, after every content below it.
+        Both orbits grow once per module (``DotOrbit``), as far as the
+        tallest nu asked for; the weights beta of N_0 are kept sorted by
+        height, so the sum stops at the first one taller than nu and looks
+        m(nu - beta) up directly.
         """
         nu = tuple(nu)
         if any(x < 0 for x in nu):
@@ -445,13 +458,9 @@ class HighestWeightModule:
         if hit is not None:
             return hit
         h = cartan.height(nu)
-        if h > self._orbits[0]:
-            origin = cartan.zero_vector(len(nu))
-            zero = self._dot_orbit(origin, h)
-            del zero[origin]
-            tall = sorted((cartan.height(beta), beta, sign) for beta, sign in zero.items())
-            self._orbits = (h, self._dot_orbit(self.hw.d, h), tall)
-        _, top, zero = self._orbits
+        self._top.grow(h)
+        self._zero_tall.extend(self._zero.grow(h))
+        top, zero = self._top.signs, self._zero_tall
         # the table is a down-set, so nu is its only missing content when
         # every nu - alpha_i is in it; else fill every missing mu <= nu, each
         # after all contents below it (lexicographic)

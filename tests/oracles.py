@@ -2,10 +2,11 @@
 
 Not a test module (pytest collects only ``test_*.py``).  Nothing here
 evaluates at a point of F_p or imports the package's elimination, so a
-check against these references shares no code with what it checks.
+check against these references shares no code with what it checks, apart
+from ``pair_words``, which the pairing rows below read.
 """
 
-from qcanon.qarith import ONE, ZERO
+from qcanon.qarith import ONE, ZERO, addmul, finish
 
 
 def span(p):
@@ -63,3 +64,31 @@ def greedy_prefix(rows):
             kept.append(row)
             prefix.append(s)
     return prefix
+
+
+def pairing_row(module, u):
+    """Pairings of u against every normalized word of its content
+    (``spanning_words``), one ``pair_words`` sum per word: the reference
+    for ``is_zero_vector`` and for the element ids, sharing only
+    ``pair_words`` with them."""
+    row = []
+    for m in module.spanning_words(u.content):
+        acc = {}
+        for w, c in u.terms.items():
+            p = module.pair_words(w, m)
+            if p:
+                addmul(acc, c.c, p.c)
+        row.append(finish(acc))
+    return row
+
+
+def element_key(module, elem):
+    """Id sort key: the nonzero form values of the element against the
+    normalized words of its content, each tagged by its word serialized
+    through vertex ids, sorted.  The package stores each content in the
+    order of these keys, compared lazily; this lists every word."""
+    q = module.quiver
+    words = module.spanning_words(elem.content)
+    return tuple(sorted(
+        (tuple((q.vertex_id(i), a) for i, a in w), tuple(sorted(p.c.items())))
+        for w, p in zip(words, pairing_row(module, elem.vector)) if p))

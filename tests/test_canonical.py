@@ -8,9 +8,9 @@ from qcanon.qarith import LaurentPoly, ZERO, ONE, qint
 from qcanon.cartan import HighestWeight, parse_quiver_dict, contents_up_to
 from qcanon.hwmodule import HighestWeightModule, InternalCheckError
 from qcanon.uminus import UMinusElement
-from qcanon.canonical import (CanonicalBasis, CBElement, verify_bar_invariant,
-                              element_key)
+from qcanon.canonical import CanonicalBasis, CBElement, verify_bar_invariant
 from qcanon import cli, crystalgraph as cg
+from oracles import element_key
 
 
 def vp(k):
@@ -218,6 +218,38 @@ EXPAND_DATA = {
             "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
             "highest_weight": {"c": 1}}, 5),
 }
+
+
+ID_ORDER_DATA = {
+    "a2_34": ({"vertices": ["1", "2"], "edges": [["1", "2"]],
+               "highest_weight": {"1": 3, "2": 4}}, 7),
+    "kronecker3": (EXPAND_DATA["kronecker3"][0], 6),
+    # the same quiver with its vertices declared in reverse
+    "kronecker3_21": ({"vertices": ["2", "1"], "edges": [["1", "2"]] * 3,
+                       "highest_weight": {"1": 1, "2": 0}}, 6),
+    # ids whose string order ("10" < "11" < "9") is not their numeric one
+    "multidigit": ({"vertices": ["9", "10", "11"],
+                    "edges": [["9", "10"], ["9", "10"], ["10", "11"]],
+                    "highest_weight": {"9": 1, "10": 0, "11": 1}}, 6),
+    # the 3-cycle: many words end in a zero weight space
+    "affine_a2": ({"vertices": ["1", "2", "3"],
+                   "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
+                   "highest_weight": {"1": 1}}, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ID_ORDER_DATA))
+def test_stored_order_is_the_sorted_order_of_full_pairing_rows(name):
+    # the basis compares pairing rows lazily and skips the words that end in
+    # a zero weight space; the oracle lists every word and sorts whole keys
+    datum, hmax = ID_ORDER_DATA[name]
+    m, cb = build(parse_quiver_dict(datum), hmax)
+    sorted_contents = 0
+    for nu in cb.contents():
+        keys = [element_key(m, b) for b in cb.elements(nu)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), nu
+        sorted_contents += len(keys) > 1
+    assert sorted_contents >= 5
 
 
 @pytest.mark.parametrize("name", sorted(EXPAND_DATA))

@@ -384,12 +384,31 @@ def test_verify_at_height_zero_passes(qfile, capsys):
 
 
 def test_resource_cap_exit_3(qfile, capsys, monkeypatch):
-    # dims counts words without listing them; basis lists them for the
-    # element ids
+    # dims counts words without listing them; basis walks them for the
+    # element ids of every content with two elements or more, the first
+    # of which is (2,2) at height 4, and each walk reaches a word
     monkeypatch.setattr(hwmodule, "SPANNING_CAP", 1)
     code, _, err = run_cli(capsys, "basis", "--quiver", qfile(KRON),
-                           "--max-height", "3")
+                           "--max-height", "4")
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("command", [("basis",), ("graph", "--format", "json")])
+def test_basis_and_graph_list_no_words(qfile, capsys, monkeypatch, command):
+    # element ids walk the normalized words of a content lazily, so neither
+    # command lists all of them
+    listed = []
+    spanning_words = HighestWeightModule.spanning_words
+
+    def recorded(self, nu):
+        listed.append(nu)
+        return spanning_words(self, nu)
+
+    monkeypatch.setattr(HighestWeightModule, "spanning_words", recorded)
+    code, out, _ = run_cli(capsys, command[0], "--quiver", qfile(KRON),
+                           "--max-height", "6", *command[1:])
+    assert code == 0 and out
+    assert listed == []
 
 
 def test_gram_cap_exit_3(qfile, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from qcanon.hwmodule import HighestWeightModule, ResourceCapError
 from qcanon.uminus import UMinusElement, mono_mul, serre_element
 from qcanon.canonical import CanonicalBasis
 
-from oracles import greedy_prefix, lp_rank
+from oracles import greedy_prefix, lp_rank, pairing_row
 
 
 def vp(k):
@@ -202,7 +202,7 @@ def test_coordinates_examples(a1_d3):
     assert cb.expand(f4) == []
     assert m.is_zero_vector(f4)
     # residual vector pairs to zero with every spanning monomial
-    assert all(not p for p in m.pairing_row(f4))
+    assert all(not p for p in pairing_row(m, f4))
 
 
 def test_divided_power_self_consistency(a2_adjoint):
@@ -289,16 +289,31 @@ def test_kronecker_root_multiplicities(kronecker):
     m = HighestWeightModule(q, hw)
     roots = {(1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 1,
              (3, 2): 1, (2, 3): 1, (3, 3): 1}
-    assert denominator_product(roots, 2, 6) == m._dot_orbit((0, 0), 6)
+    assert denominator_product(roots, 2, 6) == dot_orbit(q, (0, 0), 6)
 
 
 def test_finite_type_roots(a2_adjoint):
     q, _ = a2_adjoint
-    m = HighestWeightModule(q, HighestWeight([0, 0]))
     roots = {(1, 0): 1, (0, 1): 1, (1, 1): 1}
-    assert denominator_product(roots, 2, 6) == m._dot_orbit((0, 0), 6)
+    assert denominator_product(roots, 2, 6) == dot_orbit(q, (0, 0), 6)
     # the six elements of the Weyl group, signed by length
-    assert len(m._dot_orbit((0, 0), 6)) == 6
+    assert len(dot_orbit(q, (0, 0), 6)) == 6
+
+
+def dot_orbit(q, lam, hmax):
+    orbit = hwmodule.DotOrbit(q.cartan, lam)
+    orbit.grow(hmax)
+    return orbit.signs
+
+
+def test_dot_orbit_grown_in_steps_equals_grown_at_once(kronecker, a2_adjoint):
+    # each grow takes the steps up to its height and keeps the rest
+    for q, lam in [(kronecker[0], (0, 0)), (kronecker[0], (1, 0)), (a2_adjoint[0], (1, 1))]:
+        orbit = hwmodule.DotOrbit(q.cartan, lam)
+        new = [entry for h in (0, 2, 3, 7, 7, 9) for entry in orbit.grow(h)]
+        assert orbit.signs == dot_orbit(q, lam, 9)
+        assert new == sorted(new) and len(new) == len(orbit.signs) - 1
+        assert all(h == sum(nu) and orbit.signs[nu] == sign for h, nu, sign in new)
 
 
 def test_oracle_checks_raise(a1_d3, a2_adjoint):
@@ -308,7 +323,7 @@ def test_oracle_checks_raise(a1_d3, a2_adjoint):
     q, hw = a2_adjoint
     q.cartan = [[0, 0], [-1, 0]]
     with pytest.raises(hwmodule.InternalCheckError, match="both signs"):
-        HighestWeightModule(q, HighestWeight([0, 0]))._dot_orbit((0, 0), 4)
+        dot_orbit(q, (0, 0), 4)
     q1, _ = a1_d3
     q1.cartan = [[0]]
     m = HighestWeightModule(q1, HighestWeight([1]))
@@ -528,7 +543,7 @@ def test_self_pairing_zero_test_matches_pairing_rows(name):
 
     def agree(u):
         zero = m.is_zero_vector(u)
-        assert zero == (not any(m.pairing_row(u))), u
+        assert zero == (not any(pairing_row(m, u))), u
         if u.terms:
             verdicts[zero] += 1
         return zero
