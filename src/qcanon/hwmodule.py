@@ -201,14 +201,28 @@ class HighestWeightModule:
         return out
 
     def apply_E(self, i, u):
-        if u.content[i] == 0:
+        top = u.content[i]
+        if top == 0:
             return UMinusElement(u.content)
-        content = cartan.vec_sub(u.content, cartan.unit_vector(self.quiver.n, i))
+        content = u.content[:i] + (top - 1,) + u.content[i + 1:]
         out = {}
         for w, c in u.terms.items():
             for y, cy in self._e_word(i, w).items():
                 addmul(out.setdefault(y, {}), c.c, cy.c)
         return UMinusElement(content, {y: finish(acc) for y, acc in out.items()})
+
+    def e_chain(self, i, u, top):
+        """[E_i^(r) u for r = 0, ..., top]: each entry is one ``apply_E`` on
+        the entry before, divided by [r], since E_i^(r) = E_i E_i^(r-1) / [r];
+        exact by construction on the module."""
+        chain = [u]
+        for r in range(1, top + 1):
+            out = self.apply_E(i, chain[-1])
+            if r > 1 and out.terms:
+                d = qint(r)
+                out = out.map_coeffs(lambda c: c.divexact(d))
+            chain.append(out)
+        return chain
 
     def apply_E_divided(self, i, n, u):
         """E_i^(n) = E_i^n / [n]!; exact by construction on the module."""

@@ -2,13 +2,12 @@
 algebra: words in divided powers, their product, the restriction coproduct
 with its explicit shift, the derivations, and Serre elements.
 
-The coproduct of a word is one slotwise pass over every splitting of its
-slot multiplicities; the shift of a splitting is Lusztig's five-term
-exponent in a closed form read off one right-to-left scan
-(``_shift_exponent``).  The four derivations are its components with one
-factor F_i, read off by a single slot extraction that takes the side and,
-for the two that pair with the module, a twist; their exponents need only
-the running content beside the slot.  Coefficient sums accumulate in one
+The coproduct of a word is built from that of its suffix, one slot at a
+time and memoized for the process (``_coproduct``); each slot adds its
+term of Lusztig's five-term shift.  The four derivations are its
+components with one factor F_i, read off by a single slot extraction that
+takes the side and, for the two that pair with the module, a twist; their
+exponents need only the running content beside the slot.  Coefficient sums accumulate in one
 exponent map per word (``qarith.addmul``), not a new polynomial per term.
 
 A word is a tuple ((i_1, a_1), ..., (i_k, a_k)) of (vertex index,
@@ -28,7 +27,6 @@ and is stored as the ``UMinusElement`` x; the module's F_i^(n) is
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .qarith import LaurentPoly, ZERO, ONE, addmul, finish, qbinom
@@ -194,58 +192,41 @@ def mono_mul(x, y):
 # -- restriction coproduct -------------------------------------------------
 
 
-def _shift_exponent(quiver, slots, bs):
-    """The shift M(tau, omega) for one slotwise splitting, in one
-    right-to-left scan.
-
-    ``slots`` is the raw word ((i_l, a_l)); ``bs`` the tau-multiplicities
-    b_l (the omega part is c_l = a_l - b_l).  With A = ``quiver.a``
-    (symmetric, zero diagonal) and tau_{>l} the tau content right of slot l,
-
-        M = - sum_l c_l (b_l + 2 tau_{>l}[i_l] - 2 (A tau_{>l})[i_l]).
-
-    This is Lusztig's five-term shift (Introduction to Quantum Groups,
-    1993, 1.2-1.4) summed slot by slot.  Each term pairs the omega part
-    c_l of a slot with tau on one side of it: the cross term over edge
-    pairs l' < l is -2 sum_l c_l (A tau_{<l})[i_l]; the global edge term
-    2 sum_l c_l (A tau)[i_l] cancels it on the left and leaves
-    2 (A tau_{>l})[i_l], since A has no diagonal; the two same-vertex
-    slot-order terms give c_l (tau_{<l} - tau_{>l})[i_l]; and the global
-    term -sum_i tau_i omega_i gives -c_l (tau_{<l} + b_l + tau_{>l})[i_l].
-    """
-    a = quiver.a
-    d = [0] * quiver.n  # (I - A) tau_{>l}
-    m = 0
-    for l in range(len(slots) - 1, -1, -1):
-        i, top = slots[l]
-        b = bs[l]
-        if top - b:
-            m -= (top - b) * (b + 2 * d[i])
-        if b:
-            d[i] += b
-            for j, x in enumerate(a[i]):
-                if x:
-                    d[j] -= x * b
-    return m
-
-
 def restriction_coproduct(quiver, word):
-    """Every coproduct component of a word, from one slotwise pass.
-
-    Each splitting 0 <= b_l <= a_l of the slot multiplicities gives the tau
-    slots (i_l, b_l) and the omega slots (i_l, a_l - b_l), with coefficient
-    v^M times the merge scalars of both.  Returns a list of (tau word, omega
+    """Every coproduct component of a word: a new list of (tau word, omega
     word, coefficient) with normalized words and aggregated coefficients,
-    sorted by (tau content, tau word, omega word).
+    sorted by (tau content, tau word, omega word), over the components
+    ``_coproduct`` keeps for the process."""
+    return [(t, o, c) for _, t, o, c in _coproduct(tuple(map(tuple, quiver.a)), word)]
+
+
+@lru_cache(maxsize=None)
+def _coproduct(a, word):
+    """The components of a word as a tuple of (tau content, tau, omega,
+    coefficient), built from those of its suffix: memoized for the process
+    over the arrow-matrix rows ``a`` and the word, so words that share a
+    suffix expand it once.
+
+    For word = F_i^(x) w', each component (tau', omega') of w' and each
+    split x = b + c of the new slot give tau = F_i^(b) tau' and omega =
+    F_i^(c) omega', times the merge scalars and v^(-c (b + 2 d)), where d =
+    tau'_i - (A tau')_i.  Summed over the slots, these are Lusztig's
+    five-term shift (Introduction to Quantum Groups, 1993, 1.2-1.4): each
+    slot pairs its omega part c with the tau content right of it.
     """
-    n = quiver.n
+    if not word:
+        return (((0,) * len(a), EMPTY_WORD, EMPTY_WORD, ONE),)
+    (i, x), rest = word[0], word[1:]
     agg = {}
-    for bs in itertools.product(*(range(a + 1) for _, a in word)):
-        tau_word, s1 = normalize_slots((i, b) for (i, _), b in zip(word, bs))
-        omega_word, s2 = normalize_slots((i, a - b) for (i, a), b in zip(word, bs))
-        key = (word_content(tau_word, n), tau_word, omega_word)
-        addmul(agg.setdefault(key, {}), s1.c, s2.c, shift=_shift_exponent(quiver, word, bs))
-    return [(t, o, c) for (_, t, o), acc in sorted(agg.items()) if (c := finish(acc))]
+    for mu, tau, omega, coeff in _coproduct(a, rest):
+        d = mu[i] - sum(e * y for e, y in zip(a[i], mu))
+        for b in range(x + 1):
+            t, s1 = concat_words(((i, b),) if b else EMPTY_WORD, tau)
+            o, s2 = concat_words(((i, x - b),) if x - b else EMPTY_WORD, omega)
+            s = s2 if s1 is ONE else s1 if s2 is ONE else s1 * s2
+            key = (mu[:i] + (mu[i] + b,) + mu[i + 1:], t, o)
+            addmul(agg.setdefault(key, {}), coeff.c, s.c, shift=-(x - b) * (b + 2 * d))
+    return tuple((mu, t, o, c) for (mu, t, o), acc in sorted(agg.items()) if (c := finish(acc)))
 
 
 def rbar(quiver, x, i):
@@ -280,14 +261,14 @@ def _extraction(quiver, x, i, right, twisted):
 
     The term is the coproduct component with tau multiplicities a - delta_l
     (right: omega is the single F_i) or delta_l (left: tau is the single
-    F_i), so it carries v^M of that splitting.  By the closed form of
-    ``_shift_exponent`` that is M = 1 - a + 2 (A mu)_i - 2 mu_i, with mu
+    F_i), so it carries v^M of that splitting.  Summed over the slot terms
+    of ``_coproduct`` that is M = 1 - a + 2 (A mu)_i - 2 mu_i, with mu
     the content of the slots right (right) or left (left) of slot l.  With
     ``twisted`` it also carries v^{-(A mu)_i}.  mu is kept as a running
     weight sum over the slots passed.
     """
-    n = quiver.n
-    if x.content[i] == 0:
+    top = x.content[i]
+    if top == 0:
         return UMinusElement(x.content)
     per_edge = 1 if twisted else 2
     weight = [per_edge * e - 2 * (k == i) for k, e in enumerate(quiver.a[i])]
@@ -301,7 +282,7 @@ def _extraction(quiver, x, i, right, twisted):
                 reduced, scal = normalize_slots(word[:l] + ((i, a - 1),) + word[l + 1:])
                 addmul(out.setdefault(reduced, {}), c.c, scal.c, shift=1 - a + passed)
             passed += weight[j] * a
-    return UMinusElement(cartan.vec_sub(x.content, cartan.unit_vector(n, i)),
+    return UMinusElement(x.content[:i] + (top - 1,) + x.content[i + 1:],
                          {w: finish(acc) for w, acc in out.items()})
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .qarith import LaurentPoly, ZERO, ONE, qint, ExactDivisionError
+from .qarith import LaurentPoly, ZERO, ONE, addmul, finish, qint, ExactDivisionError
 from . import cartan
 from .cartan import contents_of_height, contents_up_to, unit_vector, vec_add, vec_sub
 from .uminus import (UMinusElement, concat_words, mono_mul, word_content, word_str,
@@ -91,9 +91,15 @@ def suite_relations(ctx):
     n = q.n
     for nu in ctx.all_contents():
         for u in ctx.basis_vectors(nu):
+            # the images of u that the checks below read, each built once;
+            # both sides of every check still go through the operators
+            E = [m.apply_E(i, u) for i in range(n)]
+            F = [m.apply_F(i, 1, u) for i in range(n)]
+            K = [m.apply_K(j, +1, u) for j in range(n)]
+            F2 = [m.apply_F(i, 2, u) for i in range(n)]
             for i in range(n):
                 # E_i F_i - F_i E_i = [<wt, a_i^vee>] Id
-                lhs = m.apply_E(i, m.apply_F(i, 1, u)) - m.apply_F(i, 1, m.apply_E(i, u))
+                lhs = m.apply_E(i, F[i]) - m.apply_F(i, 1, E[i])
                 rhs = u.scale(qint(m.coroot_pairing(nu, i)))
                 if m.vectors_equal(lhs, rhs):
                     res.ok()
@@ -101,32 +107,28 @@ def suite_relations(ctx):
                     res.fail(f"[E{i},F{i}] != [pairing] on {_fmt_vec(q, u)} at {nu}")
                 for j in range(n):
                     if j != i:
-                        a = m.apply_E(i, m.apply_F(j, 1, u))
-                        b = m.apply_F(j, 1, m.apply_E(i, u))
+                        a = m.apply_E(i, F[j])
+                        b = m.apply_F(j, 1, E[i])
                         if m.vectors_equal(a, b):
                             res.ok()
                         else:
                             res.fail(f"E{i}F{j} != F{j}E{i} on {_fmt_vec(q, u)} at {nu}")
                     # K commutations: E_i K_j = v^{-c_ji} K_j E_i, F_i K_j = v^{c_ij} K_j F_i
-                    e = m.apply_E(i, u)
-                    a = m.apply_E(i, m.apply_K(j, +1, u))
-                    b = m.apply_K(j, +1, e).scale(LaurentPoly.v_power(-q.cartan[j][i]))
+                    a = m.apply_E(i, K[j])
+                    b = m.apply_K(j, +1, E[i]).scale(LaurentPoly.v_power(-q.cartan[j][i]))
                     if m.vectors_equal(a, b):
                         res.ok()
                     else:
                         res.fail(f"E{i}K{j} twist wrong at {nu}")
-                    a = m.apply_F(i, 1, m.apply_K(j, +1, u))
-                    b = m.apply_K(j, +1, m.apply_F(i, 1, u)).scale(
-                        LaurentPoly.v_power(q.cartan[i][j]))
+                    a = m.apply_F(i, 1, K[j])
+                    b = m.apply_K(j, +1, F[i]).scale(LaurentPoly.v_power(q.cartan[i][j]))
                     if m.vectors_equal(a, b):
                         res.ok()
                     else:
                         res.fail(f"F{i}K{j} twist wrong at {nu}")
                 # divided-power self-consistency: [n] F^(n) u = F(F^(n-1) u)
-                for dp in (2, 3):
-                    a = m.apply_F(i, dp, u).scale(qint(dp))
-                    b = m.apply_F(i, 1, m.apply_F(i, dp - 1, u))
-                    if a == b:
+                for dp, a, low in ((2, F2[i], F[i]), (3, m.apply_F(i, 3, u), F2[i])):
+                    if a.scale(qint(dp)) == m.apply_F(i, 1, low):
                         res.ok()
                     else:
                         res.fail(f"[{dp}]F^({dp}) != F F^({dp-1}) at {nu}")
@@ -144,22 +146,24 @@ def suite_serre(ctx):
     res = SuiteResult("serre")
     m, q = ctx.module, ctx.quiver
     n = q.n
+    relators = {(i, j): serre_element(q, i, j) for i in range(n) for j in range(n) if i != j}
+    # the E-Serre sums at vertex i read E_i^(r) u for r <= 1 + max_j a_ij
+    tops = [1 + max((q.a[i][j] for j in range(n) if j != i), default=-1) for i in range(n)]
     for nu in ctx.all_contents():
         for u in ctx.basis_vectors(nu):
             for i in range(n):
+                chain = m.e_chain(i, u, tops[i])
                 for j in range(n):
                     if i == j:
                         continue
-                    if m.is_zero_vector(mono_mul(serre_element(q, i, j), u)):
+                    if m.is_zero_vector(mono_mul(relators[i, j], u)):
                         res.ok()
                     else:
                         res.fail(f"F-Serre({i},{j}) nonzero on {_fmt_vec(q, u)} at {nu}")
                     a = q.a[i][j]
                     acc = None
                     for mm in range(a + 2):
-                        t = u
-                        if 1 + a - mm:
-                            t = m.apply_E_divided(i, 1 + a - mm, t)
+                        t = chain[1 + a - mm]
                         if t.terms:
                             t = m.apply_E(j, t)
                         if mm and t.terms:
@@ -219,6 +223,11 @@ def suite_derivation(ctx, hcap=4):
     hmax = min(hcap, ctx.max_height)
     for h in range(hmax + 1):
         for nu in contents_of_height(n, h):
+            # the exponents of the identity at (nu, i), once per content: it
+            # adds ibar times v^((alpha_i, nu - alpha_i) - Lambda_i) and
+            # subtracts rbar times v^(Lambda_i)
+            shifts = [(q.sym_form(unit_vector(n, i), vec_sub(nu, unit_vector(n, i)))
+                       - ctx.hw[i], ctx.hw[i]) if nu[i] else None for i in range(n)]
             for w in m.spanning_words(nu):
                 x = m.monomial_vector(w)
                 for i in range(n):
@@ -229,14 +238,13 @@ def suite_derivation(ctx, hcap=4):
                         else:
                             res.ok()
                         continue
-                    low = vec_sub(nu, unit_vector(n, i))
-                    pair_ix = q.sym_form(unit_vector(n, i), low)
+                    ishift, rshift = shifts[i]
                     combo = {}
                     for w2, c in ibar_derivation(q, x, i).terms.items():
-                        combo[w2] = combo.get(w2, ZERO) + c.shift(pair_ix - ctx.hw[i])
+                        addmul(combo.setdefault(w2, {}), c.c, ONE.c, shift=ishift)
                     for w2, c in rbar_derivation(q, x, i).terms.items():
-                        combo[w2] = combo.get(w2, ZERO) - c.shift(ctx.hw[i])
-                    combo = {k: v for k, v in combo.items() if v}
+                        addmul(combo.setdefault(w2, {}), c.c, ONE.c, k=-1, shift=rshift)
+                    combo = {k: c for k, acc in combo.items() if (c := finish(acc))}
                     try:
                         divided = {k: v.divexact(V_INV_MINUS_V) for k, v in combo.items()}
                     except ExactDivisionError:

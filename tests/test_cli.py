@@ -117,10 +117,12 @@ def test_cache_round_trip(qfile, capsys, tmp_path):
     assert code == 0
     assert cached == fresh
     # prove the second run served the stored payload
-    store = json.loads(open(cache).read())
+    with open(cache) as fh:
+        store = json.load(fh)
     (key,) = store["entries"]
     store["entries"][key]["payload"] = "tampered\n"
-    open(cache, "w").write(json.dumps(store))
+    with open(cache, "w") as fh:
+        fh.write(json.dumps(store))
     code, out, _ = run_cli(capsys, "basis", "--quiver", path,
                            "--max-height", "3", "--cache", cache)
     assert out == "tampered\n"

@@ -2,8 +2,9 @@
 function and class the package defines is used in the package, every
 parameter is read, the layers import one way only, no module imports
 rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]), the
-package re-exports every class and function under its own name, and the
-tests' reference eliminations share no elimination with the package."""
+package re-exports every class and function under its own name, the
+tests' reference eliminations share no elimination with the package, and
+their reference coproduct takes nothing from the package's coproduct."""
 
 import ast
 import importlib
@@ -200,20 +201,22 @@ ELIMINATION_NAMES = {"lp_sym_echelon", "rank_mod_p", "_cramer_span",
                      "EVAL_POINT", "EVAL_PRIME"}
 
 
-def qarith_names(source):
-    """The names a source takes from ``qcanon.qarith``: imported from it, or
-    read as attributes of the module under any name it is bound to."""
+def taken_names(source, module):
+    """The names a source takes from the package module ``module`` (such as
+    ``qcanon.qarith``): imported from it, or read as attributes of the
+    module under any name it is bound to."""
+    short = module.split(".")[1]
     tree = ast.parse(source)
     names, modules = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "qcanon.qarith":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module == "qcanon":
-            modules.update(alias.asname or "qarith" for alias in node.names
-                           if alias.name == "qarith")
+            modules.update(alias.asname or short for alias in node.names
+                           if alias.name == short)
         elif isinstance(node, ast.Import):
             modules.update(alias.asname or alias.name for alias in node.names
-                           if alias.name == "qcanon.qarith")
+                           if alias.name == module)
     names.update(node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules)
     return names
@@ -222,11 +225,48 @@ def qarith_names(source):
 def test_oracles_share_no_elimination_with_the_package():
     source = ORACLES.read_text()
     assert "def lp_rank(" in source
-    assert qarith_names(source) & ELIMINATION_NAMES == set()
+    assert taken_names(source, "qcanon.qarith") & ELIMINATION_NAMES == set()
 
 
 def test_detector_sees_qarith_names():
     source = ("from qcanon.qarith import ONE, rank_mod_p\n"
               "from qcanon import qarith as qa\nimport qcanon.qarith\n\n\n"
               "def f():\n    return qa.EVAL_POINT + qcanon.qarith.EVAL_PRIME\n")
-    assert qarith_names(source) == {"ONE", "rank_mod_p", "EVAL_POINT", "EVAL_PRIME"}
+    assert taken_names(source, "qcanon.qarith") == {
+        "ONE", "rank_mod_p", "EVAL_POINT", "EVAL_PRIME"}
+
+
+def reached(source, root):
+    """The module-level definitions and assignments of a source that
+    ``root`` reaches through the names their bodies read, root included."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in seen:
+            seen.add(name)
+            todo.extend(n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name))
+    return seen
+
+
+def test_the_coproduct_oracle_takes_nothing_from_the_coproduct_path():
+    path = reached((PACKAGE[0].parent / "uminus.py").read_text(), "restriction_coproduct")
+    assert {"restriction_coproduct", "_coproduct", "concat_words", "EMPTY_WORD"} <= path
+    source = ORACLES.read_text()
+    assert "def slotwise_coproduct(" in source
+    assert taken_names(source, "qcanon.uminus") & path == set()
+
+
+def test_detector_sees_a_reached_definition():
+    source = ("X = 1\n\n\ndef root():\n    return helper() + X\n\n\n"
+              "def helper():\n    return deep()\n\n\ndef deep():\n    return 0\n\n\n"
+              "def other():\n    return root()\n")
+    assert reached(source, "root") == {"root", "helper", "deep", "X"}
+    assert taken_names("from qcanon.uminus import concat_words\nfrom qcanon import uminus\n"
+                       "x = uminus._coproduct\n", "qcanon.uminus") == {
+        "concat_words", "_coproduct"}

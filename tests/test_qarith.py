@@ -452,6 +452,55 @@ def test_wide_relations_are_found_by_the_span_solve():
     assert lp_sym_echelon(gram) == expected
 
 
+def test_each_rejected_row_takes_logarithmically_many_solves(monkeypatch):
+    # Kronecker (1,0) at (4, 6): rows 1 - 5 are rejected by relations of
+    # span 2 to 6.  A row whose minimal relation has span d takes the span-1
+    # solve and one probe per power of two up to the first >= d, where a
+    # span-by-span search takes d solves
+    _, gram = _kronecker_space(["1", "2"], (4, 6))
+    rows = []
+    solve, certify, is_relation = qarith._span_form, qarith._certify, qarith._is_relation
+
+    def counted_certify(rows_, s, mult):
+        rows.append({"row": s, "solves": 0, "span": None})
+        return certify(rows_, s, mult)
+
+    def counted_solve(*args):
+        rows[-1]["solves"] += 1
+        return solve(*args)
+
+    def spanned(rows_, c):
+        ok = is_relation(rows_, c)
+        if ok:
+            exponents = [e for ck in c.values() for e in ck]
+            rows[-1]["span"] = max(exponents) - min(exponents)
+        return ok
+
+    monkeypatch.setattr(qarith, "_certify", counted_certify)
+    monkeypatch.setattr(qarith, "_span_form", counted_solve)
+    monkeypatch.setattr(qarith, "_is_relation", spanned)
+    assert lp_sym_echelon(gram) == greedy_prefix(gram) == [0]
+    assert [r["row"] for r in rows] == [1, 2, 3, 4, 5]
+    assert [r["span"] for r in rows] == [2, 6, 6, 4, 4]
+    for r in rows:
+        assert r["solves"] <= 1 + (r["span"] - 1).bit_length(), r
+    assert sum(r["solves"] for r in rows) < sum(r["span"] for r in rows)
+
+
+def test_a_singular_support_block_falls_back_to_the_span_search():
+    # an indefinite symmetric matrix: pivots 0, 1, 2 and row 3 = row 1 +
+    # v^2 row 2.  Row 1 vanishes on the support columns 1, 2, 3, so the
+    # probe there leaves four free unknowns at span 2 and reads no line;
+    # the search over every column at spans 2, 3, ... certifies the row
+    a = [[ONE, V, ONE], [V, ZERO, ZERO], [ONE, ZERO, ONE]]
+    t = [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ONE], [ZERO, ZERO, ONE, V * V]]
+    gram = [[sum((t[r][i] * a[r][k] * t[k][j] for r in range(3) for k in range(3)), ZERO)
+             for j in range(4)] for i in range(4)]
+    assert len(qarith._span_form(gram, [1, 2, 3], 2, 1, [1, 2, 3]).free) == 4
+    assert qarith._span_relation(gram, [1, 2, 3], 2) == {1: {0: -1}, 2: {2: -1}, 3: {0: 1}}
+    assert lp_sym_echelon(gram) == greedy_prefix(gram) == [0, 1, 2]
+
+
 @pytest.mark.parametrize("vertices,nu", [(["2", "1"], (5, 5)), (["1", "2"], (4, 6))])
 def test_a_wrong_relation_is_refused(monkeypatch, vertices, nu):
     _, gram = _kronecker_space(vertices, nu)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from collections import Counter
@@ -9,11 +10,12 @@ from qcanon.cartan import contents_of_height, contents_up_to
 from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
                            word_content, restriction_coproduct,
                            rbar, ibar, rbar_derivation, ibar_derivation,
-                           serre_element, normalize_slots, count_words,
-                           _shift_exponent)
+                           serre_element, normalize_slots, count_words)
 from qcanon.hwmodule import HighestWeightModule
-from qcanon import uminus
+from qcanon import uminus, verify
 from qcanon.cartan import HighestWeight, parse_quiver_dict
+
+from oracles import shift_exponent, slotwise_coproduct
 
 KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3, "highest_weight": {"1": 1}}
 D4 = {"vertices": ["c", "1", "2", "3"], "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
@@ -103,10 +105,10 @@ def components(q, word, tau_content):
 
 
 def five_term_shift(quiver, slots, bs):
-    """Oracle for ``_shift_exponent``: Lusztig's shift M(tau, omega) as its
-    five terms, in order: the cross term over edge pairs with l' < l, the
-    global edge term on total dimensions, the two same-vertex slot-order
-    terms, and the global same-vertex term."""
+    """Oracle for ``oracles.shift_exponent``: Lusztig's shift M(tau, omega)
+    as its five terms, in order: the cross term over edge pairs with
+    l' < l, the global edge term on total dimensions, the two same-vertex
+    slot-order terms, and the global same-vertex term."""
     n = quiver.n
     k = len(slots)
     cs = [slots[l][1] - bs[l] for l in range(k)]
@@ -150,7 +152,7 @@ def test_one_scan_shift_matches_the_five_terms(datum):
     for _ in range(40):
         w = random_word(rng, q.n)
         for bs in itertools.product(*(range(a + 1) for _, a in w)):
-            assert _shift_exponent(q, w, bs) == five_term_shift(q, w, bs), (w, bs)
+            assert shift_exponent(q, w, bs) == five_term_shift(q, w, bs), (w, bs)
 
 
 def extraction_oracle(q, w, i, right, twisted):
@@ -207,6 +209,57 @@ def test_coproduct_v1_counts_match_classical_binomials(a2_adjoint):
     assert len(splittings) == 9
     for tau_content, count in splittings.items():
         assert sum(c.at_one() for _, _, c in components(q, w, tau_content)) == count
+
+
+def as_data(terms):
+    return [(t, o, c.c) for t, o, c in terms]
+
+
+@pytest.mark.parametrize("datum", SHIFT_DATA, ids=("kronecker3", "d4", "a3", "wild3"))
+def test_suffix_coproduct_matches_the_slotwise_pass_on_random_words(datum):
+    q, _ = parse_quiver_dict(datum)
+    rng = random.Random(25)
+    for _ in range(60):
+        w = random_word(rng, q.n)
+        assert as_data(restriction_coproduct(q, w)) == as_data(slotwise_coproduct(q, w)), w
+
+
+def test_suffix_coproduct_matches_the_slotwise_pass_up_to_height_5():
+    for datum in (D4, KRON3):
+        q, _ = parse_quiver_dict(datum)
+        words = all_words(q, 5)
+        assert len(words) > 60
+        for w in words:
+            assert as_data(restriction_coproduct(q, w)) == as_data(slotwise_coproduct(q, w)), w
+
+
+def test_a_verify_run_leaves_the_memoized_coproducts_unchanged():
+    # the components are kept for the process and handed out in new lists;
+    # no suite may write into them or into their coefficients
+    q, hw = parse_quiver_dict(D4)
+    uminus._coproduct.cache_clear()
+    for r in verify.run_suites(verify.VerifyContext(q, hw, 4), verify.DEFAULT_SUITES):
+        assert r.passed, (r.name, r.failures)
+    info = uminus._coproduct.cache_info()
+    assert info.hits and info.currsize
+    words = [w for w in all_words(q, 4) if w]
+    for w in words:
+        assert as_data(restriction_coproduct(q, w)) == as_data(slotwise_coproduct(q, w)), w
+    assert uminus._coproduct.cache_info().currsize == info.currsize
+    first = restriction_coproduct(q, words[-1])
+    first.clear()
+    assert restriction_coproduct(q, words[-1])
+
+
+def test_the_coproduct_memo_is_keyed_by_the_arrow_matrix():
+    # a copy of the quiver with one arrow fewer gets its own coproducts
+    q, _ = parse_quiver_dict(KRON3)
+    w = ((1, 1), (0, 1))
+    fewer = copy.deepcopy(q)
+    fewer.a[0][1] -= 1
+    fewer.a[1][0] -= 1
+    assert restriction_coproduct(fewer, w) != restriction_coproduct(q, w)
+    assert as_data(restriction_coproduct(fewer, w)) == as_data(slotwise_coproduct(fewer, w))
 
 
 def test_coproduct_components_are_the_extractions(a2_adjoint):
