@@ -25,8 +25,10 @@ lower, and the A2 (6,6) h=10 `dims` and A2 (3,4) h=11 `basis` digests
 before the exact fraction-free fallback of the weight-space elimination
 was deleted, and the affine A3 h=8 and multi-digit-id h=6 `basis` digests
 before element ids were read off lazily compared pairing streams instead
-of full pairing rows; every later change that is meant to
-keep the output must keep these bytes.  Every `dims` row must also agree with the
+of full pairing rows, and the wild-3 h=8 `basis` and `graph` and affine
+A2 (3,3,3) h=6 `basis` digests before t_i and the left-graph arrows were
+read off the canonical-basis induction; every later change that is meant
+to keep the output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
 
@@ -77,6 +79,10 @@ DATA = {
     "wild3": {"vertices": ["1", "2", "3"],
               "edges": [["1", "2"], ["1", "2"], ["2", "3"], ["2", "3"]],
               "highest_weight": {"1": 0, "2": 1, "3": 0}},
+    # a weight large against the height: every word up to h=6 is nonzero
+    "affine_a2_333": {"vertices": ["1", "2", "3"],
+                      "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
+                      "highest_weight": {"1": 3, "2": 3, "3": 3}},
 }
 
 # (datum, max height, subcommand arguments) -> sha256 of stdout
@@ -149,6 +155,12 @@ GOLDEN = [
      "28e6320293ec5710511f3baca0ea693ff885f8f9f7d73003c850686ffa9e024c"),
     ("multidigit", 6, ("basis",),
      "34d2b5161e84f2379d9f33feb4820e811be959adbca99e343b75ccf1e1cab954"),
+    ("wild3", 8, ("basis",),
+     "8343774f9d1904e282be0234c8fc71b2393f10212cc2266c42e842fe0255d46a"),
+    ("wild3", 8, ("graph", "--format", "json"),
+     "bbcca405740c95ba264095c8a37a130139d8746b4795a3251d5fc94962664471"),
+    ("affine_a2_333", 6, ("basis",),
+     "001549d0522dc02637643125a9c4b0927068ececbfaac9a90bd502fd04aadec7"),
 ]
 
 
