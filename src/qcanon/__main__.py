@@ -1,8 +1,6 @@
 """``python -m qcanon``: the command-line front end in ``qcanon.cli``."""
 
-import sys
-
-from .cli import main
+from .cli import main_and_exit
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main_and_exit()

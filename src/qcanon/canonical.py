@@ -8,16 +8,22 @@ elements by subtracting sym_truncate of the offending pairings until every
 pairing drops into v^-1 Z[v^-1].  Convergence is guarded: the maximal
 degree of an offending pairing must strictly decrease on every pass.
 
-Once a content's elements are stored, each element b gets ``b.t``, where
-``b.t[i]`` is t_i(b): the largest r with b inside the image of F_i^(r) on
-the weight space below.  That image is spanned by the canonical basis
-elements it contains (Kashiwara; Lusztig), so it is read as a set of
-positions: the columns touched by the canonical-basis coordinates of
-F_i^(r) applied to the basis words below.  One modular rank per
-(content, i, r) (``qarith.rank_mod_p``) certifies that those rows span the
-coordinate subspace of the columns they touch; a rank that falls short at
-the evaluation point raises CompletionError, with no exact fallback.  The
-induction seeds from t_i = 0, and the left graph reads the same values.
+The induction also reads t_i.  At every seed (i, t, b0) it records the
+exact coordinates of F_i^(t) b0 against the elements accepted so far: the
+orthogonalization's own sym_truncate subtractions, plus coordinate 1 on the
+candidate itself when it is accepted.  By the string property (Kashiwara,
+Duke 63 (1991); Lusztig, Introduction to Quantum Groups, ch. 14),
+F_i^(t) b0 = b'' + sum c b', where t_i(b'') = t, every b' has
+t_i(b') > t, and b'' occurs iff t <= <wt b0, alpha_i^vee>.  The seeds of
+vertex i come with t descending, so every b' already has its t_i, and b''
+is the one element of nonzero coordinate that has none; its coordinate
+must be exactly 1.  It gets t_i = t and becomes the seed's arrow target
+(``leaders``, read by the left graph); an element that no seed reaches has
+t_i = 0.  A record that breaks this raises CompletionError.  The exact
+coordinates prove t_i(b'') >= t.  The upper bound, that the image of
+F_i^(t+1) is spanned by the elements with t_i > t and so misses b'', is
+the spanning half of the same string property: the theorem the seeding
+itself rests on, and the certificate here.
 
 Each content's elements are stored in id order the moment the content is
 built, before any higher content is, so a storage position is the index of
@@ -47,7 +53,7 @@ row for the bar of the vector.
 
 from __future__ import annotations
 
-from .qarith import LaurentPoly, ONE, addmul, finish, rank_mod_p, sym_truncate
+from .qarith import LaurentPoly, ONE, addmul, finish, sym_truncate
 from .hwmodule import InternalCheckError, ResourceCapError
 from . import cartan, hwmodule
 
@@ -58,15 +64,15 @@ class OrthogonalizationError(RuntimeError):
 
 class CompletionError(RuntimeError):
     """A content fails a completeness check: its element count against the
-    Gram rank, an element's self-pairing or bar-invariance, or the
-    certificate of an image of F_i^(r)."""
+    Gram rank, an element's self-pairing or bar-invariance, or the string
+    property of a seed's recorded coordinates."""
 
 
 class CBElement:
     """One canonical basis element.
 
     ``vector`` is the exact monomial combination, ``t`` the tuple of t_i
-    values (set by the basis once the content is complete), and
+    values (read off the seeds' coordinates once the content is built), and
     ``provenance`` the seeding datum (i, t, (lower content, parent
     position)); the parent is None for the highest weight vector.
     ``CanonicalBasis.expand`` reads every vector against the content's list
@@ -95,6 +101,9 @@ class CanonicalBasis:
         self._offsets = {}  # content -> N = Gram - I of the stored elements
         self._word_coords = {}  # word -> its coordinates, from _solve_word
         self._by_id = sorted(range(n), key=module.quiver.vertex_id)  # a slot's walk order
+        # (content, pos, i, t) of a seed b with t_i(b) = 0 -> position of the
+        # leading element of F_i^(t) b one string step up, or None
+        self.leaders = {}
 
     def elements(self, nu):
         nu = tuple(nu)
@@ -109,22 +118,30 @@ class CanonicalBasis:
         n = self.module.quiver.n
         for h in range(self.max_height + 1, hmax + 1):
             for nu in cartan.contents_of_height(n, h):
-                elems = self.store[nu] = self._id_sorted(nu, self._compute_content(nu))
-                if elems:
-                    self._set_t(nu, elems)
+                elems, records = self._compute_content(nu)
+                elems = self.store[nu] = self._id_sorted(nu, elems)
+                pos = {b: p for p, b in enumerate(elems)}
+                for key, lead in records:
+                    self.leaders[key] = None if lead is None else pos[lead]
         self.max_height = max(self.max_height, hmax)
         return self
 
     # -- the induction ---------------------------------------------------
 
     def _compute_content(self, nu):
+        """The elements at nu, with ``t`` set, and one record per seed:
+        ((parent content, parent position, i, t), leading element or
+        None)."""
         mod = self.module
         if cartan.height(nu) == 0:
             vac = mod.vacuum()
-            return [CBElement(nu, vac, (None, 0, None),
-                              self_pairing=mod.self_pairing(vac))]
+            top = CBElement(nu, vac, (None, 0, None), self_pairing=mod.self_pairing(vac))
+            top.t = (0,) * len(nu)
+            return [top], []
         space = mod.weight_space(nu)
         accepted = []
+        ts = []  # ts[k][i] is t_i of accepted[k], 0 until a seed reaches it
+        records = []
         for i in self.order:
             for t in range(nu[i], 0, -1):
                 low = tuple(x - (t if k == i else 0) for k, x in enumerate(nu))
@@ -132,37 +149,56 @@ class CanonicalBasis:
                     if parent.t[i] != 0:
                         continue
                     cand = mod.apply_F(i, t, parent.vector)
-                    cand = self._orthogonalize(cand, accepted)
+                    cand, coords = self._orthogonalize(cand, accepted)
                     sp = mod.self_pairing(cand)
-                    if not sp:
-                        continue  # duplicate of an earlier seed (anisotropy)
-                    if not sp.is_one_plus_lower():
-                        raise CompletionError(
-                            f"nonzero candidate at {nu} with self-pairing {sp}")
-                    elem = CBElement(nu, cand, (i, t, (low, parent_pos)),
-                                     self_pairing=sp)
-                    if not verify_bar_invariant(mod, elem):
-                        raise CompletionError(
-                            f"accepted element at {nu} is not bar-invariant")
-                    accepted.append(elem)
+                    if sp:  # else a duplicate of an earlier seed (anisotropy)
+                        if not sp.is_one_plus_lower():
+                            raise CompletionError(
+                                f"nonzero candidate at {nu} with self-pairing {sp}")
+                        elem = CBElement(nu, cand, (i, t, (low, parent_pos)),
+                                         self_pairing=sp)
+                        if not verify_bar_invariant(mod, elem):
+                            raise CompletionError(
+                                f"accepted element at {nu} is not bar-invariant")
+                        coords[len(accepted)] = ONE
+                        accepted.append(elem)
+                        ts.append([0] * len(nu))
+                    lead = _leader(nu, i, t, coords, ts)
+                    if lead is not None:
+                        if t > mod.coroot_pairing(low, i):
+                            raise CompletionError(
+                                f"F_{i}^({t}) image at {nu} leads past the "
+                                f"{i}-string of its seed")
+                        ts[lead][i] = t
+                        lead = accepted[lead]
+                    records.append(((low, parent_pos, i, t), lead))
         if len(accepted) != space.rank:
             raise CompletionError(
                 f"content {nu}: found {len(accepted)} elements, Gram rank {space.rank}")
-        return accepted
+        for b, t in zip(accepted, ts):
+            b.t = tuple(t)
+        return accepted, records
 
     def _orthogonalize(self, cand, accepted):
+        """(cand less its offending components, coords): coords maps the
+        index k of an accepted element to the sum of the multiples of
+        ``accepted[k].vector`` taken off, so the input is the result plus
+        sum_k coords[k] accepted[k].vector."""
         mod = self.module
+        coords = {}
         prev_max = None
         while True:
             worst = None
-            for b in accepted:
+            for k, b in enumerate(accepted):
                 p = mod.form(cand, b.vector)
                 d = p.degree()
                 if d is not None and d >= 0:
                     worst = d if worst is None else max(worst, d)
-                    cand = cand - b.vector.scale(sym_truncate(p))
+                    s = sym_truncate(p)
+                    cand = cand - b.vector.scale(s)
+                    coords[k] = coords[k] + s if k in coords else s
             if worst is None:
-                return cand
+                return cand, coords
             if prev_max is not None and worst >= prev_max:
                 raise OrthogonalizationError(
                     f"offending degree did not decrease ({prev_max} -> {worst})")
@@ -238,45 +274,6 @@ class CanonicalBasis:
                     remaining[i] += a
 
         return walk(list(nu), None)
-
-    # -- the t_i statistic ------------------------------------------------
-
-    def _set_t(self, nu, elems):
-        """Set ``b.t`` on the elements at nu.  For each i, r walks upward
-        and t = r goes to the positions that had r - 1 and lie in the image
-        of F_i^(r); the walk stops at the first r that promotes nobody."""
-        ts = [[0] * len(nu) for _ in elems]
-        for i in range(len(nu)):
-            for r in range(1, nu[i] + 1):
-                support = self._image_support(nu, i, r)
-                promoted = [t for pos, t in enumerate(ts)
-                            if t[i] == r - 1 and pos in support]
-                if not promoted:
-                    break
-                for t in promoted:
-                    t[i] = r
-        for b, t in zip(elems, ts):
-            b.t = tuple(t)
-
-    def _image_support(self, nu, i, r):
-        """Positions at nu of the canonical basis elements in the image of
-        F_i^(r).  The coordinate rows of F_i^(r) on the basis words at
-        nu - r alpha_i span the coordinate subspace of the positions they
-        touch, so their rank must equal the number of those positions.  The
-        rows live on those positions, so a modular rank (a lower bound) that
-        reaches the number certifies the span."""
-        mod = self.module
-        low = nu[:i] + (nu[i] - r,) + nu[i + 1:]
-        rows = [self.expand(mod.apply_F(i, r, mod.monomial_vector(w)))
-                for w in mod.weight_space(low).basis]
-        support = {pos for row in rows for pos, c in enumerate(row) if c}
-        rank = rank_mod_p(rows)
-        if rank < len(support):
-            raise CompletionError(
-                f"image of F_{i}^({r}) at {nu} is not spanned by the canonical basis "
-                f"elements it contains, or its rank is not certified at the evaluation "
-                f"point ({rank} < {len(support)})")
-        return support
 
     # -- coordinates -----------------------------------------------------------
 
@@ -400,6 +397,32 @@ class _Stream:
             if a is None:
                 return False
             k += 1
+
+
+def _leader(nu, i, t, coords, ts):
+    """The index of the leading element of a seed's F_i^(t) image from its
+    coordinates ``coords`` (index -> Laurent coefficient): the one element
+    of nonzero coordinate whose t_i is not yet set (``ts[k][i] == 0``), with
+    coordinate exactly 1, or None when there is none.  Every other nonzero
+    coordinate must sit on an element with t_i > t."""
+    lead = None
+    for k, c in coords.items():
+        if not c:
+            continue
+        s = ts[k][i]
+        if s == 0:
+            if lead is not None:
+                raise CompletionError(
+                    f"F_{i}^({t}) image at {nu} has two summands without t_{i}")
+            if c != ONE:
+                raise CompletionError(
+                    f"leading summand of an F_{i}^({t}) image at {nu} has "
+                    f"coefficient {c}, expected 1")
+            lead = k
+        elif s <= t:
+            raise CompletionError(
+                f"summand with t_{i} = {s} <= {t} in an F_{i}^({t}) image at {nu}")
+    return lead
 
 
 def verify_bar_invariant(module, b):

@@ -78,6 +78,18 @@ def main(argv=None):
         return EXIT_CAP
 
 
+def main_and_exit():
+    """Run ``main`` on the process's arguments and end the process with its
+    exit code once stdout and stderr are flushed, skipping interpreter
+    teardown: ``main`` closes every file it opens, so nothing is left to
+    write.  The ``python -m`` guards and the console script enter here;
+    in-process callers call ``main``."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 def _detach_stdout():
     """Point the stdout descriptor at the null device, so the flush at
     interpreter shutdown drops the unwritten output instead of raising
@@ -390,4 +402,4 @@ def _run_verify(args, quiver, hw, order):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main_and_exit()

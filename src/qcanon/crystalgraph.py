@@ -3,16 +3,19 @@ graph, the path map and its lexicographic order, and the monomial bases
 read off from paths.
 
 The functions that walk the basis take it alone: they read the module as
-``cb.module`` and t_i(b) as ``b.t[i]``, which the basis sets, certified by
-one modular rank per image, as it builds each content.  Arrows jump whole
-i-strings: each element with t_i = 0 seeds one arrow (i, t) for every
+``cb.module``, t_i(b) as ``b.t[i]`` and the arrow targets as
+``cb.leaders``, all of which the canonical-basis induction reads off the
+exact coordinates of its seeds' images.  Arrows jump whole i-strings: each
+element with t_i = 0 seeds one arrow (i, t) for every
 1 <= t <= <wt, alpha_i^vee>, to the unique element with t_i = t whose
 F_i^(t)-expansion it leads with coefficient exactly 1, and every element
-with t_i > 0 must be reached exactly once.  Every vector is read in
-canonical-basis coordinates (``CanonicalBasis.expand``), where a stored
-element is its own unit vector.  The path monomials at a content are
-certified to be a basis by the same modular rank (``qarith.rank_mod_p``):
-one that falls short at the evaluation point raises GraphError.
+with t_i > 0 must be reached exactly once.  ``pi_arrow`` re-derives one
+arrow from an expansion of the seed's image in canonical-basis coordinates
+(``CanonicalBasis.expand``, where a stored element is its own unit
+vector); path replay and the verify suites use it.  The path monomials at
+a content are certified to be a basis by one modular rank
+(``qarith.rank_mod_p``): one that falls short at the evaluation point
+raises GraphError.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ class LeftGraph:
 def build_left_graph(cb):
     """All arrows between computed contents: each seed with t_i = 0 sends
     one arrow per string step 1 <= t <= <wt, alpha_i^vee> that stays within
-    the computed height.  Every element with t_i > 0 must be reached by
-    exactly one seed (the pi_{i,t} bijection)."""
+    the computed height, to the leader the induction recorded for it.
+    Every element with t_i > 0 must be reached by exactly one seed (the
+    pi_{i,t} bijection)."""
     module = cb.module
     vertices = {}
     arrows = []
@@ -105,13 +109,17 @@ def build_left_graph(cb):
                     targets.append((nu, qpos, i, t))
                     continue
                 for t in range(1, min(module.coroot_pairing(nu, i), room) + 1):
-                    elem, pos = pi_arrow(cb, i, t, b)
-                    key = (elem.content, pos, i)
+                    target = tuple(x + (t if k == i else 0) for k, x in enumerate(nu))
+                    pos = cb.leaders[(nu, qpos, i, t)]
+                    if pos is None:
+                        raise GraphError(
+                            f"image of seed vanished at {target} color ({i},{t})")
+                    key = (target, pos, i)
                     if key in arrow_map:
                         raise GraphError(f"two seeds reach element {pos} at "
-                                         f"{elem.content}, color ({i},{t})")
+                                         f"{target}, color ({i},{t})")
                     arrow_map[key] = (t, nu, qpos)
-                    arrows.append((cb.element_id(elem.content, pos),
+                    arrows.append((cb.element_id(target, pos),
                                    cb.element_id(nu, qpos),
                                    (module.quiver.vertex_id(i), t)))
     for nu, pos, i, t in targets:

@@ -359,35 +359,45 @@ def _coassoc_holds(q, w, memo=None):
 
     All splits are compared at once, in one signed map keyed by
     (tau2, om2, om) and exponent: the left side adds into it, the right
-    side subtracts, and the check passes when every entry is 0.  The map
-    is flat on purpose: one exponent map per (tau2, om2, om) through
-    ``qarith.addmul`` measured slower and larger on D4, where almost every
-    coefficient is a monomial.  The contents of the words of a key fix its
-    split (t1, t2, t3), so the merged comparison fails exactly when the
-    comparison of some split fails.  ``memo`` maps a word to its full
-    ``restriction_coproduct`` and may be shared across the calls of one
-    suite run; both sides of the comparison read it alike.
+    side subtracts, and the check passes when every entry is 0.  Each word
+    gets a small integer id the first time it is seen, so a key is four
+    ints, and each coefficient is kept as a tuple of its (exponent, value)
+    items.  The map is flat on purpose: one exponent map per
+    (tau2, om2, om) through ``qarith.addmul`` measured slower and larger on
+    D4, where almost every coefficient is a monomial.  The contents of the
+    words of a key fix its split (t1, t2, t3), so the merged comparison
+    fails exactly when the comparison of some split fails.  ``memo`` maps a
+    word to [its id, its full ``restriction_coproduct`` or None until it
+    is needed] and may be shared across the calls of one suite run; both
+    sides of the comparison read it alike.
     """
     if memo is None:
         memo = {}
 
-    def coproduct(word):
+    def entry(word):
         hit = memo.get(word)
         if hit is None:
-            hit = memo[word] = restriction_coproduct(q, word)
+            hit = memo[word] = [len(memo), None]
         return hit
 
+    def coproduct(word):
+        hit = entry(word)
+        if hit[1] is None:
+            hit[1] = [(tau, entry(tau)[0], om, entry(om)[0], tuple(c.c.items()))
+                      for tau, om, c in restriction_coproduct(q, word)]
+        return hit[1]
+
     signed = {}
-    for tau, om, c in coproduct(w):
-        for tau2, om2, c2 in coproduct(tau):
-            for e1, x1 in c.c.items():
-                for e2, x2 in c2.c.items():
-                    key = (tau2, om2, om, e1 + e2)
+    for tau, t, om, o, items in coproduct(w):
+        for _, t2, _, o2, items2 in coproduct(tau):
+            for e1, x1 in items:
+                for e2, x2 in items2:
+                    key = (t2, o2, o, e1 + e2)
                     signed[key] = signed.get(key, 0) + x1 * x2
-        for tau2, om2, c2 in coproduct(om):
-            for e1, x1 in c.c.items():
-                for e2, x2 in c2.c.items():
-                    key = (tau, tau2, om2, e1 + e2)
+        for _, t2, _, o2, items2 in coproduct(om):
+            for e1, x1 in items:
+                for e2, x2 in items2:
+                    key = (t, t2, o2, e1 + e2)
                     signed[key] = signed.get(key, 0) - x1 * x2
     return not any(signed.values())
 

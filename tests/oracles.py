@@ -10,6 +10,8 @@ it shares only the Laurent accumulation and the Gaussian binomials.
 
 import itertools
 
+from qcanon import cartan
+from qcanon.crystalgraph import pi_arrow
 from qcanon.qarith import ONE, ZERO, addmul, finish
 from qcanon.uminus import normalize_slots, word_content
 
@@ -69,6 +71,59 @@ def greedy_prefix(rows):
             kept.append(row)
             prefix.append(s)
     return prefix
+
+
+def image_support(cb, nu, i, r):
+    """Positions at nu of the canonical basis elements in the image of
+    F_i^(r): the columns touched by the canonical-basis coordinates of
+    F_i^(r) on the basis words at nu - r alpha_i.  Those rows must span the
+    coordinate subspace of the columns they touch, so their ``lp_rank``
+    must equal the number of those columns."""
+    mod = cb.module
+    low = nu[:i] + (nu[i] - r,) + nu[i + 1:]
+    rows = [cb.expand(mod.apply_F(i, r, mod.monomial_vector(w)))
+            for w in mod.weight_space(low).basis]
+    support = {pos for row in rows for pos, c in enumerate(row) if c}
+    assert lp_rank(rows) == len(support), (nu, i, r)
+    return support
+
+
+def t_values(cb, nu):
+    """t_i of every element at nu from the images of F_i^(r): for each i,
+    r walks upward and t_i = r goes to the positions that had r - 1 and lie
+    in the image; the walk stops at the first r that promotes nobody.  The
+    reference for ``b.t``, which the induction reads off its seeds."""
+    ts = [[0] * len(nu) for _ in cb.elements(nu)]
+    for i in range(len(nu)):
+        for r in range(1, nu[i] + 1):
+            support = image_support(cb, nu, i, r)
+            promoted = [t for pos, t in enumerate(ts)
+                        if t[i] == r - 1 and pos in support]
+            if not promoted:
+                break
+            for t in promoted:
+                t[i] = r
+    return [tuple(t) for t in ts]
+
+
+def arrows_by_expansion(cb):
+    """The left graph's sorted arrows, each from ``pi_arrow``'s expansion of
+    its seed's image: the reference for ``build_left_graph``, which reads
+    the leaders the induction recorded."""
+    module = cb.module
+    arrows = []
+    for nu in cb.contents():
+        room = cb.max_height - cartan.height(nu)
+        for qpos, b in enumerate(cb.elements(nu)):
+            for i in range(module.quiver.n):
+                if b.t[i]:
+                    continue
+                for t in range(1, min(module.coroot_pairing(nu, i), room) + 1):
+                    elem, pos = pi_arrow(cb, i, t, b)
+                    arrows.append((cb.element_id(elem.content, pos),
+                                   cb.element_id(nu, qpos),
+                                   (module.quiver.vertex_id(i), t)))
+    return sorted(arrows)
 
 
 def pairing_row(module, u):

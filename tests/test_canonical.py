@@ -117,8 +117,10 @@ def test_orthogonalization_strips_accepted_components(a1_d2):
     m, cb = build(a1_d2, 2)
     (b1,) = cb.elements((1,))
     candidate = b1.vector + b1.vector.scale(qint(2))  # degree-1 pairing excess
-    cleaned = cb._orthogonalize(candidate, [b1])
+    cleaned, coords = cb._orthogonalize(candidate, [b1])
     assert m.is_zero_vector(cleaned)
+    # the input is the result plus the recorded multiple of b1
+    assert coords == {0: qint(2) + ONE}
 
 
 # -- transitions ------------------------------------------------------------------------

@@ -502,3 +502,28 @@ def test_package_runs_as_a_module(qfile):
         assert proc.returncode == 0 and proc.stderr == b""
         outs.append(proc.stdout)
     assert outs[0] == outs[1] and outs[0]
+
+
+KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
+         "highest_weight": {"1": 1, "2": 0}}
+
+
+def test_process_exit_writes_all_output_and_keeps_exit_codes(qfile, capsys):
+    # the entry points end the process with os._exit once stdout is
+    # flushed: an output larger than a pipe buffer still arrives whole, and
+    # the input-error code still reaches the shell
+    src = os.path.dirname(os.path.dirname(qcanon.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["basis", "--quiver", qfile(KRON3), "--max-height", "7"]
+    bad_args = ["basis", "--quiver", qfile(A2ADJ, "a2.json"), "--max-height", "-1"]
+    code, expected, _ = run_cli(capsys, *args)
+    assert code == 0 and len(expected.encode()) > 65536
+    for module in ("qcanon", "qcanon.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, *args],
+                              capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == expected.encode()
+        bad = subprocess.run([sys.executable, "-m", module, *bad_args],
+                             capture_output=True, timeout=120, env=env)
+        assert bad.returncode == cli.EXIT_INPUT and bad.stdout == b""
+        assert bad.stderr.startswith(b"error: --max-height must be >= 0")

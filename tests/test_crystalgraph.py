@@ -3,6 +3,7 @@ import re
 import pytest
 
 from qcanon.qarith import ZERO, ONE, qbinom
+from qcanon import qarith
 from qcanon.cartan import HighestWeight, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon import canonical
@@ -82,14 +83,42 @@ def test_t_stat_matches_the_membership_rank():
     assert dependent == 15
 
 
-def test_t_stat_certifies_the_image_against_its_support(a2_adjoint, monkeypatch):
+def test_t_stat_rejects_a_corrupted_seed_record(a2_adjoint, monkeypatch):
     m, cb = build(a2_adjoint, 1)
-    # every image row reads as the sum of all elements: at (1,1) one row
-    # touches both elements, so its rank 1 cannot span their two columns
-    monkeypatch.setattr(cb, "expand",
-                        lambda u: [ONE] * len(cb.elements(u.content)))
-    with pytest.raises(canonical.CompletionError, match="not spanned"):
+    real = cb._orthogonalize
+
+    def with_extra_unit(cand, accepted):
+        # every record also reads coordinate 1 on every accepted element: at
+        # (1,1) the seed F_2 F_1 v then touches two elements without t_2
+        cand, coords = real(cand, accepted)
+        return cand, {**coords, **dict.fromkeys(range(len(accepted)), ONE)}
+
+    monkeypatch.setattr(cb, "_orthogonalize", with_extra_unit)
+    with pytest.raises(canonical.CompletionError, match="two summands"):
         cb.compute_up_to(2)
+
+
+def test_t_stat_rejects_a_leader_past_the_string(a2_adjoint, monkeypatch):
+    # a reading that takes the first nonzero coordinate as the leader: at
+    # (2,1), F_1 of the (1,1) element with t_1 = 0 (where <wt, alpha_1^vee>
+    # = 0) has only a summand with t_1 = 2, which it would take as the leader
+    m, cb = build(a2_adjoint, 2)
+    monkeypatch.setattr(canonical, "_leader", lambda nu, i, t, coords, ts: next(
+        (k for k, c in coords.items() if c), None))
+    with pytest.raises(canonical.CompletionError, match="past the"):
+        cb.compute_up_to(3)
+
+
+def test_t_stat_rejects_a_record_off_the_string_property():
+    # a leader whose coordinate is not 1, and a summand whose t_i is not
+    # above the seed's t
+    ts = [[0, 0], [2, 0], [1, 0]]
+    assert canonical._leader((2, 1), 0, 1, {0: ONE, 1: qbinom(2, 1)}, ts) == 0
+    assert canonical._leader((2, 1), 0, 1, {1: ONE}, ts) is None
+    with pytest.raises(canonical.CompletionError, match="expected 1"):
+        canonical._leader((2, 1), 0, 1, {0: qbinom(2, 1)}, ts)
+    with pytest.raises(canonical.CompletionError, match="<= 1"):
+        canonical._leader((2, 1), 0, 1, {0: ONE, 2: ONE}, ts)
 
 
 # -- arrows ---------------------------------------------------------------------
@@ -176,9 +205,10 @@ def test_pi_bijectivity_double_count(a2_adjoint):
                 assert len(set(images)) == len(images)
 
 
-def test_one_rank_per_image_and_one_call_per_arrow(monkeypatch):
-    # each (content, i, r) image is ranked once, while its content is built
-    calls = {"rank_mod_p": 0, "pi_arrow": 0}
+def test_no_image_rank_and_no_arrow_expansion(monkeypatch):
+    # t_i and the arrows are read off the induction's own seed records:
+    # the build ranks no image, and the left graph expands no vector
+    calls = {"rank_mod_p": 0, "expand": 0, "pi_arrow": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -186,27 +216,25 @@ def test_one_rank_per_image_and_one_call_per_arrow(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(canonical, "rank_mod_p",
-                        counted("rank_mod_p", canonical.rank_mod_p))
+    monkeypatch.setattr(qarith, "rank_mod_p", counted("rank_mod_p", qarith.rank_mod_p))
+    monkeypatch.setattr(cg, "rank_mod_p", counted("rank_mod_p", cg.rank_mod_p))
+    monkeypatch.setattr(CanonicalBasis, "expand",
+                        counted("expand", CanonicalBasis.expand))
     monkeypatch.setattr(cg, "pi_arrow", counted("pi_arrow", cg.pi_arrow))
     m, cb = build(parse_quiver_dict(KRON3_Q), 7)
-    assert calls["rank_mod_p"] == 71
+    assert calls == {"rank_mod_p": 0, "expand": 0, "pi_arrow": 0}
     g = cg.build_left_graph(cb)
-    assert calls["rank_mod_p"] == 71
-    assert calls["pi_arrow"] == len(g.arrows) == 45
+    assert calls == {"rank_mod_p": 0, "expand": 0, "pi_arrow": 0}
+    assert len(g.arrows) == 45
+    assert not hasattr(canonical, "rank_mod_p")
 
 
-def test_left_graph_rejects_two_seeds_on_one_element(monkeypatch):
+def test_left_graph_rejects_two_seeds_on_one_element():
     # on 3-Kronecker, color 2 reaches (2,3) from a seed at (2,1) with t = 2
-    # and from one at (2,2) with t = 1; sending every seed to the first
-    # element of its target content makes those two collide
+    # and from one at (2,2) with t = 1; recording the first element of its
+    # target content as every seed's leader makes those two collide
     m, cb = build(parse_quiver_dict(KRON3_Q), 5)
-
-    def first_element(cb, i, t, seed, **_):
-        target = tuple(x + (t if k == i else 0) for k, x in enumerate(seed.content))
-        return cb.elements(target)[0], 0
-
-    monkeypatch.setattr(cg, "pi_arrow", first_element)
+    cb.leaders = {key: 0 for key in cb.leaders}
     with pytest.raises(cg.GraphError, match="two seeds"):
         cg.build_left_graph(cb)
 

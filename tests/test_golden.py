@@ -37,7 +37,12 @@ import json
 
 import pytest
 
+from oracles import arrows_by_expansion, t_values
 from qcanon import cli
+from qcanon.canonical import CanonicalBasis
+from qcanon.cartan import parse_quiver_dict
+from qcanon.crystalgraph import build_left_graph
+from qcanon.hwmodule import HighestWeightModule
 
 DATA = {
     "a2_adjoint": {"vertices": ["1", "2"], "edges": [["1", "2"]],
@@ -175,3 +180,22 @@ def test_output_bytes_unchanged(tmp_path, capsys, datum, height, command, digest
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     if command[0] == "dims":
         assert all(row["agree"] for row in json.loads(out)["rows"])
+
+
+# (datum, height, --order) of every `basis` and `graph` pin
+BASES = sorted({(datum, height, dict(zip(command[1::2], command[2::2])).get("--order"))
+                for datum, height, command, _ in GOLDEN
+                if command[0] in ("basis", "graph")}, key=str)
+
+
+@pytest.mark.parametrize("datum,height,order", BASES)
+def test_t_and_arrows_match_the_expansion_oracles(datum, height, order):
+    # the induction reads t_i and the arrows off its seeds' coordinates;
+    # the oracles read them off expansions of F_i^(r) images, certified by
+    # an exact rank, and off pi_arrow
+    quiver, hw = parse_quiver_dict(DATA[datum])
+    schedule = None if order is None else [quiver.index[v] for v in order.split(",")]
+    cb = CanonicalBasis(HighestWeightModule(quiver, hw), schedule).compute_up_to(height)
+    for nu in cb.contents():
+        assert [b.t for b in cb.elements(nu)] == t_values(cb, nu), nu
+    assert build_left_graph(cb).arrows == arrows_by_expansion(cb)
