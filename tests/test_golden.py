@@ -27,8 +27,11 @@ was deleted, and the affine A3 h=8 and multi-digit-id h=6 `basis` digests
 before element ids were read off lazily compared pairing streams instead
 of full pairing rows, and the wild-3 h=8 `basis` and `graph` and affine
 A2 (3,3,3) h=6 `basis` digests before t_i and the left-graph arrows were
-read off the canonical-basis induction; every later change that is meant
-to keep the output must keep these bytes.  Every `dims` row must also agree with the
+read off the canonical-basis induction, and the wild-3 h=6 `basis` digest
+under the schedule order 3,1,2, the Kronecker (3,3) h=6 `basis` digest
+under the schedule order 2,1 and the 3-Kronecker h=9 `basis` digest before
+the path-monomial coordinates were read off the canonical-basis induction;
+every later change that is meant to keep the output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
 
@@ -166,6 +169,12 @@ GOLDEN = [
      "bbcca405740c95ba264095c8a37a130139d8746b4795a3251d5fc94962664471"),
     ("affine_a2_333", 6, ("basis",),
      "001549d0522dc02637643125a9c4b0927068ececbfaac9a90bd502fd04aadec7"),
+    ("wild3", 6, ("basis", "--order", "3,1,2"),
+     "6309f1739199527ae44f3620722fa9de86bdcda371c5e6b2935dccec351c4c3d"),
+    ("kronecker_33", 6, ("basis", "--order", "2,1"),
+     "e28d49c955ee633821ce534bbd107a4a8f6eaa64798dea7cb1a3aeeceaa85d8d"),
+    ("kronecker3", 9, ("basis",),
+     "55da3b4a39839b80b16884d281c4a94f12b9f56cc7ae0a6085ee1222d6ddf6cd"),
 ]
 
 
