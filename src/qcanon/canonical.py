@@ -19,7 +19,10 @@ vertex i come with t descending, so every b' already has its t_i, and b''
 is the one element of nonzero coordinate that has none; its coordinate
 must be exactly 1.  It gets t_i = t and becomes the seed's arrow target
 (``leaders``, read by the left graph); an element that no seed reaches has
-t_i = 0.  A record that breaks this raises CompletionError.  The exact
+t_i = 0.  A record that breaks this raises CompletionError.  The
+coordinates themselves are kept too (``images``, by position once the
+content is sorted): the path monomials' transition columns are Laurent
+combinations of them (``crystalgraph.monomial_basis``).  The exact
 coordinates prove t_i(b'') >= t.  The upper bound, that the image of
 F_i^(t+1) is spanned by the elements with t_i > t and so misses b'', is
 the spanning half of the same string property: the theorem the seeding
@@ -42,9 +45,10 @@ listed.  Which seed (i, t, parent) wins depends only on the schedule's
 order of the vertices.  Renumbering a lower content changes a parent's
 index, and no vector, provenance id or output order.
 
-The stored elements are the only coordinate system: ``expand`` writes a
-vector in them with Laurent coefficients, as the sum over its words of the
-coefficient times the word's coordinates.  Those are solved once per word
+The stored elements are the only coordinate system: ``expand`` writes any
+vector in them with Laurent coefficients (for ``pi_arrow`` and the verify
+suites), as the sum over its words of the coefficient times the word's
+coordinates.  Those are solved once per word
 and kept on the basis: one pairing row against the elements and one integer
 recurrence against their Gram matrix I + N, N in v^-1 Z[v^-1], checked
 exactly.  Word vectors are bar-invariant, so the recurrence needs no second
@@ -104,6 +108,9 @@ class CanonicalBasis:
         # (content, pos, i, t) of a seed b with t_i(b) = 0 -> position of the
         # leading element of F_i^(t) b one string step up, or None
         self.leaders = {}
+        # the same key -> the exact coordinates {position: coefficient} of
+        # F_i^(t) b against the elements at its content, nonzero ones only
+        self.images = {}
 
     def elements(self, nu):
         nu = tuple(nu)
@@ -118,20 +125,23 @@ class CanonicalBasis:
         n = self.module.quiver.n
         for h in range(self.max_height + 1, hmax + 1):
             for nu in cartan.contents_of_height(n, h):
-                elems, records = self._compute_content(nu)
-                elems = self.store[nu] = self._id_sorted(nu, elems)
-                pos = {b: p for p, b in enumerate(elems)}
-                for key, lead in records:
+                accepted, records = self._compute_content(nu)
+                elems = self.store[nu] = self._id_sorted(nu, accepted)
+                at = {b: p for p, b in enumerate(elems)}
+                pos = [at[b] for b in accepted]  # accepted index -> position
+                for key, lead, coords in records:
                     self.leaders[key] = None if lead is None else pos[lead]
+                    self.images[key] = {pos[k]: c for k, c in coords.items() if c}
         self.max_height = max(self.max_height, hmax)
         return self
 
     # -- the induction ---------------------------------------------------
 
     def _compute_content(self, nu):
-        """The elements at nu, with ``t`` set, and one record per seed:
-        ((parent content, parent position, i, t), leading element or
-        None)."""
+        """The elements at nu in the order accepted, with ``t`` set, and
+        one record per seed: ((parent content, parent position, i, t), index
+        of the leading element or None, coordinates of the seed's image by
+        element index)."""
         mod = self.module
         if cartan.height(nu) == 0:
             vac = mod.vacuum()
@@ -170,8 +180,7 @@ class CanonicalBasis:
                                 f"F_{i}^({t}) image at {nu} leads past the "
                                 f"{i}-string of its seed")
                         ts[lead][i] = t
-                        lead = accepted[lead]
-                    records.append(((low, parent_pos, i, t), lead))
+                    records.append(((low, parent_pos, i, t), lead, coords))
         if len(accepted) != space.rank:
             raise CompletionError(
                 f"content {nu}: found {len(accepted)} elements, Gram rank {space.rank}")

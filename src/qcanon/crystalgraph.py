@@ -12,15 +12,21 @@ F_i^(t)-expansion it leads with coefficient exactly 1, and every element
 with t_i > 0 must be reached exactly once.  ``pi_arrow`` re-derives one
 arrow from an expansion of the seed's image in canonical-basis coordinates
 (``CanonicalBasis.expand``, where a stored element is its own unit
-vector); path replay and the verify suites use it.  The path monomials at
-a content are certified to be a basis by one modular rank
-(``qarith.rank_mod_p``): one that falls short at the evaluation point
-raises GraphError.
+vector); path replay and the verify suites use it.
+
+A path monomial's canonical-basis coordinates are read off the seeds'
+recorded images (``cb.images``) with Laurent products only, one string
+step at a time (``path_coords``): F_i^(t) of an element with t_i = 0 is
+its recorded image, and F_i^(t) of the leader of a seed's F_i^(s) image
+follows from F_i^(t) F_i^(s) = [t+s choose t] F_i^(t+s) (``_image``).  No
+form is evaluated and no vector expanded.  The path monomials at a content
+are certified to be a basis by one modular rank (``qarith.rank_mod_p``):
+one that falls short at the evaluation point raises GraphError.
 """
 
 from __future__ import annotations
 
-from .qarith import ONE, rank_mod_p
+from .qarith import ONE, ZERO, addmul, finish, qbinom, rank_mod_p
 from . import cartan
 
 
@@ -78,13 +84,15 @@ class LeftGraph:
     of (source id, target id, (vertex id, multiplicity)); ``arrow_map``
     keeps the arrows (content, pos, i) -> (t, low content, low pos) for
     replay.  A position is the index of the element's id, since the basis
-    stores each content in id order.
+    stores each content in id order.  ``columns`` keeps the path monomials'
+    canonical-basis coordinates by path (``path_coords``).
     """
 
     def __init__(self, vertices, arrows, arrow_map=None):
         self.vertices = vertices
         self.arrows = arrows
         self.arrow_map = {} if arrow_map is None else arrow_map
+        self.columns = {}
 
 
 def build_left_graph(cb):
@@ -183,21 +191,80 @@ def monomial_basis(cb, graph, nu, order):
 
     Returns (positions, paths, vectors, transition): the first three in
     ``path_order``, and the transition matrix whose columns are the
-    canonical-basis coordinates of the vectors and whose rows are the
-    stored elements at ``positions``.  The vectors are certified to form a
-    basis of the weight space: as many as the elements, with a modular rank
-    (a lower bound) equal to their number.
+    canonical-basis coordinates of the vectors (``path_coords``) and whose
+    rows are the stored elements at ``positions``.  The vectors are
+    certified to form a basis of the weight space: as many as the elements,
+    with a modular rank (a lower bound) equal to their number.
     """
     items = path_order(cb, graph, nu, order)
     positions = [pos for pos, _ in items]
     paths = [path for _, path in items]
     vectors = [cb.module.monomial_vector(tuple(path)) for path in paths]
-    cols = [cb.expand(vec) for vec in vectors]
+    images = {}
+    cols = [path_coords(cb, graph, nu, path, images) for path in paths]
+    cols = [[col.get(p, ZERO) for p in range(len(positions))] for col in cols]
     rank = rank_mod_p(cols)
     if rank < len(vectors):
         raise GraphError(f"path monomials do not span at {nu}, or their rank is not "
                          f"certified at the evaluation point ({rank} < {len(vectors)})")
     return positions, paths, vectors, [[col[p] for col in cols] for p in positions]
+
+
+def path_coords(cb, graph, nu, path, images):
+    """Coordinates {position: coefficient} of the path monomial of ``path``
+    against the stored elements at its content nu, nonzero ones only; kept
+    in ``graph.columns``.
+
+    With path = ((i, t),) + rest the monomial is F_i^(t) applied to that of
+    rest, so its coordinates are sum_c x_c F_i^(t) c over the coordinates x
+    of rest, each F_i^(t) c read by ``_image`` (memoized in ``images``).
+    Only Laurent products: no form and no expansion.
+    """
+    col = graph.columns.get(path)
+    if col is None:
+        if not path:
+            col = {0: ONE}
+        else:
+            (i, t), rest = path[0], path[1:]
+            low = tuple(x - (t if k == i else 0) for k, x in enumerate(nu))
+            acc = {}
+            for c, x in path_coords(cb, graph, low, rest, images).items():
+                for q, p in _image(cb, graph, low, c, i, t, images).items():
+                    addmul(acc.setdefault(q, {}), x.c, p.c)
+            col = {q: y for q, a in acc.items() if (y := finish(a))}
+        graph.columns[path] = col
+    return col
+
+
+def _image(cb, graph, mu, pos, i, t, memo):
+    """Coordinates of F_i^(t) applied to the element at (mu, pos), against
+    the stored elements at mu + t alpha_i.
+
+    An element with t_i = 0 is a seed, whose image the induction recorded
+    (``cb.images``).  An element c with t_i = s > 0 leads, with coordinate
+    1, the image X of the source c0 of its i-arrow under F_i^(s), and every
+    other summand c' of X has t_i > s.  Since F_i^(t) F_i^(s) is
+    [t+s choose t] F_i^(t+s),
+    F_i^(t) c = [t+s choose t] F_i^(t+s) c0 - sum_{c' != c} X_c' F_i^(t) c',
+    a recursion that ends because t_i grows along it.
+    """
+    s = cb.elements(mu)[pos].t[i]
+    if s == 0:
+        return cb.images[(mu, pos, i, t)]
+    key = (mu, pos, i, t)
+    out = memo.get(key)
+    if out is None:
+        _, low, q0 = graph.arrow_map[(mu, pos, i)]
+        acc = {}
+        binom = qbinom(t + s, t).c
+        for q, p in cb.images[(low, q0, i, t + s)].items():
+            addmul(acc.setdefault(q, {}), binom, p.c)
+        for c, x in cb.images[(low, q0, i, s)].items():
+            if c != pos:
+                for q, p in _image(cb, graph, mu, c, i, t, memo).items():
+                    addmul(acc.setdefault(q, {}), x.c, p.c, k=-1)
+        out = memo[key] = {q: y for q, a in acc.items() if (y := finish(a))}
+    return out
 
 
 # -- exports ---------------------------------------------------------------

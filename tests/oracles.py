@@ -11,7 +11,7 @@ it shares only the Laurent accumulation and the Gaussian binomials.
 import itertools
 
 from qcanon import cartan
-from qcanon.crystalgraph import pi_arrow
+from qcanon.crystalgraph import path_order, pi_arrow
 from qcanon.qarith import ONE, ZERO, addmul, finish
 from qcanon.uminus import normalize_slots, word_content
 
@@ -124,6 +124,15 @@ def arrows_by_expansion(cb):
                                    cb.element_id(nu, qpos),
                                    (module.quiver.vertex_id(i), t)))
     return sorted(arrows)
+
+
+def transition_by_expansion(cb, graph, nu, order):
+    """The transition matrix of ``monomial_basis`` at nu, each column from
+    ``CanonicalBasis.expand`` of its path monomial: the reference for the
+    columns that ``monomial_basis`` reads off the induction's seed images."""
+    items = path_order(cb, graph, nu, order)
+    cols = [cb.expand(cb.module.monomial_vector(path)) for _, path in items]
+    return [[col[pos] for col in cols] for pos, _ in items]
 
 
 def pairing_row(module, u):

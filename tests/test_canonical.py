@@ -369,6 +369,42 @@ ORACLE_DATA = {
 }
 
 
+# name -> (quiver document, height bound)
+IMAGE_DATA = {
+    "kronecker": (EXPAND_DATA["kronecker"][0], 6),
+    "d4": (EXPAND_DATA["d4"][0], 5),
+    "wild3": (ORACLE_DATA["wild3"][0], 5),
+    # the 3-cycle 1 -> 2 -> 3 -> 1
+    "affine_a2_222": ({"vertices": ["1", "2", "3"],
+                       "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
+                       "highest_weight": {"1": 2, "2": 2, "3": 2}}, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_DATA))
+def test_seed_images_are_exact(name):
+    # every recorded image rebuilds F_i^(t) of its seed from the stored
+    # elements, by the module's zero test, and its leader's coordinate is 1
+    datum, hmax = IMAGE_DATA[name]
+    m, cb = build(parse_quiver_dict(datum), hmax)
+    assert cb.images.keys() == cb.leaders.keys()
+    led = 0
+    for key, coords in cb.images.items():
+        low, pos, i, t = key
+        nu = tuple(x + (t if k == i else 0) for k, x in enumerate(low))
+        elems = cb.elements(nu)
+        rebuilt = UMinusElement(nu)
+        for p, c in coords.items():
+            assert c, key
+            rebuilt = rebuilt + elems[p].vector.scale(c)
+        assert m.vectors_equal(rebuilt, m.apply_F(i, t, cb.elements(low)[pos].vector)), key
+        lead = cb.leaders[key]
+        if lead is not None:
+            assert coords[lead] == ONE, key
+            led += 1
+    assert led > 0
+
+
 def random_laurent(rng):
     return LaurentPoly({rng.randint(-3, 3): rng.randint(-4, 4)
                         for _ in range(rng.randint(1, 3))})
@@ -412,7 +448,12 @@ def test_a_basis_build_solves_each_word_once(monkeypatch, tmp_path):
     monkeypatch.setattr(CanonicalBasis, "_solve_word", counted)
     path = tmp_path / "q.json"
     path.write_text(json.dumps(EXPAND_DATA["kronecker3"][0]))
+    # `basis` reads its transitions off the induction's seed images and
+    # solves no word; the suites that expand solve each word at most once
     assert cli.main(["basis", "--quiver", str(path), "--max-height", "6"]) == 0
+    assert not calls
+    assert cli.main(["verify", "--quiver", str(path), "--max-height", "6",
+                     "--suite", "orthogonality,crystal"]) == 0
     assert calls and max(calls.values()) == 1
 
 

@@ -229,6 +229,25 @@ def test_no_image_rank_and_no_arrow_expansion(monkeypatch):
     assert not hasattr(canonical, "rank_mod_p")
 
 
+def test_monomial_basis_reads_only_the_seed_images(monkeypatch):
+    # every transition column is a Laurent combination of the recorded seed
+    # images: with the form and the expansion disabled the columns still
+    # come out
+    m, cb = build(parse_quiver_dict(KRON3_Q), 7)
+    g = cg.build_left_graph(cb)
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("monomial_basis evaluated a form or an expansion")
+
+    monkeypatch.setattr(m, "form", disabled)
+    monkeypatch.setattr(cb, "expand", disabled)
+    monkeypatch.setattr(cb, "_solve_word", disabled)
+    monkeypatch.setattr(cb, "_gram_offsets", disabled)
+    for nu in cb.contents():
+        if cb.elements(nu):
+            assert len(cg.monomial_basis(cb, g, nu, (0, 1))[3]) == len(cb.elements(nu))
+
+
 def test_left_graph_rejects_two_seeds_on_one_element():
     # on 3-Kronecker, color 2 reaches (2,3) from a seed at (2,1) with t = 2
     # and from one at (2,2) with t = 1; recording the first element of its
@@ -320,8 +339,8 @@ def test_monomial_basis_certifies_the_span(a2_adjoint, monkeypatch):
     g = cg.build_left_graph(cb)
     # every path monomial reads as the sum of all elements: at (1,1) the two
     # columns are equal, so their rank 1 cannot span two elements
-    monkeypatch.setattr(cb, "expand",
-                        lambda u: [ONE] * len(cb.elements(u.content)))
+    monkeypatch.setattr(cg, "path_coords", lambda cb, graph, nu, path, images:
+                        {p: ONE for p in range(len(cb.elements(nu)))})
     with pytest.raises(cg.GraphError, match="do not span"):
         cg.monomial_basis(cb, g, (1, 1), (0, 1))
 

@@ -40,11 +40,11 @@ import json
 
 import pytest
 
-from oracles import arrows_by_expansion, t_values
+from oracles import arrows_by_expansion, t_values, transition_by_expansion
 from qcanon import cli
 from qcanon.canonical import CanonicalBasis
 from qcanon.cartan import parse_quiver_dict
-from qcanon.crystalgraph import build_left_graph
+from qcanon.crystalgraph import build_left_graph, monomial_basis
 from qcanon.hwmodule import HighestWeightModule
 
 DATA = {
@@ -191,10 +191,14 @@ def test_output_bytes_unchanged(tmp_path, capsys, datum, height, command, digest
         assert all(row["agree"] for row in json.loads(out)["rows"])
 
 
-# (datum, height, --order) of every `basis` and `graph` pin
-BASES = sorted({(datum, height, dict(zip(command[1::2], command[2::2])).get("--order"))
-                for datum, height, command, _ in GOLDEN
-                if command[0] in ("basis", "graph")}, key=str)
+def _runs(commands):
+    """(datum, height, --order) of every pin of one of the subcommands."""
+    return sorted({(datum, height, dict(zip(command[1::2], command[2::2])).get("--order"))
+                   for datum, height, command, _ in GOLDEN
+                   if command[0] in commands}, key=str)
+
+
+BASES = _runs(("basis", "graph"))
 
 
 @pytest.mark.parametrize("datum,height,order", BASES)
@@ -208,3 +212,18 @@ def test_t_and_arrows_match_the_expansion_oracles(datum, height, order):
     for nu in cb.contents():
         assert [b.t for b in cb.elements(nu)] == t_values(cb, nu), nu
     assert build_left_graph(cb).arrows == arrows_by_expansion(cb)
+
+
+@pytest.mark.parametrize("datum,height,order", _runs(("basis",)))
+def test_transitions_match_the_expansion_oracle(datum, height, order):
+    # monomial_basis reads its columns off the induction's seed images; the
+    # oracle expands every path monomial against the stored elements
+    quiver, hw = parse_quiver_dict(DATA[datum])
+    schedule = (tuple(range(quiver.n)) if order is None
+                else tuple(quiver.index[v] for v in order.split(",")))
+    cb = CanonicalBasis(HighestWeightModule(quiver, hw), schedule).compute_up_to(height)
+    graph = build_left_graph(cb)
+    for nu in cb.contents():
+        if cb.elements(nu):
+            assert (monomial_basis(cb, graph, nu, schedule)[3]
+                    == transition_by_expansion(cb, graph, nu, schedule)), nu
