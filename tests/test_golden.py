@@ -30,7 +30,9 @@ A2 (3,3,3) h=6 `basis` digests before t_i and the left-graph arrows were
 read off the canonical-basis induction, and the wild-3 h=6 `basis` digest
 under the schedule order 3,1,2, the Kronecker (3,3) h=6 `basis` digest
 under the schedule order 2,1 and the 3-Kronecker h=9 `basis` digest before
-the path-monomial coordinates were read off the canonical-basis induction;
+the path-monomial coordinates were read off the canonical-basis induction,
+and the D4 h=7 `verify` digest before the contravariance suite drew its
+vectors over weight-space bases instead of every normalized word;
 every later change that is meant to keep the output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
@@ -175,6 +177,8 @@ GOLDEN = [
      "e28d49c955ee633821ce534bbd107a4a8f6eaa64798dea7cb1a3aeeceaa85d8d"),
     ("kronecker3", 9, ("basis",),
      "55da3b4a39839b80b16884d281c4a94f12b9f56cc7ae0a6085ee1222d6ddf6cd"),
+    ("d4", 7, ("verify", "--format", "json"),
+     "d340e88cb1b50545fa2060f2785699cbe9dc9b0ec7c46f7a67f7575c2d36421c"),
 ]
 
 
