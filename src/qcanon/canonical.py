@@ -59,7 +59,10 @@ from __future__ import annotations
 
 from .qarith import LaurentPoly, ONE, addmul, finish, sym_truncate
 from .hwmodule import InternalCheckError, ResourceCapError
-from . import cartan, hwmodule
+from . import cartan
+
+# Most normalized words the id walks of one content may reach.
+SPANNING_CAP = 200_000
 
 
 class OrthogonalizationError(RuntimeError):
@@ -247,7 +250,7 @@ class CanonicalBasis:
         in L_mu for the suffix's content mu; the walk skips every subtree
         whose remaining content stores no element (L_mu = 0), since each of
         its words is zero in the module.  ``visits`` counts the words the
-        walks of one content reach, against ``hwmodule.SPANNING_CAP``.
+        walks of one content reach, against ``SPANNING_CAP``.
         """
         mod = self.module
         vid = mod.quiver.vertex_id
@@ -257,10 +260,10 @@ class CanonicalBasis:
         def walk(remaining, last):
             if not any(remaining):
                 visits[0] += 1
-                if visits[0] > hwmodule.SPANNING_CAP:
+                if visits[0] > SPANNING_CAP:
                     raise ResourceCapError(
                         f"id walk at {nu} visits more than cap "
-                        f"{hwmodule.SPANNING_CAP} words")
+                        f"{SPANNING_CAP} words")
                 w = tuple(word)
                 acc = {}
                 for t, c in terms:

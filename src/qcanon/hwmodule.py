@@ -19,6 +19,9 @@ The module is generated from v_L by the F_i, so
 L_nu = sum_i F_i L_{nu - alpha_i} for any basis of the lower weight spaces,
 and the candidates F_i b, b a basis word of nu - alpha_i, span L_nu; their
 number grows with the module, not with the number of normalized words.
+The module lists no words: ``dims`` counts them (``uminus.count_words``),
+the element ids walk them lazily (``canonical``), and the few that the
+low-height ``verify`` samples read come from ``uminus.normalized_words``.
 
 Vector coordinates are read against the canonical basis
 (``canonical.CanonicalBasis.expand``), not against these monomial bases.
@@ -55,9 +58,6 @@ class InternalCheckError(AssertionError):
 
 # Most contents of height <= max height a run may enumerate.
 CONTENT_CAP = 100_000
-# Most normalized words ``spanning_words`` may enumerate, and the id walks
-# of ``canonical`` may reach, at one content.
-SPANNING_CAP = 200_000
 # Most Gram entries (candidates squared) ``weight_space`` may build at one
 # content; 3-Kronecker (1,0) reaches 17 ** 2 at (4,4), the most of any
 # benchmark datum.
@@ -146,7 +146,6 @@ class HighestWeightModule:
         self._e_cache = {}
         self._pair = {}
         self._coweights = {}  # content -> <wt, a_j^vee> over every j
-        self._spanning = {}
         self._spaces = {}
         self._top = DotOrbit(quiver.cartan, hw.d)  # N_Lambda
         self._zero = DotOrbit(quiver.cartan, (0,) * quiver.n)  # N_0
@@ -212,27 +211,19 @@ class HighestWeightModule:
         return UMinusElement(content, {y: finish(acc) for y, acc in out.items()})
 
     def e_chain(self, i, u, top):
-        """[E_i^(r) u for r = 0, ..., top]: each entry is one ``apply_E`` on
-        the entry before, divided by [r], since E_i^(r) = E_i E_i^(r-1) / [r];
-        exact by construction on the module."""
+        """[E_i^(r) u for r = 0, ..., top]: the powers E_i^r u, each one
+        ``apply_E`` on the one before, each divided once by [r]!; exact by
+        construction on the module."""
         chain = [u]
+        power = u
         for r in range(1, top + 1):
-            out = self.apply_E(i, chain[-1])
-            if r > 1 and out.terms:
-                d = qint(r)
-                out = out.map_coeffs(lambda c: c.divexact(d))
-            chain.append(out)
+            power = self.apply_E(i, power)
+            if r > 1 and power.terms:
+                fact = qfact(r)
+                chain.append(power.map_coeffs(lambda c: c.divexact(fact)))
+            else:
+                chain.append(power)
         return chain
-
-    def apply_E_divided(self, i, n, u):
-        """E_i^(n) = E_i^n / [n]!; exact by construction on the module."""
-        out = u
-        for _ in range(n):
-            out = self.apply_E(i, out)
-        if n > 1 and out.terms:
-            fact = qfact(n)
-            out = out.map_coeffs(lambda c: c.divexact(fact))
-        return out
 
     def apply_K(self, i, sign, u):
         k = sign * self.coroot_pairing(u.content, i)
@@ -320,47 +311,10 @@ class HighestWeightModule:
 
     # -- weight spaces ----------------------------------------------------
 
-    def spanning_words(self, nu):
-        """All normalized words of content nu; vertex order lexicographic,
-        higher multiplicities first.
-
-        The weight-space build does not read this list, and neither does
-        ``dims``, which counts the words with ``uminus.count_words``, nor do
-        ``basis`` and ``graph``, whose element ids walk the words lazily
-        (``canonical.CanonicalBasis._id_sorted``).  It serves the word
-        samples of the low-height ``verify`` suites.
-        """
-        nu = tuple(nu)
-        hit = self._spanning.get(nu)
-        if hit is not None:
-            return hit
-        n = self.quiver.n
-        out = []
-
-        def rec(prefix, remaining, last):
-            if not any(remaining):
-                out.append(tuple(prefix))
-                if len(out) > SPANNING_CAP:
-                    raise ResourceCapError(
-                        f"spanning enumeration at {nu} exceeds cap {SPANNING_CAP}")
-                return
-            for i in range(n):
-                if i == last or remaining[i] == 0:
-                    continue
-                for a in range(remaining[i], 0, -1):
-                    remaining[i] -= a
-                    prefix.append((i, a))
-                    rec(prefix, remaining, i)
-                    prefix.pop()
-                    remaining[i] += a
-
-        rec([], list(nu), None)
-        self._spanning[nu] = out
-        return out
-
     def _candidates(self, nu):
         """F_i applied to the basis words of every nu - alpha_i, shortest
-        words first, then in ``spanning_words`` order; [()] at nu = 0.
+        words first, then in ``uminus.normalized_words`` order; [()] at
+        nu = 0.
 
         The order picks which candidates the elimination keeps; short words
         first keep its kernel relations narrow, so their search is short."""

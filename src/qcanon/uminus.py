@@ -16,7 +16,8 @@ vertex; it stands for the product F_{i_1}^{(a_1)} ... F_{i_k}^{(a_k)}.
 Merging of adjacent equal vertices is performed by the product and emits a
 Gaussian binomial scalar, F_i^{(a)} F_i^{(b)} = [a+b choose a] F_i^{(a+b)}.
 No further straightening is attempted; relations are imposed only in the
-module quotient.
+module quotient.  ``normalized_words`` lists the normalized words of a content
+and ``count_words`` counts them without listing.
 
 ``UMinusElement`` is the one type that holds a content and a word ->
 coefficient map.  The highest weight module is a quotient of this algebra,
@@ -56,6 +57,31 @@ def count_words(content):
     (``_count_from``), so a run that counts every content up to a height
     counts each lower one once."""
     return _count_from(tuple(content), None)
+
+
+def normalized_words(content):
+    """Yield every normalized word of a content, slot by slot: vertex index
+    ascending, then multiplicity descending.  Nothing is kept: the low-height
+    ``verify`` samples and the tests list words with it, the weight spaces
+    and the element ids do not."""
+    remaining = list(content)
+    word = []
+
+    def walk(last):
+        if not any(remaining):
+            yield tuple(word)
+            return
+        for i, top in enumerate(remaining):
+            if i == last or not top:
+                continue
+            for a in range(top, 0, -1):
+                remaining[i] = top - a
+                word.append((i, a))
+                yield from walk(i)
+                word.pop()
+            remaining[i] = top
+
+    yield from walk(None)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import itertools
 from qcanon import cartan
 from qcanon.crystalgraph import path_order, pi_arrow
 from qcanon.qarith import ONE, ZERO, addmul, finish
-from qcanon.uminus import normalize_slots, word_content
+from qcanon.uminus import normalize_slots, normalized_words, word_content
 
 
 def span(p):
@@ -137,11 +137,11 @@ def transition_by_expansion(cb, graph, nu, order):
 
 def pairing_row(module, u):
     """Pairings of u against every normalized word of its content
-    (``spanning_words``), one ``pair_words`` sum per word: the reference
+    (``uminus.normalized_words``), one ``pair_words`` sum per word: the reference
     for ``is_zero_vector`` and for the element ids, sharing only
     ``pair_words`` with them."""
     row = []
-    for m in module.spanning_words(u.content):
+    for m in normalized_words(u.content):
         acc = {}
         for w, c in u.terms.items():
             p = module.pair_words(w, m)
@@ -157,7 +157,7 @@ def element_key(module, elem):
     through vertex ids, sorted.  The package stores each content in the
     order of these keys, compared lazily; this lists every word."""
     q = module.quiver
-    words = module.spanning_words(elem.content)
+    words = normalized_words(elem.content)
     return tuple(sorted(
         (tuple((q.vertex_id(i), a) for i, a in w), tuple(sorted(p.c.items())))
         for w, p in zip(words, pairing_row(module, elem.vector)) if p))

@@ -6,10 +6,11 @@ import sys
 import pytest
 
 import qcanon
-from qcanon import cli, hwmodule
+from qcanon import canonical, cli, hwmodule
 from qcanon.cartan import parse_quiver_dict
 from qcanon.hwmodule import (CONTENT_CAP, HighestWeightModule, ResourceCapError,
                              check_content_count)
+from qcanon.uminus import normalized_words
 from qcanon.verify import VerifyContext
 
 
@@ -389,26 +390,35 @@ def test_resource_cap_exit_3(qfile, capsys, monkeypatch):
     # dims counts words without listing them; basis walks them for the
     # element ids of every content with two elements or more, the first
     # of which is (2,2) at height 4, and each walk reaches a word
-    monkeypatch.setattr(hwmodule, "SPANNING_CAP", 1)
+    monkeypatch.setattr(canonical, "SPANNING_CAP", 1)
     code, _, err = run_cli(capsys, "basis", "--quiver", qfile(KRON),
                            "--max-height", "4")
     assert code == 3 and "cap" in err
 
 
-@pytest.mark.parametrize("command", [("basis",), ("graph", "--format", "json")])
+@pytest.mark.parametrize("command", [
+    (KRON, 6, ("basis",)),
+    (KRON, 6, ("graph", "--format", "json")),
+    (D4, 6, ("verify", "--suite", "contravariance")),
+])
 def test_basis_and_graph_list_no_words(qfile, capsys, monkeypatch, command):
     # element ids walk the normalized words of a content lazily, so neither
-    # command lists all of them
+    # command lists all of them; the contravariance suite draws its vectors
+    # over weight-space bases.  Every module that took the word generator
+    # gets the recording one.
+    datum, height, argv = command
     listed = []
-    spanning_words = HighestWeightModule.spanning_words
 
-    def recorded(self, nu):
+    def recorded(nu):
         listed.append(nu)
-        return spanning_words(self, nu)
+        return normalized_words(nu)
 
-    monkeypatch.setattr(HighestWeightModule, "spanning_words", recorded)
-    code, out, _ = run_cli(capsys, command[0], "--quiver", qfile(KRON),
-                           "--max-height", "6", *command[1:])
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcanon") and getattr(module, "normalized_words", None) \
+                is normalized_words:
+            monkeypatch.setattr(module, "normalized_words", recorded)
+    code, out, _ = run_cli(capsys, argv[0], "--quiver", qfile(datum),
+                           "--max-height", str(height), *argv[1:])
     assert code == 0 and out
     assert listed == []
 

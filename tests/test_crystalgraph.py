@@ -489,7 +489,7 @@ def test_divided_powers_are_positive_with_crystal_leading_terms(data, hmax):
                     down = tuple(x - (n if k == i else 0) for k, x in enumerate(nu))
                     lead = string_element(t - n) if n <= t else None
                     assert (lead is not None) == (n <= t), (nu, pos, i, n)
-                    _check_expansion(cb, cb.expand(m.apply_E_divided(i, n, b.vector)),
+                    _check_expansion(cb, cb.expand(m.e_chain(i, b.vector, n)[n]),
                                      down, i, t - n, lead, qbinom(phi + n, n))
                     cases += 1
     assert cases > 0

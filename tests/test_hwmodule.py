@@ -9,8 +9,8 @@ from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qfact, qbinom
 from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
                            parse_quiver_dict)
 from qcanon import hwmodule, qarith
-from qcanon.hwmodule import HighestWeightModule, ResourceCapError
-from qcanon.uminus import UMinusElement, mono_mul, serre_element
+from qcanon.hwmodule import HighestWeightModule
+from qcanon.uminus import UMinusElement, mono_mul, normalized_words, serre_element
 from qcanon.canonical import CanonicalBasis
 
 from oracles import greedy_prefix, lp_rank, pairing_row
@@ -126,7 +126,7 @@ def test_form_is_symmetric(a2_adjoint, kronecker):
     for q, hw in (a2_adjoint, kronecker):
         m = HighestWeightModule(q, hw)
         for nu in contents_up_to(q.n, 4):
-            words = m.spanning_words(nu)
+            words = list(normalized_words(nu))
             gram = [[m.pair_words(s, t) for t in words] for s in words]
             n = len(words)
             for s in range(n):
@@ -142,9 +142,9 @@ def test_contravariance_on_random_pairs(a2_adjoint):
     for _ in range(100):
         nu = contents[rng.randrange(len(contents))]
         i = rng.randrange(2)
-        words_u = m.spanning_words(nu)
+        words_u = list(normalized_words(nu))
         nu2 = tuple(x + (1 if k == i else 0) for k, x in enumerate(nu))
-        words_w = m.spanning_words(nu2)
+        words_w = list(normalized_words(nu2))
         u = UMinusElement(nu, {words_u[rng.randrange(len(words_u))]:
                               LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3) or 1})})
         w = UMinusElement(nu2, {words_w[rng.randrange(len(words_w))]: ONE})
@@ -158,13 +158,11 @@ def test_contravariance_on_random_pairs(a2_adjoint):
 # -- weight spaces ----------------------------------------------------------------
 
 
-def test_spanning_enumeration_order(a2_adjoint):
-    q, hw = a2_adjoint
-    m = HighestWeightModule(q, hw)
-    assert m.spanning_words((0, 0)) == [()]
-    assert m.spanning_words((1, 1)) == [((0, 1), (1, 1)), ((1, 1), (0, 1))]
+def test_spanning_enumeration_order():
+    assert list(normalized_words((0, 0))) == [()]
+    assert list(normalized_words((1, 1))) == [((0, 1), (1, 1)), ((1, 1), (0, 1))]
     # vertex order lexicographic, higher multiplicities first
-    assert m.spanning_words((2, 1)) == [
+    assert list(normalized_words((2, 1))) == [
         ((0, 2), (1, 1)),
         ((0, 1), (1, 1), (0, 1)),
         ((1, 1), (0, 2)),
@@ -209,12 +207,45 @@ def test_divided_power_self_consistency(a2_adjoint):
     q, hw = a2_adjoint
     m = HighestWeightModule(q, hw)
     for nu in contents_up_to(2, 3):
-        for w in m.spanning_words(nu):
+        for w in normalized_words(nu):
             u = m.monomial_vector(w)
             for i in range(2):
                 for n in (2, 3):
                     assert m.apply_F(i, n, u).scale(qint(n)) == \
                         m.apply_F(i, 1, m.apply_F(i, n - 1, u))
+
+
+def _e_divided(m, i, n, u):
+    """E_i^(n) u as n plain ``apply_E`` calls divided once by [n]!."""
+    for _ in range(n):
+        u = m.apply_E(i, u)
+    if n > 1 and u.terms:
+        fact = qfact(n)
+        u = u.map_coeffs(lambda c: c.divexact(fact))
+    return u
+
+
+@pytest.mark.parametrize("datum,hmax", [
+    ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 3, "highest_weight": {"1": 1}}, 5),
+    ({"vertices": ["c", "1", "2", "3"], "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+      "highest_weight": {"c": 1}}, 4),
+], ids=["kronecker3", "d4"])
+def test_e_chain_matches_one_division_by_the_factorial(datum, hmax):
+    # the E-Serre sums read E_i^(r) off e_chain, which divides by [r] at
+    # every step, for r up to 1 + max_j a_ij
+    q, hw = parse_quiver_dict(datum)
+    m = HighestWeightModule(q, hw)
+    tops = [1 + max(q.a[i][j] for j in range(q.n) if j != i) for i in range(q.n)]
+    cases = 0
+    for nu in contents_up_to(q.n, hmax):
+        for w in m.weight_space(nu).basis:
+            u = m.monomial_vector(w)
+            for i in range(q.n):
+                chain = m.e_chain(i, u, tops[i])
+                for n in range(tops[i] + 1):
+                    assert chain[n] == _e_divided(m, i, n, u), (w, i, n)
+                    cases += bool(chain[n].terms) and n > 1
+    assert cases
 
 
 def test_integrability_bounds(a2_adjoint):
@@ -397,14 +428,6 @@ def test_weight_spaces_pair_only_candidate_words(a2_adjoint):
     assert len(m._pair) < 1000
 
 
-def test_resource_cap(kronecker, monkeypatch):
-    q, hw = kronecker
-    monkeypatch.setattr(hwmodule, "SPANNING_CAP", 3)
-    m = HighestWeightModule(q, hw)
-    with pytest.raises(ResourceCapError):
-        m.spanning_words((3, 3))
-
-
 def test_gram_and_elimination_checks_raise(a2_adjoint, monkeypatch):
     q, hw = a2_adjoint
     m = HighestWeightModule(q, hw)
@@ -459,7 +482,7 @@ def test_elimination_matches_reference_on_every_spanning_word(name):
     for nu in contents_up_to(q.n, hmax):
         space = m.weight_space(nu)
         # the reference Gram matrix over every normalized word of nu
-        words = m.spanning_words(nu)
+        words = list(normalized_words(nu))
         gram = [[m.pair_words(s, t) for t in words] for s in words]
         # the rank agrees with a plain Bareiss echelon of the whole Gram matrix
         assert lp_rank(gram) == space.rank == len(space.basis)
@@ -549,7 +572,7 @@ def test_self_pairing_zero_test_matches_pairing_rows(name):
         return zero
 
     for nu in contents_up_to(q.n, 5):
-        words = m.spanning_words(nu)
+        words = list(normalized_words(nu))
         vectors = []
         for _ in range(3):
             picked = rng.sample(words, min(len(words), rng.randint(1, 4)))
@@ -593,7 +616,7 @@ def test_self_pairing_equals_the_full_double_sum(name):
 
     vectors = []
     for nu in contents_up_to(q.n, 4):
-        words = m.spanning_words(nu)
+        words = list(normalized_words(nu))
         for _ in range(3):
             picked = rng.sample(words, min(len(words), rng.randint(1, 5)))
             vectors.append(UMinusElement(nu, {w: _random_laurent(rng) for w in picked}))

@@ -6,7 +6,7 @@ import pytest
 from qcanon.qarith import LaurentPoly, ONE
 from qcanon.cartan import HighestWeight, parse_quiver_dict, contents_up_to
 from qcanon.hwmodule import HighestWeightModule
-from qcanon.uminus import UMinusElement
+from qcanon.uminus import UMinusElement, normalized_words
 from qcanon.canonical import CanonicalBasis
 from qcanon import crystalgraph as cg
 from qcanon import verify
@@ -95,7 +95,7 @@ def test_coordinates_residual_pairs_to_zero(a2_adjoint):
     rng = random.Random(17)
     for nu in [(1, 1), (2, 1), (2, 2)]:
         elems = cb.elements(nu)
-        words = m.spanning_words(nu)
+        words = list(normalized_words(nu))
         u = UMinusElement(nu, {w: LaurentPoly({rng.randint(-2, 2):
                                               rng.randint(-3, 3) or 1})
                               for w in words})

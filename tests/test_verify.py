@@ -4,7 +4,7 @@ from collections import Counter
 from qcanon.qarith import LaurentPoly, qint, qbinom, qfact
 from qcanon.cartan import contents_up_to, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
-from qcanon.uminus import word_str
+from qcanon.uminus import normalized_words, word_str
 from qcanon import qarith, verify
 
 KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3,
@@ -96,6 +96,31 @@ def test_wrong_serre_exponent_fails_serre():
     assert res.checks == 20 and len(res.failures) == 9
 
 
+def test_contravariance_draws_no_vacuous_pair(monkeypatch):
+    # over every word of a content, u = 0 in the module in 48 of 100 draws
+    # on 3-Kronecker h=6 and 77 on D4 h=4; over the bases of nonzero weight
+    # spaces u is never 0, and w is 0 only where every L_{nu + alpha_i} is
+    real = verify._random_vector
+    drawn = []
+
+    def recorded(m, nu, rng):
+        drawn.append(real(m, nu, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_random_vector", recorded)
+    for datum, hmax in ((KRON3, 6), (D4, 4)):
+        drawn.clear()
+        ctx = ctx_for(parse_quiver_dict(datum), hmax)
+        m, n = ctx.module, ctx.quiver.n
+        assert verify.suite_contravariance(ctx).checks == 100
+        assert len(drawn) == 200
+        for u, w in zip(drawn[::2], drawn[1::2]):
+            assert not m.is_zero_vector(u), u
+            up = [tuple(x + (k == i) for k, x in enumerate(u.content)) for i in range(n)]
+            if any(m.weight_space(c).rank for c in up):
+                assert not m.is_zero_vector(w), w
+
+
 def test_coproduct_suite_expands_each_word_once(monkeypatch):
     calls = Counter()
     real = verify.restriction_coproduct
@@ -125,7 +150,7 @@ def test_coproduct_suite_catches_a_height_dependent_shift(monkeypatch):
     q, hw = parse_quiver_dict(D4)
     ctx = verify.VerifyContext(q, hw, 3)
     words = [w for nu in contents_up_to(q.n, 3) if any(nu)
-             for w in ctx.module.spanning_words(nu)]
+             for w in normalized_words(nu)]
     res = verify.suite_coproduct(ctx)
     assert len(words) == len(res.failures) == 84
     assert sorted(res.failures) == sorted(
@@ -141,10 +166,9 @@ def test_coassociativity_sees_one_unit_moved_by_v_squared(monkeypatch):
     # every exponent sees it
     real = verify.restriction_coproduct
     for datum in (D4, KRON3):
-        q, hw = parse_quiver_dict(datum)
-        m = HighestWeightModule(q, hw)
+        q, _ = parse_quiver_dict(datum)
         words = [w for nu in contents_up_to(q.n, 3) if sum(nu) == 3
-                 for w in m.spanning_words(nu) if len({i for i, _ in w}) > 1]
+                 for w in normalized_words(nu) if len({i for i, _ in w}) > 1]
         assert words
         for w in words:
             assert verify._coassoc_holds(q, w)

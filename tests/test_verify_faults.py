@@ -10,6 +10,9 @@ The values below were recorded before that change, on the code that
 rebuilt every image: per fault, datum and suite, the number of checks, the
 number of failures, and the first 16 hex digits of the sha256 of the
 failure messages joined by newlines (which pins their text and order).
+The contravariance suite draws other vectors since it sampled weight-space
+bases instead of every word; under each fault it must fail at least as
+often as it did before.
 """
 
 import hashlib
@@ -151,3 +154,26 @@ def test_the_serre_sums_see_a_fault_in_their_e_chains(monkeypatch):
     res = verify.suite_serre(verify.VerifyContext(q, hw, 6))
     assert summary(res) == (104, 2, "3cb312b3ca9d685a")
     assert all(msg.startswith("E-Serre(1,0)") for msg in res.failures)
+
+
+# failures of ``suite_contravariance`` under each fault, recorded when its
+# vectors were drawn over every normalized word of a content, at 100 checks
+CONTRAVARIANCE_BEFORE = {
+    "kron3": {"apply_K": 13, "apply_K_content": 5, "apply_E": 13,
+              "apply_E_content": 13, "apply_E_cross": 5, "qint": 0},
+    "d4": {"apply_K": 1, "apply_K_content": 0, "apply_E": 1,
+           "apply_E_content": 1, "apply_E_cross": 0, "qint": 0},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_contravariance_sees_every_fault_it_saw_before(monkeypatch, fault):
+    # the suite draws its vectors over the bases of nonzero weight spaces,
+    # so no draw is vacuous; it must fail at least as often as before
+    owner, attr, bad = FAULTS[fault]
+    monkeypatch.setattr(owner, attr, bad)
+    for name, (datum, hmax) in DATA.items():
+        q, hw = parse_quiver_dict(datum)
+        res = verify.suite_contravariance(verify.VerifyContext(q, hw, hmax))
+        assert res.checks == 100
+        assert len(res.failures) >= CONTRAVARIANCE_BEFORE[name][fault], (name, len(res.failures))
