@@ -137,8 +137,8 @@ def transition_by_expansion(cb, graph, nu, order):
 
 def pairing_row(module, u):
     """Pairings of u against every normalized word of its content
-    (``uminus.normalized_words``), one ``pair_words`` sum per word: the reference
-    for ``is_zero_vector`` and for the element ids, sharing only
+    (``uminus.normalized_words``), one ``pair_words`` sum per word: the
+    reference for ``is_zero_vector`` and for the element ids, sharing only
     ``pair_words`` with them."""
     row = []
     for m in normalized_words(u.content):

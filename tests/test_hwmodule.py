@@ -231,8 +231,8 @@ def _e_divided(m, i, n, u):
       "highest_weight": {"c": 1}}, 4),
 ], ids=["kronecker3", "d4"])
 def test_e_chain_matches_one_division_by_the_factorial(datum, hmax):
-    # the E-Serre sums read E_i^(r) off e_chain, which divides by [r] at
-    # every step, for r up to 1 + max_j a_ij
+    # the E-Serre sums read E_i^(r) off e_chain, for r up to 1 + max_j a_ij;
+    # the reference rebuilds each power from u alone
     q, hw = parse_quiver_dict(datum)
     m = HighestWeightModule(q, hw)
     tops = [1 + max(q.a[i][j] for j in range(q.n) if j != i) for i in range(q.n)]
