@@ -13,8 +13,9 @@ _EXPORTS = {
     **dict.fromkeys(("Quiver", "HighestWeight", "QuiverError", "parse_quiver_dict",
                      "load_quiver", "coroot_pairing", "height", "weight_leq"),
                     "cartan"),
-    **dict.fromkeys(("UMinusElement", "mono_mul", "restriction_coproduct", "rbar",
-                     "ibar", "serre_element", "word_str"), "uminus"),
+    **dict.fromkeys(("UMinusElement", "mono_mul", "word_str"), "uminus"),
+    **dict.fromkeys(("restriction_coproduct", "rbar", "ibar", "serre_element"),
+                    "coproduct"),
     **dict.fromkeys(("WeightSpaceModel", "HighestWeightModule", "ResourceCapError",
                      "InternalCheckError"), "hwmodule"),
     **dict.fromkeys(("CBElement", "CanonicalBasis", "verify_bar_invariant",

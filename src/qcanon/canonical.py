@@ -7,6 +7,13 @@ with t_i = 0; candidates are orthogonalized against the already-accepted
 elements by subtracting sym_truncate of the offending pairings until every
 pairing drops into v^-1 Z[v^-1].  Convergence is guarded: the maximal
 degree of an offending pairing must strictly decrease on every pass.
+Each content's element count must equal the weight multiplicity that the
+Weyl-Kac oracle gives (``hwmodule.freudenthal_multiplicity``): the
+nonzero simple perverse sheaves of the localization are the canonical
+basis of L(Lambda), so they are as many as that multiplicity.  The oracle
+reads only the Cartan matrix and Lambda and shares no code with the module
+action, and the induction builds no weight-space model (no spanning set,
+candidate Gram matrix or elimination).
 
 The induction also reads t_i.  At every seed (i, t, b0) it records the
 exact coordinates of F_i^(t) b0 against the elements accepted so far: the
@@ -71,8 +78,8 @@ class OrthogonalizationError(RuntimeError):
 
 class CompletionError(RuntimeError):
     """A content fails a completeness check: its element count against the
-    Gram rank, an element's self-pairing or bar-invariance, or the string
-    property of a seed's recorded coordinates."""
+    Weyl-Kac multiplicity, an element's self-pairing or bar-invariance, or
+    the string property of a seed's recorded coordinates."""
 
 
 class CBElement:
@@ -151,7 +158,6 @@ class CanonicalBasis:
             top = CBElement(nu, vac, (None, 0, None), self_pairing=mod.self_pairing(vac))
             top.t = (0,) * len(nu)
             return [top], []
-        space = mod.weight_space(nu)
         accepted = []
         ts = []  # ts[k][i] is t_i of accepted[k], 0 until a seed reaches it
         records = []
@@ -184,9 +190,11 @@ class CanonicalBasis:
                                 f"{i}-string of its seed")
                         ts[lead][i] = t
                     records.append(((low, parent_pos, i, t), lead, coords))
-        if len(accepted) != space.rank:
+        mult = mod.freudenthal_multiplicity(nu)
+        if len(accepted) != mult:
             raise CompletionError(
-                f"content {nu}: found {len(accepted)} elements, Gram rank {space.rank}")
+                f"content {nu}: found {len(accepted)} elements, Weyl-Kac "
+                f"multiplicity {mult}")
         for b, t in zip(accepted, ts):
             b.t = tuple(t)
         return accepted, records
@@ -318,10 +326,11 @@ class CanonicalBasis:
         the elements are bar-invariant, hence so is x, and [-D, D] is its
         whole degree window.  The result is checked exactly: a nonzero
         residual raises InternalCheckError.  A passing check is a proof.
-        The count-vs-rank check of the induction makes the elements as
-        many as the rank, and det(I + N) is 1 mod v^-1, so they are a basis
-        of the weight space; w - sum_t x_t b_t is then orthogonal to a
-        basis, hence 0 by the nondegeneracy of the form.
+        The count check of the induction makes the elements as many as
+        the Weyl-Kac multiplicity, the dimension of the weight space, and
+        det(I + N) is 1 mod v^-1, so they are a basis of the weight space;
+        w - sum_t x_t b_t is then orthogonal to a basis, hence 0 by the
+        nondegeneracy of the form.
         """
         vec = self.module.monomial_vector(w)
         elems = self.elements(vec.content)

@@ -3,14 +3,18 @@
 All machine output is JSON (DOT for graphs) printed to stdout and built
 deterministically: identical configuration yields byte-identical bytes
 across runs and cache hits.  Exit codes: 0 success,
-1 verification failure, 2 input error, 3 resource cap exceeded, 141
-(128 + SIGPIPE, as a shell reports it) when the reader closed stdout
-before the output was written.
+1 verification failure, 2 input error, 3 resource cap exceeded, 4 an
+internal check failed (an exact self-check of the computation, such as the
+basis count against the Weyl-Kac multiplicity; one line on stderr and
+nothing on stdout), 141 (128 + SIGPIPE, as a shell reports it) when the
+reader closed stdout before the output was written.
 
 Each subcommand imports only the layers it runs: ``canonical`` and
 ``crystalgraph`` inside the basis and graph payloads, ``verify`` inside
 ``_run_verify`` and ``hashlib`` inside ``_cache_key``, so ``dims`` starts
-without them.
+without them.  ``hwmodule`` loads ``elimination`` only when it builds a
+weight space (``dims``, ``verify``), and only ``verify`` loads
+``coproduct``.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from . import __version__
 from . import cartan
 from .cartan import QuiverError, load_quiver
 from .uminus import count_words, word_str
-from .hwmodule import HighestWeightModule, ResourceCapError, check_content_count
+from .hwmodule import (HighestWeightModule, InternalCheckError, ResourceCapError,
+                       check_content_count)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
 
@@ -76,6 +82,20 @@ def main(argv=None):
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except _internal_errors() as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _internal_errors():
+    """The exceptions of a failed exact self-check.  An ``except`` clause
+    evaluates this only when an exception reaches it, so the layers are
+    imported on that path alone and a run that succeeds loads no more."""
+    from .qarith import ExactDivisionError
+    from .canonical import CompletionError, OrthogonalizationError
+    from .crystalgraph import GraphError
+    return (InternalCheckError, CompletionError, OrthogonalizationError, GraphError,
+            ExactDivisionError)
 
 
 def main_and_exit():

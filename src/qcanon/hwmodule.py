@@ -15,6 +15,11 @@ independent weight-multiplicity oracle: the Weyl-Kac character formula
 divided by the denominator identity, which needs only the signed dot orbit
 of the Weyl group, in integers.
 
+Only ``dims`` and ``verify`` build weight spaces.  The elimination lives in
+``elimination``, which ``weight_space`` imports on a cache miss; the
+canonical basis counts its elements against the oracle instead, so
+``basis`` and ``graph`` load neither and never meet GRAM_CAP.
+
 The module is generated from v_L by the F_i, so
 L_nu = sum_i F_i L_{nu - alpha_i} for any basis of the lower weight spaces,
 and the candidates F_i b, b a basis word of nu - alpha_i, span L_nu; their
@@ -42,8 +47,7 @@ import math
 from heapq import heappop, heappush
 from operator import add, sub
 
-from .qarith import (LaurentPoly, ZERO, ONE, PivotBreakdown, UncertifiedRow, addmul, finish,
-                     qint, qfact, lp_sym_echelon)
+from .qarith import LaurentPoly, ZERO, ONE, addmul, finish, qint, qfact
 from .uminus import EMPTY_WORD, UMinusElement, concat_words, mono_mul, word_content
 from . import cartan
 
@@ -60,7 +64,7 @@ class InternalCheckError(AssertionError):
 CONTENT_CAP = 100_000
 # Most Gram entries (candidates squared) ``weight_space`` may build at one
 # content; 3-Kronecker (1,0) reaches 17 ** 2 at (4,4), the most of any
-# benchmark datum.
+# benchmark datum.  Only ``dims`` and ``verify`` build weight spaces.
 GRAM_CAP = 250_000
 
 
@@ -127,7 +131,7 @@ class WeightSpaceModel:
     ``spanning`` is the candidate spanning set (F_i applied to the basis
     words of each nu - alpha_i, shortest words first; see the module
     docstring) and ``basis`` the words the greedy prefix of its Gram matrix
-    keeps (the pivots of ``qarith.lp_sym_echelon``).
+    keeps (the pivots of ``elimination.lp_sym_echelon``).
     """
 
     def __init__(self, content, spanning, basis, rank):
@@ -345,6 +349,7 @@ class HighestWeightModule:
             return hit
         if any(x < 0 for x in nu):
             raise ValueError(f"content {nu} has negative entries")
+        from .elimination import PivotBreakdown, UncertifiedRow, lp_sym_echelon
         spanning = self._candidates(nu)
         if len(spanning) ** 2 > GRAM_CAP:
             raise ResourceCapError(
@@ -399,7 +404,8 @@ class HighestWeightModule:
 
     def freudenthal_multiplicity(self, nu):
         """Weight multiplicity of Lambda - sum nu_i alpha_i, independently of
-        the Gram-rank computation.
+        the Gram-rank computation; the canonical basis checks its element
+        count at every content against it.
 
         The method keeps the name of the Freudenthal recursion it replaced,
         because the ``dims`` column ``freudenthal`` and the

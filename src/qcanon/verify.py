@@ -15,8 +15,9 @@ from .qarith import LaurentPoly, ZERO, ONE, addmul, finish, qint, ExactDivisionE
 from . import cartan
 from .cartan import contents_of_height, contents_up_to, unit_vector, vec_add, vec_sub
 from .uminus import (UMinusElement, concat_words, mono_mul, normalized_words, word_content,
-                     word_str, restriction_coproduct, rbar, ibar, rbar_derivation,
-                     ibar_derivation, serre_element)
+                     word_str)
+from .coproduct import (restriction_coproduct, rbar, ibar, rbar_derivation, ibar_derivation,
+                        serre_element)
 from .hwmodule import HighestWeightModule, check_content_count
 from .canonical import CanonicalBasis, verify_bar_invariant
 from . import crystalgraph as cg

@@ -4,7 +4,7 @@ Not a test module (pytest collects only ``test_*.py``).  Nothing here
 evaluates at a point of F_p or imports the package's elimination, so a
 check against these references shares no code with what it checks, apart
 from ``pair_words``, which the pairing rows below read.  The slotwise
-coproduct takes nothing from the path of ``uminus.restriction_coproduct``;
+coproduct takes nothing from the path of ``coproduct.restriction_coproduct``;
 it shares only the Laurent accumulation and the Gaussian binomials.
 """
 
@@ -13,7 +13,8 @@ import itertools
 from qcanon import cartan
 from qcanon.crystalgraph import path_order, pi_arrow
 from qcanon.qarith import ONE, ZERO, addmul, finish
-from qcanon.uminus import normalize_slots, normalized_words, word_content
+from qcanon.coproduct import normalize_slots
+from qcanon.uminus import normalized_words, word_content
 
 
 def span(p):
@@ -200,7 +201,7 @@ def shift_exponent(quiver, slots, bs):
 
 def slotwise_coproduct(quiver, word):
     """Every coproduct component of a word, from one slotwise pass: the
-    reference for ``uminus.restriction_coproduct``, which builds each word's
+    reference for ``coproduct.restriction_coproduct``, which builds each word's
     components from those of its suffix.
 
     Each splitting 0 <= b_l <= a_l of the slot multiplicities gives the tau

@@ -8,7 +8,7 @@ from qcanon.qarith import LaurentPoly, ZERO, ONE, qint
 from qcanon.cartan import HighestWeight, parse_quiver_dict, contents_up_to
 from qcanon.hwmodule import HighestWeightModule, InternalCheckError
 from qcanon.uminus import UMinusElement, normalized_words
-from qcanon.canonical import CanonicalBasis, CBElement, verify_bar_invariant
+from qcanon.canonical import CanonicalBasis, CBElement, CompletionError, verify_bar_invariant
 from qcanon import cli, crystalgraph as cg
 from oracles import element_key
 
@@ -52,6 +52,57 @@ def test_rank_zero_space_is_empty(a2_fund):
     m, cb = build(a2_fund, 3)
     assert cb.elements((0, 1)) == []
     assert cb.elements((2, 0)) == []
+
+
+# -- completeness against the Weyl-Kac oracle, with no weight space --------------
+
+# name -> (quiver document, height bound)
+NO_WEIGHT_SPACE_DATA = {
+    "kronecker": ({"vertices": ["1", "2"], "edges": [["1", "2"]] * 2,
+                   "highest_weight": {"1": 1, "2": 0}}, 6),
+    "d4": ({"vertices": ["c", "1", "2", "3"],
+            "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
+            "highest_weight": {"c": 1}}, 5),
+    "wild3": ({"vertices": ["1", "2", "3"], "edges": [["1", "2"]] * 2 + [["2", "3"]] * 2,
+               "highest_weight": {"2": 1}}, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_WEIGHT_SPACE_DATA))
+def test_basis_graph_and_monomials_build_no_weight_space(name, monkeypatch):
+    # the induction counts each content against the Weyl-Kac oracle, so the
+    # basis, the left graph and the path monomials need no Gram matrix
+    def refused(*args):
+        pytest.fail(f"weight space built: {args[1:]}")
+
+    monkeypatch.setattr(HighestWeightModule, "weight_space", refused)
+    monkeypatch.setattr(HighestWeightModule, "_gram", refused)
+    datum, hmax = NO_WEIGHT_SPACE_DATA[name]
+    q, hw = parse_quiver_dict(datum)
+    m = HighestWeightModule(q, hw)
+    cb = CanonicalBasis(m).compute_up_to(hmax)
+    graph = cg.build_left_graph(cb)
+    counted = 0
+    for nu in contents_up_to(q.n, hmax):
+        count = len(cb.elements(nu))
+        assert count == m.freudenthal_multiplicity(nu), nu
+        if count:
+            positions, paths, vectors, transition = cg.monomial_basis(cb, graph, nu, cb.order)
+            assert len(positions) == len(paths) == len(vectors) == len(transition) == count
+        counted += count
+    assert counted > 10
+
+
+def test_a_count_off_the_weyl_kac_multiplicity_stops_the_basis(kronecker, monkeypatch):
+    # one more than the oracle at the single content (2, 2), where the
+    # induction finds its 2 elements
+    orig = HighestWeightModule.freudenthal_multiplicity
+    monkeypatch.setattr(HighestWeightModule, "freudenthal_multiplicity",
+                        lambda self, nu: orig(self, nu) + (tuple(nu) == (2, 2)))
+    m = HighestWeightModule(*kronecker)
+    with pytest.raises(CompletionError, match=r"content \(2, 2\): found 2 elements, "
+                                              r"Weyl-Kac multiplicity 3"):
+        CanonicalBasis(m).compute_up_to(6)
 
 
 def test_a2_adjoint_counts(a2_adjoint):

@@ -396,6 +396,20 @@ def test_resource_cap_exit_3(qfile, capsys, monkeypatch):
     assert code == 3 and "cap" in err
 
 
+def test_internal_check_failure_exit_4(qfile, capsys, monkeypatch):
+    # a skewed coroot pairing makes the module another one than the
+    # Weyl-Kac oracle counts, so the basis build stops on its count check:
+    # one stderr line and no output, not a traceback and the verify code
+    orig = HighestWeightModule.coroot_pairing
+    monkeypatch.setattr(HighestWeightModule, "coroot_pairing",
+                        lambda self, nu, i: orig(self, nu, i) + 1)
+    code, out, err = run_cli(capsys, "basis", "--quiver", qfile(A2ADJ),
+                             "--max-height", "2")
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal check failed: ") and "Weyl-Kac multiplicity" in err
+
+
 @pytest.mark.parametrize("command", [
     (KRON, 6, ("basis",)),
     (KRON, 6, ("graph", "--format", "json")),
@@ -473,17 +487,20 @@ sys.exit(code)
 """
 
 LAYERS_PAST_HWMODULE = {"qcanon.canonical", "qcanon.crystalgraph", "qcanon.verify"}
+# the weight-space elimination and the U^- structure only verify reads
+ELIMINATION, COPRODUCT = "qcanon.elimination", "qcanon.coproduct"
 
 
 @pytest.mark.parametrize("command, cache, loaded, not_loaded", [
-    ("dims", False, {"qcanon.hwmodule"}, LAYERS_PAST_HWMODULE | {"hashlib"}),
-    ("dims", True, {"hashlib"}, LAYERS_PAST_HWMODULE),
+    ("dims", False, {"qcanon.hwmodule", ELIMINATION},
+     LAYERS_PAST_HWMODULE | {"hashlib", COPRODUCT}),
+    ("dims", True, {"hashlib"}, LAYERS_PAST_HWMODULE | {COPRODUCT}),
     ("basis", False, {"qcanon.canonical", "qcanon.crystalgraph"},
-     {"qcanon.verify", "hashlib"}),
+     {"qcanon.verify", "hashlib", ELIMINATION, COPRODUCT}),
     ("graph", False, {"qcanon.canonical", "qcanon.crystalgraph"},
-     {"qcanon.verify", "hashlib"}),
-    ("graph", True, {"hashlib"}, {"qcanon.verify"}),
-    ("verify", False, LAYERS_PAST_HWMODULE, {"hashlib"}),
+     {"qcanon.verify", "hashlib", ELIMINATION, COPRODUCT}),
+    ("graph", True, {"hashlib"}, {"qcanon.verify", ELIMINATION, COPRODUCT}),
+    ("verify", False, LAYERS_PAST_HWMODULE | {ELIMINATION, COPRODUCT}, {"hashlib"}),
 ], ids=["dims", "dims-cache", "basis", "graph", "graph-cache", "verify"])
 def test_each_subcommand_imports_only_its_layers(qfile, tmp_path, command, cache,
                                                  loaded, not_loaded):

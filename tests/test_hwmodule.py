@@ -8,9 +8,10 @@ import pytest
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qfact, qbinom
 from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
                            parse_quiver_dict)
-from qcanon import hwmodule, qarith
+from qcanon import elimination, hwmodule
 from qcanon.hwmodule import HighestWeightModule
-from qcanon.uminus import UMinusElement, mono_mul, normalized_words, serre_element
+from qcanon.uminus import UMinusElement, mono_mul, normalized_words
+from qcanon.coproduct import serre_element
 from qcanon.canonical import CanonicalBasis
 
 from oracles import greedy_prefix, lp_rank, pairing_row
@@ -403,7 +404,8 @@ def test_multiplicities_pinned(datum):
 
 
 def test_serre_elements_annihilate_the_module(a2_adjoint, kronecker):
-    from qcanon.uminus import mono_mul, serre_element
+    from qcanon.uminus import mono_mul
+    from qcanon.coproduct import serre_element
     for q, hw in (a2_adjoint, kronecker):
         m = HighestWeightModule(q, hw)
         for i in range(2):
@@ -451,7 +453,7 @@ def test_an_uncertified_row_is_an_internal_check_error(kronecker, monkeypatch):
         m.weight_space(nu)
     # at (2, 3) two candidates have rank 1; with no candidate relation the
     # rejected row is refused
-    monkeypatch.setattr(qarith, "_relations", lambda rows, support, mult: iter(()))
+    monkeypatch.setattr(elimination, "_relations", lambda rows, support, mult: iter(()))
     with pytest.raises(hwmodule.InternalCheckError, match="no certified kernel relation"):
         m.weight_space((2, 3))
 

@@ -225,7 +225,8 @@ def taken_names(source, module):
 def test_oracles_share_no_elimination_with_the_package():
     source = ORACLES.read_text()
     assert "def lp_rank(" in source
-    assert taken_names(source, "qcanon.qarith") & ELIMINATION_NAMES == set()
+    for module in ("qcanon.qarith", "qcanon.elimination"):
+        assert taken_names(source, module) & ELIMINATION_NAMES == set()
 
 
 def test_detector_sees_qarith_names():
@@ -236,15 +237,18 @@ def test_detector_sees_qarith_names():
         "ONE", "rank_mod_p", "EVAL_POINT", "EVAL_PRIME"}
 
 
-def reached(source, root):
+def reached(source, root, *imported):
     """The module-level definitions and assignments of a source that
-    ``root`` reaches through the names their bodies read, root included."""
+    ``root`` reaches through the names their bodies read, root included;
+    the walk goes on into the definitions of the ``imported`` sources (the
+    modules the first one imports from), which its own names shadow."""
     defs = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defs[node.name] = node
-        elif isinstance(node, ast.Assign):
-            defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    for text in (*imported, source):
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defs.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
     seen, todo = set(), [root]
     while todo:
         name = todo.pop()
@@ -255,11 +259,14 @@ def reached(source, root):
 
 
 def test_the_coproduct_oracle_takes_nothing_from_the_coproduct_path():
-    path = reached((PACKAGE[0].parent / "uminus.py").read_text(), "restriction_coproduct")
+    here = PACKAGE[0].parent
+    path = reached((here / "coproduct.py").read_text(), "restriction_coproduct",
+                   (here / "uminus.py").read_text())
     assert {"restriction_coproduct", "_coproduct", "concat_words", "EMPTY_WORD"} <= path
     source = ORACLES.read_text()
     assert "def slotwise_coproduct(" in source
-    assert taken_names(source, "qcanon.uminus") & path == set()
+    for module in ("qcanon.coproduct", "qcanon.uminus"):
+        assert taken_names(source, module) & path == set()
 
 
 def test_detector_sees_a_reached_definition():
@@ -267,6 +274,8 @@ def test_detector_sees_a_reached_definition():
               "def helper():\n    return deep()\n\n\ndef deep():\n    return 0\n\n\n"
               "def other():\n    return root()\n")
     assert reached(source, "root") == {"root", "helper", "deep", "X"}
+    assert reached("def root():\n    return helper()\n", "root", source) == {
+        "root", "helper", "deep"}
     assert taken_names("from qcanon.uminus import concat_words\nfrom qcanon import uminus\n"
                        "x = uminus._coproduct\n", "qcanon.uminus") == {
         "concat_words", "_coproduct"}

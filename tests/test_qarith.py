@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcanon import qarith
+from qcanon import elimination, qarith
 from qcanon.cartan import parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, sym_truncate, qint,
-                           qfact, qbinom, lp_sym_echelon, rank_mod_p, addmul,
-                           finish, EVAL_POINT, EVAL_PRIME, ExactDivisionError,
-                           PivotBreakdown, UncertifiedRow)
+                           qfact, qbinom, rank_mod_p, addmul,
+                           finish, EVAL_POINT, EVAL_PRIME, ExactDivisionError)
+from qcanon.elimination import lp_sym_echelon, PivotBreakdown, UncertifiedRow
 
 from oracles import greedy_prefix, lp_rank
 
@@ -430,7 +430,7 @@ def test_span_zero_relation_certifies_a_rejected_row():
     assert len(gram) == 8
     expected = greedy_prefix(gram)
     assert expected == [0, 1, 2, 3, 4, 6, 7]
-    assert qarith._is_relation(gram, {0: {0: 1}, 3: {0: -1}, 5: {0: 1}})
+    assert elimination._is_relation(gram, {0: {0: 1}, 3: {0: -1}, 5: {0: 1}})
     assert lp_sym_echelon(gram) == expected
 
 
@@ -441,14 +441,14 @@ def test_wide_relations_are_found_by_the_span_solve():
     expected = greedy_prefix(gram)
     assert expected == [0]
     relation = {0: {0: -1, 2: -2, 4: -2, 6: -1}, 2: {3: 1}}
-    assert qarith._is_relation(gram, relation)
+    assert elimination._is_relation(gram, relation)
     # a narrower candidate fails the exact check; span 6 finds this one
-    narrow = qarith._span_relation(gram, [0, 2], 5)
-    assert narrow is None or not qarith._is_relation(gram, narrow)
-    wide = qarith._span_relation(gram, [0, 2], 6)
+    narrow = elimination._span_relation(gram, [0, 2], 5)
+    assert narrow is None or not elimination._is_relation(gram, narrow)
+    wide = elimination._span_relation(gram, [0, 2], 6)
     assert wide in (relation, {k: {e: -x for e, x in c.items()} for k, c in relation.items()})
     # the Cramer bound of those two rows admits span 6
-    assert qarith._cramer_span(gram, [0, 2]) >= 6
+    assert elimination._cramer_span(gram, [0, 2]) >= 6
     assert lp_sym_echelon(gram) == expected
 
 
@@ -459,7 +459,7 @@ def test_each_rejected_row_takes_logarithmically_many_solves(monkeypatch):
     # span-by-span search takes d solves
     _, gram = _kronecker_space(["1", "2"], (4, 6))
     rows = []
-    solve, certify, is_relation = qarith._span_form, qarith._certify, qarith._is_relation
+    solve, certify, is_relation = elimination._span_form, elimination._certify, elimination._is_relation
 
     def counted_certify(rows_, s, mult):
         rows.append({"row": s, "solves": 0, "span": None})
@@ -476,9 +476,9 @@ def test_each_rejected_row_takes_logarithmically_many_solves(monkeypatch):
             rows[-1]["span"] = max(exponents) - min(exponents)
         return ok
 
-    monkeypatch.setattr(qarith, "_certify", counted_certify)
-    monkeypatch.setattr(qarith, "_span_form", counted_solve)
-    monkeypatch.setattr(qarith, "_is_relation", spanned)
+    monkeypatch.setattr(elimination, "_certify", counted_certify)
+    monkeypatch.setattr(elimination, "_span_form", counted_solve)
+    monkeypatch.setattr(elimination, "_is_relation", spanned)
     assert lp_sym_echelon(gram) == greedy_prefix(gram) == [0]
     assert [r["row"] for r in rows] == [1, 2, 3, 4, 5]
     assert [r["span"] for r in rows] == [2, 6, 6, 4, 4]
@@ -496,8 +496,8 @@ def test_a_singular_support_block_falls_back_to_the_span_search():
     t = [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ONE], [ZERO, ZERO, ONE, V * V]]
     gram = [[sum((t[r][i] * a[r][k] * t[k][j] for r in range(3) for k in range(3)), ZERO)
              for j in range(4)] for i in range(4)]
-    assert len(qarith._span_form(gram, [1, 2, 3], 2, 1, [1, 2, 3]).free) == 4
-    assert qarith._span_relation(gram, [1, 2, 3], 2) == {1: {0: -1}, 2: {2: -1}, 3: {0: 1}}
+    assert len(elimination._span_form(gram, [1, 2, 3], 2, 1, [1, 2, 3]).free) == 4
+    assert elimination._span_relation(gram, [1, 2, 3], 2) == {1: {0: -1}, 2: {2: -1}, 3: {0: 1}}
     assert lp_sym_echelon(gram) == greedy_prefix(gram) == [0, 1, 2]
 
 
@@ -508,7 +508,7 @@ def test_a_wrong_relation_is_refused(monkeypatch, vertices, nu):
     def wrong(rows, support, mult):
         # the rejected row alone: c_s != 0, but the row is not zero
         yield {support[-1]: {0: 1}}
-    monkeypatch.setattr(qarith, "_relations", wrong)
+    monkeypatch.setattr(elimination, "_relations", wrong)
     with pytest.raises(UncertifiedRow, match="row"):
         lp_sym_echelon(gram)
 
@@ -518,7 +518,7 @@ def test_a_bound_below_the_relation_span_is_refused(monkeypatch):
     assert lp_sym_echelon(gram) == [0]
     # no relation of span <= 5 rejects row 2, so the row reads as outside
     # the span of row 0, and no pivots are returned
-    monkeypatch.setattr(qarith, "_cramer_span", lambda rows, support: 5)
+    monkeypatch.setattr(elimination, "_cramer_span", lambda rows, support: 5)
     pivots = None
     with pytest.raises(PivotBreakdown, match="at 2"):
         pivots = lp_sym_echelon(gram)
@@ -528,6 +528,6 @@ def test_a_bound_below_the_relation_span_is_refused(monkeypatch):
 def test_lift_reads_small_fractions_off_residues():
     p = EVAL_PRIME
     residues = [3 * pow(2, -1, p) % p, p - 1, 0, 5]
-    assert qarith._lift(residues) == [3, -2, 0, 10]
+    assert elimination._lift(residues) == [3, -2, 0, 10]
     # a residue with no small numerator and denominator does not lift
-    assert qarith._lift([pow(3, 61, p) * pow(7, -40, p) % p]) is None
+    assert elimination._lift([pow(3, 61, p) * pow(7, -40, p) % p]) is None

@@ -8,11 +8,10 @@ import pytest
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qbinom
 from qcanon.cartan import contents_of_height, contents_up_to
 from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
-                           word_content, restriction_coproduct,
-                           rbar, ibar, rbar_derivation, ibar_derivation,
-                           serre_element, normalize_slots, count_words,
-                           normalized_words)
-from qcanon import uminus, verify
+                           word_content, count_words, normalized_words)
+from qcanon.coproduct import (restriction_coproduct, rbar, ibar, rbar_derivation,
+                              ibar_derivation, serre_element, normalize_slots)
+from qcanon import coproduct, uminus, verify
 from qcanon.cartan import parse_quiver_dict
 
 from oracles import shift_exponent, slotwise_coproduct
@@ -235,15 +234,15 @@ def test_a_verify_run_leaves_the_memoized_coproducts_unchanged():
     # the components are kept for the process and handed out in new lists;
     # no suite may write into them or into their coefficients
     q, hw = parse_quiver_dict(D4)
-    uminus._coproduct.cache_clear()
+    coproduct._coproduct.cache_clear()
     for r in verify.run_suites(verify.VerifyContext(q, hw, 4), verify.DEFAULT_SUITES):
         assert r.passed, (r.name, r.failures)
-    info = uminus._coproduct.cache_info()
+    info = coproduct._coproduct.cache_info()
     assert info.hits and info.currsize
     words = [w for w in all_words(q, 4) if w]
     for w in words:
         assert as_data(restriction_coproduct(q, w)) == as_data(slotwise_coproduct(q, w)), w
-    assert uminus._coproduct.cache_info().currsize == info.currsize
+    assert coproduct._coproduct.cache_info().currsize == info.currsize
     first = restriction_coproduct(q, words[-1])
     first.clear()
     assert restriction_coproduct(q, words[-1])

@@ -1,9 +1,12 @@
 import copy
 from collections import Counter
 
+import pytest
+
 from qcanon.qarith import LaurentPoly, qint, qbinom, qfact
 from qcanon.cartan import contents_up_to, parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
+from qcanon.canonical import CanonicalBasis, CompletionError
 from qcanon.uminus import normalized_words, word_str
 from qcanon import qarith, verify
 
@@ -58,16 +61,21 @@ def test_injected_sign_error_is_detected(a2_adjoint, monkeypatch):
 def test_injected_pairing_error_is_detected(a2_adjoint, monkeypatch):
     # a uniform skew of the coroot pairing mimics a different highest
     # weight: the operator relations stay self-consistent, but the
-    # independent Freudenthal oracle disagrees with the Gram ranks
+    # independent Weyl-Kac oracle disagrees with the module.  The basis
+    # build counts its elements against that oracle, so it stops before the
+    # counts suite could run; the Gram ranks disagree with the oracle too
     orig = HighestWeightModule.coroot_pairing
 
     def skewed(self, nu, i):
         return orig(self, nu, i) + 1
 
     monkeypatch.setattr(HighestWeightModule, "coroot_pairing", skewed)
-    ctx = ctx_for(a2_adjoint, 2)
-    res = verify.suite_counts(ctx)
-    assert not res.passed
+    q, hw = a2_adjoint
+    m = HighestWeightModule(q, hw)
+    with pytest.raises(CompletionError, match="Weyl-Kac multiplicity"):
+        CanonicalBasis(m).compute_up_to(2)
+    assert any(m.weight_space(nu).rank != m.freudenthal_multiplicity(nu)
+               for nu in contents_up_to(q.n, 2))
 
 
 def test_wrong_quantum_integer_fails_relations(monkeypatch):
