@@ -20,13 +20,15 @@ step at a time (``path_coords``): F_i^(t) of an element with t_i = 0 is
 its recorded image, and F_i^(t) of the leader of a seed's F_i^(s) image
 follows from F_i^(t) F_i^(s) = [t+s choose t] F_i^(t+s) (``_image``).  No
 form is evaluated and no vector expanded.  The path monomials at a content
-are certified to be a basis by one modular rank (``qarith.rank_mod_p``):
-one that falls short at the evaluation point raises GraphError.
+are proved to be a basis by their transition matrix to the canonical basis
+itself: taken in path order it must be unitriangular, 1 on the diagonal
+and 0 above it, so its determinant is 1.  Any other matrix raises
+GraphError.  The proof is exact; nothing is evaluated at a point.
 """
 
 from __future__ import annotations
 
-from .qarith import ONE, ZERO, addmul, finish, qbinom, rank_mod_p
+from .qarith import ONE, ZERO, addmul, finish, qbinom
 from . import cartan
 
 
@@ -88,10 +90,10 @@ class LeftGraph:
     canonical-basis coordinates by path (``path_coords``).
     """
 
-    def __init__(self, vertices, arrows, arrow_map=None):
+    def __init__(self, vertices, arrows, arrow_map):
         self.vertices = vertices
         self.arrows = arrows
-        self.arrow_map = {} if arrow_map is None else arrow_map
+        self.arrow_map = arrow_map
         self.columns = {}
 
 
@@ -190,11 +192,13 @@ def monomial_basis(cb, graph, nu, order):
     """Path monomials at one content, one per basis element.
 
     Returns (positions, paths, vectors, transition): the first three in
-    ``path_order``, and the transition matrix whose columns are the
-    canonical-basis coordinates of the vectors (``path_coords``) and whose
-    rows are the stored elements at ``positions``.  The vectors are
-    certified to form a basis of the weight space: as many as the elements,
-    with a modular rank (a lower bound) equal to their number.
+    ``path_order``, and the transition matrix T whose column t holds the
+    canonical-basis coordinates of vector t (``path_coords``) and whose row
+    s is the stored element at positions[s].  The vectors are proved to
+    form a basis of the weight space by T itself: in every column t,
+    T[t][t] must be exactly 1 and T[s][t] must be 0 for every s < t.  A
+    unitriangular T has determinant 1, so the proof is exact; any other T
+    raises GraphError naming the content and the first bad entry.
     """
     items = path_order(cb, graph, nu, order)
     positions = [pos for pos, _ in items]
@@ -202,12 +206,13 @@ def monomial_basis(cb, graph, nu, order):
     vectors = [cb.module.monomial_vector(tuple(path)) for path in paths]
     images = {}
     cols = [path_coords(cb, graph, nu, path, images) for path in paths]
-    cols = [[col.get(p, ZERO) for p in range(len(positions))] for col in cols]
-    rank = rank_mod_p(cols)
-    if rank < len(vectors):
-        raise GraphError(f"path monomials do not span at {nu}, or their rank is not "
-                         f"certified at the evaluation point ({rank} < {len(vectors)})")
-    return positions, paths, vectors, [[col[p] for col in cols] for p in positions]
+    T = [[col.get(p, ZERO) for col in cols] for p in positions]
+    for t in range(len(T)):
+        for s in range(t + 1):
+            if T[s][t] != (ONE if s == t else ZERO):
+                raise GraphError(f"path monomials are not unitriangular at {nu}: "
+                                 f"transition entry ({s},{t}) is {T[s][t]}")
+    return positions, paths, vectors, T
 
 
 def path_coords(cb, graph, nu, path, images):

@@ -1,8 +1,9 @@
 """Certified symmetric elimination of a Gram matrix over Z[v, v^-1], the
 one that ``hwmodule.weight_space`` builds weight spaces on: the pivots of a
 symmetric LaurentPoly matrix, taken in row order, read at the fixed point
-v = ``qarith.EVAL_POINT`` of F_p, p = ``qarith.EVAL_PRIME`` = 2^61 - 1,
-where ``qarith.rank_mod_p`` also evaluates.
+v = ``EVAL_POINT`` of F_p, p = ``EVAL_PRIME`` = 2^61 - 1.  The point and
+the evaluation at it (``_eval``) belong to this module: it is the only
+place in the package that computes modulo a prime.
 
 The elimination is one pass at that point plus exact certificates.  A
 residual diagonal that is nonzero at that point is nonzero in Z[v, v^-1],
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .qarith import EVAL_POINT, EVAL_PRIME, addmul
+from .qarith import addmul
 
 
 class PivotBreakdown(ArithmeticError):
@@ -36,6 +37,12 @@ class UncertifiedRow(ArithmeticError):
     """A row whose residual vanishes at the evaluation point has no kernel
     relation that passes the exact check."""
 
+
+# The evaluation point of the modular pass: v = EVAL_POINT in F_EVAL_PRIME.
+EVAL_PRIME = (1 << 61) - 1
+EVAL_POINT = 1234567
+# k -> EVAL_POINT^k mod EVAL_PRIME, the powers ``_eval`` has met so far
+_POWERS = {}
 
 # Numerator and denominator bound of a lifted residue; a wrong lift only
 # fails the exact check.
@@ -74,12 +81,12 @@ def lp_sym_echelon(rows):
     ``addmul`` in the exact check; no LaurentPoly is multiplied or divided.
     """
     n = len(rows)
-    p, a = EVAL_PRIME, EVAL_POINT
+    p = EVAL_PRIME
     ev = [[0] * (2 * n) for _ in range(n)]  # the matrix mod p | an identity block
     for s, row in enumerate(rows):
         ev[s][n + s] = 1
         for t in range(s, n):
-            ev[s][t] = ev[t][s] = row[t].eval_mod(a, p)
+            ev[s][t] = ev[t][s] = _eval(row[t])
     pivots = []
     kept = []  # (pivot index, inverse of its diagonal, reduced row | multipliers)
     for s in range(n):
@@ -96,6 +103,18 @@ def lp_sym_echelon(rows):
         else:
             _certify(rows, s, row[n:])
     return pivots
+
+
+def _eval(e):
+    """The LaurentPoly e at v = EVAL_POINT over F_EVAL_PRIME, term by term
+    from the table of the powers of EVAL_POINT shared by every call."""
+    total = 0
+    for k, x in e.c.items():
+        w = _POWERS.get(k)
+        if w is None:
+            w = _POWERS[k] = pow(EVAL_POINT, k, EVAL_PRIME)
+        total += x * w
+    return total % EVAL_PRIME
 
 
 def _certify(rows, s, mult):

@@ -161,8 +161,8 @@ class HighestWeightModule:
     def vacuum(self):
         return UMinusElement.unit(self.quiver)
 
-    def monomial_vector(self, word, coeff=ONE):
-        return UMinusElement.monomial(self.quiver, word, coeff)
+    def monomial_vector(self, word):
+        return UMinusElement.monomial(self.quiver, word)
 
     def coroot_pairing(self, nu, i):
         return cartan.coroot_pairing(self.quiver, self.hw, nu, i)

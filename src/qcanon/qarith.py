@@ -8,14 +8,13 @@ Sums of products accumulate in one exponent -> int map (``addmul``, then
 ``finish``) instead of a new polynomial per term.
 
 The module also provides the quantum combinatorial numbers [n], [n]!,
-Gaussian binomials, the bar involution v -> v^-1, the symmetric truncation
-used by the basis orthogonalization, and ``rank_mod_p``, a certified lower
-bound of a rank at one fixed point of F_p, p = 2^61 - 1, against which the
-canonical-basis image supports and the path monomial bases are checked.
-The symmetric elimination that weight spaces are built on runs at the same
-point and lives in ``elimination``; only ``hwmodule.weight_space`` imports
-it, so a run that builds no weight space does not load it.  The package
-has no fraction-free loop.
+Gaussian binomials, the bar involution v -> v^-1 and the symmetric
+truncation used by the basis orthogonalization.  It is exact arithmetic
+only: nothing here evaluates modulo a prime.  The one modular pass of the
+package, the symmetric elimination that weight spaces are built on, lives
+with its evaluation point in ``elimination``; only
+``hwmodule.weight_space`` imports it, so a run that builds no weight space
+does not load it.  The package has no fraction-free loop.
 """
 
 from __future__ import annotations
@@ -163,19 +162,6 @@ class LaurentPoly:
         """Specialize v = 1."""
         return sum(self.c.values())
 
-    def eval_mod(self, a, p):
-        """Evaluate at v = a over the prime field F_p (a invertible mod p),
-        term by term from a table of the powers of a shared by every call
-        at the same point."""
-        powers = _POWERS.setdefault((a, p), {})
-        total = 0
-        for k, x in self.c.items():
-            w = powers.get(k)
-            if w is None:
-                w = powers[k] = pow(a, k, p)
-            total += x * w
-        return total % p
-
     def in_vinv_span(self):
         """True when every exponent is strictly negative (p in v^-1 Z[v^-1])."""
         return all(k < 0 for k in self.c)
@@ -216,8 +202,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly(1)
-# (a, p) -> {k: a^k mod p}, the powers ``eval_mod`` has met so far
-_POWERS = {}
 
 
 # -- fused accumulation --------------------------------------------------
@@ -363,35 +347,3 @@ def qbinom(n, k):
         if not out:
             return ZERO
     return out
-
-
-# -- modular rank --------------------------------------------------------
-
-
-# The evaluation point of every modular pass, here and in ``elimination``:
-# v = EVAL_POINT in F_EVAL_PRIME.
-EVAL_PRIME = (1 << 61) - 1
-EVAL_POINT = 1234567
-
-
-def rank_mod_p(rows):
-    """A certified lower bound of the rank of a LaurentPoly matrix: the rank
-    of the matrix evaluated at v = EVAL_POINT over F_EVAL_PRIME.
-
-    Evaluation is a ring map Z[v, v^-1] -> F_p, so a minor that is nonzero
-    there is nonzero in Z[v, v^-1].  The bound falls short of the rank only
-    when EVAL_POINT is a root mod p of every maximal nonzero minor; a caller
-    that needs the rank refuses then, and no exact rank runs.
-    """
-    p, a = EVAL_PRIME, EVAL_POINT
-    kept = []  # (pivot column, inverse of its entry, reduced row)
-    for row in rows:
-        row = [e.eval_mod(a, p) for e in row]
-        for c, inv, prow in kept:
-            f = row[c] * inv % p
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, prow)]
-        c = next((c for c, x in enumerate(row) if x), None)
-        if c is not None:
-            kept.append((c, pow(row[c], -1, p), row))
-    return len(kept)

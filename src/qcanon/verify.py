@@ -23,6 +23,12 @@ from .canonical import CanonicalBasis, verify_bar_invariant
 from . import crystalgraph as cg
 
 RNG_SEED = 20260809
+# vector pairs that ``contravariance`` draws, words that ``coproduct`` draws
+# for its Leibniz checks, and the height up to which ``derivation`` and the
+# coassociativity checks of ``coproduct`` run over every word
+CONTRAVARIANCE_PAIRS = 100
+COPRODUCT_SAMPLES = 50
+ALL_WORDS_HEIGHT = 4
 V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 
 
@@ -179,13 +185,13 @@ def suite_serre(ctx):
     return res
 
 
-def suite_contravariance(ctx, pairs=100):
+def suite_contravariance(ctx):
     """(F_i u, w) = v (u, K_i^-1 E_i w) on random vectors over weight-space
     bases.  Both sides are bilinear, so basis words test the same identity
     as all words of a content.  nu is drawn among the nonzero weight spaces
     below the height bound, so u != 0, and i among the vertices with
     L_{nu + alpha_i} != 0 when there is one, uniformly otherwise; the
-    check count stays ``pairs`` for every datum."""
+    check count stays CONTRAVARIANCE_PAIRS for every datum."""
     res = SuiteResult("contravariance")
     m, q = ctx.module, ctx.quiver
     rng = random.Random(RNG_SEED)
@@ -193,7 +199,7 @@ def suite_contravariance(ctx, pairs=100):
                 if cartan.height(nu) < ctx.max_height and m.weight_space(nu).rank]
     if not contents:
         return res  # nothing below the height bound to sample from
-    for _ in range(pairs):
+    for _ in range(CONTRAVARIANCE_PAIRS):
         nu = contents[rng.randrange(len(contents))]
         up = [vec_add(nu, unit_vector(q.n, i)) for i in range(q.n)]
         vertices = [i for i in range(q.n) if m.weight_space(up[i]).rank] or range(q.n)
@@ -227,11 +233,11 @@ def _random_vector(m, nu, rng):
 # -- derivation identity ------------------------------------------------------
 
 
-def suite_derivation(ctx, hcap=4):
+def suite_derivation(ctx):
     res = SuiteResult("derivation")
     m, q = ctx.module, ctx.quiver
     n = q.n
-    hmax = min(hcap, ctx.max_height)
+    hmax = min(ALL_WORDS_HEIGHT, ctx.max_height)
     for h in range(hmax + 1):
         for nu in contents_of_height(n, h):
             # the exponents of the identity at (nu, i), once per content: it
@@ -320,7 +326,7 @@ def _leibniz_twists(q, i):
     return coproduct, derivation
 
 
-def suite_coproduct(ctx, samples=50, hcap=4):
+def suite_coproduct(ctx):
     res = SuiteResult("coproduct")
     q = ctx.quiver
     n = q.n
@@ -330,7 +336,7 @@ def suite_coproduct(ctx, samples=50, hcap=4):
     for h in range(1, min(5, ctx.max_height) + 1):
         for nu in contents_of_height(n, h):
             pool.extend(normalized_words(nu))
-    for _ in range(samples if pool else 0):
+    for _ in range(COPRODUCT_SAMPLES if pool else 0):
         w = pool[rng.randrange(len(pool))]
         x = UMinusElement.monomial(q, w)
         for i in range(n):
@@ -350,10 +356,10 @@ def suite_coproduct(ctx, samples=50, hcap=4):
                     res.ok()
                 else:
                     res.fail(f"{tag} != Leibniz on {word_str(w, q)}, i={q.vertex_id(i)}")
-    # (b) coassociativity shadow on all monomials of height <= hcap; the
-    # inner coproducts of different words repeat, so each word's full
-    # coproduct is expanded once per suite run
-    hmax = min(hcap, ctx.max_height)
+    # (b) coassociativity shadow on all monomials of height <=
+    # ALL_WORDS_HEIGHT; the inner coproducts of different words repeat, so
+    # each word's full coproduct is expanded once per suite run
+    hmax = min(ALL_WORDS_HEIGHT, ctx.max_height)
     memo = {}
     for h in range(1, hmax + 1):
         for nu in contents_of_height(n, h):

@@ -125,7 +125,7 @@ def test_criterion_5_derivation_identity():
         for datum in (A2ADJ, KRON):
             q, hw = parse_quiver_dict(datum)
             ctx = verify.VerifyContext(q, hw, 4)
-            res = verify.suite_derivation(ctx, hcap=4)
+            res = verify.suite_derivation(ctx)
             assert res.passed, res.failures
             assert res.checks > 0
 
@@ -135,7 +135,7 @@ def test_criterion_6_coproduct_consistency():
         for datum in (A2ADJ, KRON):
             q, hw = parse_quiver_dict(datum)
             ctx = verify.VerifyContext(q, hw, 5)
-            res = verify.suite_coproduct(ctx, samples=50, hcap=4)
+            res = verify.suite_coproduct(ctx)
             assert res.passed, res.failures
 
 

@@ -208,7 +208,7 @@ def test_pi_bijectivity_double_count(a2_adjoint):
 def test_no_image_rank_and_no_arrow_expansion(monkeypatch):
     # t_i and the arrows are read off the induction's own seed records:
     # the build ranks no image, and the left graph expands no vector
-    calls = {"rank_mod_p": 0, "expand": 0, "pi_arrow": 0}
+    calls = {"expand": 0, "pi_arrow": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -216,17 +216,16 @@ def test_no_image_rank_and_no_arrow_expansion(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(qarith, "rank_mod_p", counted("rank_mod_p", qarith.rank_mod_p))
-    monkeypatch.setattr(cg, "rank_mod_p", counted("rank_mod_p", cg.rank_mod_p))
     monkeypatch.setattr(CanonicalBasis, "expand",
                         counted("expand", CanonicalBasis.expand))
     monkeypatch.setattr(cg, "pi_arrow", counted("pi_arrow", cg.pi_arrow))
     m, cb = build(parse_quiver_dict(KRON3_Q), 7)
-    assert calls == {"rank_mod_p": 0, "expand": 0, "pi_arrow": 0}
+    assert calls == {"expand": 0, "pi_arrow": 0}
     g = cg.build_left_graph(cb)
-    assert calls == {"rank_mod_p": 0, "expand": 0, "pi_arrow": 0}
+    assert calls == {"expand": 0, "pi_arrow": 0}
     assert len(g.arrows) == 45
-    assert not hasattr(canonical, "rank_mod_p")
+    # no modular rank is left to rank with
+    assert not any(hasattr(mod, "rank_mod_p") for mod in (qarith, canonical, cg))
 
 
 def test_monomial_basis_reads_only_the_seed_images(monkeypatch):
@@ -338,10 +337,33 @@ def test_monomial_basis_certifies_the_span(a2_adjoint, monkeypatch):
     m, cb = build(a2_adjoint, 4)
     g = cg.build_left_graph(cb)
     # every path monomial reads as the sum of all elements: at (1,1) the two
-    # columns are equal, so their rank 1 cannot span two elements
+    # columns are equal, so the second has a 1 above its diagonal
     monkeypatch.setattr(cg, "path_coords", lambda cb, graph, nu, path, images:
                         {p: ONE for p in range(len(cb.elements(nu)))})
-    with pytest.raises(cg.GraphError, match="do not span"):
+    with pytest.raises(cg.GraphError,
+                       match=re.escape("not unitriangular at (1, 1): transition entry (0,1) is 1")):
+        cg.monomial_basis(cb, g, (1, 1), (0, 1))
+
+
+def test_monomial_basis_refuses_a_basis_that_is_not_unitriangular(a2_adjoint, monkeypatch):
+    # at (1,1) the two path monomials are the two elements, in path order;
+    # read with the two unit columns swapped they still span (a rank test
+    # passes), but the transition matrix is a permutation, not
+    # unitriangular, so each path's monomial has lost its own element
+    m, cb = build(a2_adjoint, 4)
+    g = cg.build_left_graph(cb)
+    positions, _, _, T = cg.monomial_basis(cb, g, (1, 1), (0, 1))
+    assert T == [[ONE, ZERO], [ZERO, ONE]]
+    real = cg.path_coords
+    swap = {positions[0]: positions[1], positions[1]: positions[0]}
+
+    def swapped(cb, graph, nu, path, images):
+        col = real(cb, graph, nu, path, images)
+        return {swap[p]: x for p, x in col.items()} if nu == (1, 1) else col
+
+    monkeypatch.setattr(cg, "path_coords", swapped)
+    with pytest.raises(cg.GraphError,
+                       match=re.escape("not unitriangular at (1, 1): transition entry (0,0) is 0")):
         cg.monomial_basis(cb, g, (1, 1), (0, 1))
 
 

@@ -196,9 +196,23 @@ def test_detector_sees_an_alias():
 
 
 ORACLES = Path(__file__).parent / "oracles.py"
-# the package's eliminations and their evaluation point
-ELIMINATION_NAMES = {"lp_sym_echelon", "rank_mod_p", "_cramer_span",
-                     "EVAL_POINT", "EVAL_PRIME"}
+
+
+def module_names(source):
+    """The names a source binds at module level: its functions, classes and
+    assigned names."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+# every name the package's elimination defines, its evaluation point among
+# them
+ELIMINATION_NAMES = module_names((PACKAGE[0].parent / "elimination.py").read_text())
 
 
 def taken_names(source, module):
@@ -223,6 +237,7 @@ def taken_names(source, module):
 
 
 def test_oracles_share_no_elimination_with_the_package():
+    assert {"lp_sym_echelon", "_eval", "EVAL_POINT", "EVAL_PRIME"} <= ELIMINATION_NAMES
     source = ORACLES.read_text()
     assert "def lp_rank(" in source
     for module in ("qcanon.qarith", "qcanon.elimination"):
@@ -230,11 +245,41 @@ def test_oracles_share_no_elimination_with_the_package():
 
 
 def test_detector_sees_qarith_names():
-    source = ("from qcanon.qarith import ONE, rank_mod_p\n"
+    source = ("from qcanon.qarith import ONE, addmul\n"
               "from qcanon import qarith as qa\nimport qcanon.qarith\n\n\n"
-              "def f():\n    return qa.EVAL_POINT + qcanon.qarith.EVAL_PRIME\n")
-    assert taken_names(source, "qcanon.qarith") == {
-        "ONE", "rank_mod_p", "EVAL_POINT", "EVAL_PRIME"}
+              "def f():\n    return qa.qint(2) + qcanon.qarith.ZERO\n")
+    assert taken_names(source, "qcanon.qarith") == {"ONE", "addmul", "qint", "ZERO"}
+
+
+MODULAR_NAMES = {"EVAL_PRIME", "EVAL_POINT"}
+
+
+def modular_lines(source):
+    """The lines of a source that name the evaluation prime or point (as a
+    name, an attribute or an import) or call the three-argument pow."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id in MODULAR_NAMES
+                or isinstance(node, ast.Attribute) and node.attr in MODULAR_NAMES
+                or isinstance(node, ast.alias) and node.name in MODULAR_NAMES
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "pow" and len(node.args) == 3):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_elimination_computes_modulo_a_prime():
+    # qarith is exact Z[v, v^-1] arithmetic; the weight-space elimination,
+    # which basis and graph do not load, owns the one evaluation point
+    found = {p.name: modular_lines(p.read_text()) for p in PACKAGE}
+    assert [name for name, lines in found.items() if lines] == ["elimination.py"]
+
+
+def test_detector_sees_modular_arithmetic():
+    source = ("from .elimination import EVAL_PRIME\nimport qcanon.elimination as el\n\n\n"
+              "def f(a, k):\n    x = pow(a, k)\n    return pow(a, k, 7) + el.EVAL_POINT + x\n"
+              "\n\nEVAL_POINT = 3\n")
+    assert modular_lines(source) == [1, 7, 10]
 
 
 def reached(source, root, *imported):

@@ -7,9 +7,9 @@ from qcanon import elimination, qarith
 from qcanon.cartan import parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, sym_truncate, qint,
-                           qfact, qbinom, rank_mod_p, addmul,
-                           finish, EVAL_POINT, EVAL_PRIME, ExactDivisionError)
-from qcanon.elimination import lp_sym_echelon, PivotBreakdown, UncertifiedRow
+                           qfact, qbinom, addmul, finish, ExactDivisionError)
+from qcanon.elimination import (lp_sym_echelon, PivotBreakdown, UncertifiedRow,
+                                EVAL_POINT, EVAL_PRIME)
 
 from oracles import greedy_prefix, lp_rank
 
@@ -178,8 +178,13 @@ def test_rank_examples():
     assert lp_rank(prop) == 1
 
 
+def termwise(p, a, prime):
+    """p at v = a over F_prime, one power per term."""
+    return sum(x * pow(a, k, prime) for k, x in p.c.items()) % prime
+
+
 def int_rank_mod_p(rows, a):
-    m = [[e.eval_mod(a, PRIME) for e in r] for r in rows]
+    m = [[termwise(e, a, PRIME) for e in r] for r in rows]
     nrows, ncols = len(m), len(m[0])
     r = 0
     for c in range(ncols):
@@ -207,8 +212,6 @@ def test_rank_agrees_with_random_prime_field_specialization():
         # specialization can only drop the rank; equality with overwhelming
         # probability at a random point
         assert rk == rk_p
-        # the package's certified lower bound, at its fixed point
-        assert rank_mod_p(rows) == rk
 
 
 # -- symmetric elimination against independent references ---------------------
@@ -311,14 +314,15 @@ VANISHING = V - EVAL_POINT  # nonzero, but zero at the evaluation point
 
 
 def test_eval_mod_matches_termwise_evaluation():
+    # the elimination's one evaluation, at its fixed point, against powers
+    # taken term by term
     rng = random.Random(5)
     for _ in range(200):
         p = random_poly(rng)
-        a = rng.randint(2, PRIME - 2)
-        termwise = sum(x * pow(a, k, PRIME) for k, x in p.c.items()) % PRIME
-        assert p.eval_mod(a, PRIME) == termwise
-    assert VANISHING.eval_mod(EVAL_POINT, EVAL_PRIME) == 0
-    assert ZERO.eval_mod(EVAL_POINT, EVAL_PRIME) == 0
+        assert elimination._eval(p) == termwise(p, EVAL_POINT, EVAL_PRIME)
+    assert VANISHING.c == {1: 1, 0: -EVAL_POINT}
+    assert elimination._eval(VANISHING) == 0
+    assert elimination._eval(ZERO) == 0
 
 
 def test_modular_zero_pivot_is_refused_as_a_breakdown():
@@ -343,15 +347,11 @@ def test_singular_matrix_keeps_fewer_pivots_than_rows():
 
 
 def test_modular_rank_is_a_lower_bound():
-    # a nonzero entry that vanishes at the evaluation point reads rank 0:
-    # the modular rank bounds the rank from below and never from above
+    # a nonzero entry that vanishes at the evaluation point keeps its exact
+    # rank: the reference rank evaluates at no point
     assert lp_rank([[VANISHING]]) == 1
-    assert rank_mod_p([[VANISHING]]) == 0
     a = [[ONE, V], [V, V * V + VANISHING]]
-    assert lp_rank(a) == 2 and rank_mod_p(a) == 1
-    assert rank_mod_p([[ONE, V], [V, V * V]]) == 1
-    assert rank_mod_p([[ZERO, ZERO], [ZERO, V]]) == 1
-    assert rank_mod_p([]) == 0
+    assert lp_rank(a) == 2
 
 
 def test_full_rank_is_certified_without_laurent_arithmetic(monkeypatch):
