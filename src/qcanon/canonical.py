@@ -262,7 +262,6 @@ class CanonicalBasis:
         """
         mod = self.module
         vid = mod.quiver.vertex_id
-        terms = list(b.vector.terms.items())
         word = []
 
         def walk(remaining, last):
@@ -273,12 +272,7 @@ class CanonicalBasis:
                         f"id walk at {nu} visits more than cap "
                         f"{SPANNING_CAP} words")
                 w = tuple(word)
-                acc = {}
-                for t, c in terms:
-                    p = mod.pair_words(t, w)
-                    if p:
-                        addmul(acc, c.c, p.c)
-                p = finish(acc)
+                p = mod.form(b.vector, mod.monomial_vector(w))
                 if p:
                     yield tuple((vid(i), a) for i, a in w), tuple(sorted(p.c.items()))
                 return

@@ -37,6 +37,14 @@ the words of u among themselves, each unordered pair once; it builds no
 weight space and enumerates no words, which is why ``verify`` uses the
 test above the height bound.
 
+The form is computed on packed integers (``qarith.pack``): each memoized
+pairing is its polynomial at v = 2^width with an l1 bound below
+2^(width-1), so every sum of products in the recursion is integer
+multiply, shift and add, and a pairing is decoded to a LaurentPoly only
+where a caller reads one (``pair_words``, ``form``, ``self_pairing``).  A
+value that would not decode at the module's width widens it: the width
+doubles and the memo is recomputed, so the width changes only the time.
+
 Everything is exact; a non-polynomial value surfacing anywhere in the form
 computation raises ExactDivisionError and means a genuine bug.
 """
@@ -47,7 +55,8 @@ import math
 from heapq import heappop, heappush
 from operator import add, sub
 
-from .qarith import LaurentPoly, ZERO, ONE, addmul, finish, qint, qfact
+from .qarith import (LaurentPoly, ZERO, ONE, PONE, PZERO, WidthError, addmul, finish,
+                     pack, pdivexact, pdot, pqint, qint, qfact, unpack)
 from .uminus import EMPTY_WORD, UMinusElement, concat_words, mono_mul, word_content
 from . import cartan
 
@@ -148,7 +157,7 @@ class HighestWeightModule:
         self.quiver = quiver
         self.hw = hw
         self._e_cache = {}
-        self._pair = {}
+        self._pair = {}  # (w1, w2) -> packed pairing at ``width``
         self._coweights = {}  # content -> <wt, a_j^vee> over every j
         self._spaces = {}
         self._top = DotOrbit(quiver.cartan, hw.d)  # N_Lambda
@@ -235,23 +244,46 @@ class HighestWeightModule:
 
     # -- contravariant form ----------------------------------------------
 
-    def pair_words(self, w1, w2, wt=None):
-        """(w1 . v_L, w2 . v_L), peeling the leftmost divided power of w1;
-        ``wt`` is <wt(w2), a_j^vee> over every j, read off w2 when not
-        passed down.
+    # Bits per digit of the packed form values (``qarith.pack``); a module
+    # doubles its own width when a value would not decode at it.
+    width = 64
+
+    def _widen(self):
+        """Double the digit width and drop every value packed at the old one."""
+        self.width *= 2
+        self._pair.clear()
+
+    def _widening(self, f, *args):
+        """f(*args), widened and recomputed until every value it packs
+        decodes (``qarith.WidthError``)."""
+        while True:
+            try:
+                return f(*args)
+            except WidthError:
+                self._widen()
+
+    def pair_words(self, w1, w2):
+        """(w1 . v_L, w2 . v_L), decoded from its packed value."""
+        n, lo, _ = self._widening(self._pair_packed, w1, w2)
+        return unpack(n, lo, self.width)
+
+    def _pair_packed(self, w1, w2, wt=None):
+        """(w1 . v_L, w2 . v_L) packed at ``width``, peeling the leftmost
+        divided power of w1; ``wt`` is <wt(w2), a_j^vee> over every j, read
+        off w2 when not passed down.
 
         Recursion: (F_i^(n) x, y) = v/[n] (F_i^(n-1) x, K_i^- E_i y).
         The sum over the words y of E_i y, each pairing times its
-        coefficient, accumulates in one exponent map (``qarith.addmul``).
-        The v^(1 - <wt y, a_i^vee>) of K_i^- is the same for every y: wt y
-        is wt w2 + alpha_i and <alpha_i, alpha_i^vee> = 2, so it is
-        v^(-1 - <wt w2, a_i^vee>), computed once and passed to each
-        ``addmul`` as its shift.  Every recursion node is itself a form
-        value, so the division by [n] is asserted exact at each step.  A
-        vanishing pairing is memoized as the shared ZERO.
+        coefficient, is one packed sum of products (``qarith.pdot``).  The
+        v^(1 - <wt y, a_i^vee>) of K_i^- is the same for every y: wt y is
+        wt w2 + alpha_i and <alpha_i, alpha_i^vee> = 2, so it is
+        v^(-1 - <wt w2, a_i^vee>), added once to the sum's offset.  Every
+        recursion node is itself a form value, so the division by [n] is
+        certified exact at each step (``qarith.pdivexact``).  A vanishing
+        pairing is memoized as the shared PZERO.
         """
         if not w1:
-            return ONE if not w2 else ZERO
+            return PONE if not w2 else PZERO
         key = (w1, w2)
         hit = self._pair.get(key)
         if hit is not None:
@@ -264,32 +296,31 @@ class HighestWeightModule:
             if wt is None:
                 wt = self._coweights[nu] = tuple(
                     self.coroot_pairing(nu, j) for j in range(len(nu)))
-        shift = -1 - wt[i]
         wt_y = tuple(map(add, wt, self.quiver.cartan[i]))  # wt y = wt w2 + alpha_i
-        out = {}
-        for y, c in self._e_word(i, w2, wt[i]).items():
-            sub = self.pair_words(x1, y, wt_y)
-            if sub:
-                addmul(out, c.c, sub.c, shift=shift)
-        acc = finish(out)
+        width = self.width
+        acc, lo, bound = pdot([(pack(c, width), sub)
+                               for y, c in self._e_word(i, w2, wt[i]).items()
+                               if (sub := self._pair_packed(x1, y, wt_y))[0]], width)
+        val = (acc, lo - 1 - wt[i], bound) if acc else PZERO
         if acc and n > 1:
-            acc = acc.divexact(qint(n))
-        self._pair[key] = acc
-        return acc
+            val = pdivexact(val, pqint(n, width), width)
+        self._pair[key] = val
+        return val
 
     def form(self, u, w):
-        """The contravariant form, zero across distinct contents."""
+        """The contravariant form, zero across distinct contents; one packed
+        sum per word of u, decoded once."""
         if u.content != w.content:
             return ZERO
-        out = {}
-        for w1, c1 in u.terms.items():
-            row = {}
-            for w2, c2 in w.terms.items():
-                p = self.pair_words(w1, w2)
-                if p:
-                    addmul(row, c2.c, p.c)
-            addmul(out, c1.c, row)
-        return finish(out)
+        n, lo, _ = self._widening(self._form_packed, u, w)
+        return unpack(n, lo, self.width)
+
+    def _form_packed(self, u, w):
+        width = self.width
+        right = [(w2, pack(c2, width)) for w2, c2 in w.terms.items()]
+        pair = self._pair_packed
+        return pdot([(pack(c1, width), pdot([(c2, pair(w1, w2)) for w2, c2 in right], width))
+                     for w1, c1 in u.terms.items()], width)
 
     def self_pairing(self, u):
         """(u, u), pairing each unordered pair of words of u once.
@@ -297,21 +328,22 @@ class HighestWeightModule:
         The form is symmetric, so an off-diagonal pair counts twice; the
         Gram build checks that symmetry on every weight space it builds.
         Word s contributes c_s (c_s (w_s, w_s) + 2 sum_{t > s} c_t (w_s, w_t)),
-        summed in one exponent map per row.
+        one packed sum per row, decoded once.
         """
-        items = list(u.terms.items())
-        out = {}
+        n, lo, _ = self._widening(self._self_pairing_packed, u)
+        return unpack(n, lo, self.width)
+
+    def _self_pairing_packed(self, u):
+        width = self.width
+        items = [(w, pack(c, width)) for w, c in u.terms.items()]
+        pair = self._pair_packed
+        rows = []
         for s, (w1, c1) in enumerate(items):
-            row = {}
-            p = self.pair_words(w1, w1)
-            if p:
-                addmul(row, c1.c, p.c)
-            for w2, c2 in items[s + 1:]:
-                p = self.pair_words(w1, w2)
-                if p:
-                    addmul(row, c2.c, p.c, 2)
-            addmul(out, c1.c, row)
-        return finish(out)
+            terms = [(c1, pair(w1, w1))]
+            terms += [((2 * n2, lo2, 2 * b2), pair(w1, w2))
+                      for w2, (n2, lo2, b2) in items[s + 1:]]
+            rows.append((c1, pdot(terms, width)))
+        return pdot(rows, width)
 
     # -- weight spaces ----------------------------------------------------
 
@@ -386,6 +418,11 @@ class HighestWeightModule:
         there.  The test pairs the words of u among themselves only: it
         builds no weight space and enumerates no words.  Other coefficients
         fall outside the argument and raise InternalCheckError.
+
+        (u, u) stays packed: it is the integer P(2^width) 2^(-width lo) of
+        its polynomial P, with ||P||_1 below 2^(width-1).  Every coefficient
+        of P is then a balanced base-2^width digit of that integer, so the
+        integer is 0 exactly when P is, and nothing is decoded.
         """
         if not u.terms:
             return True
@@ -393,7 +430,7 @@ class HighestWeightModule:
             if not isinstance(c, LaurentPoly):
                 raise InternalCheckError(
                     f"zero test needs Laurent coefficients, got {type(c).__name__}")
-        return not self.self_pairing(u)
+        return not self._widening(self._self_pairing_packed, u)[0]
 
     def vectors_equal(self, u, w):
         if u.content != w.content:

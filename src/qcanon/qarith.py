@@ -7,6 +7,24 @@ integer coefficients, stored as a map exponent -> nonzero coefficient.
 Sums of products accumulate in one exponent -> int map (``addmul``, then
 ``finish``) instead of a new polynomial per term.
 
+A sum of products whose terms are long and many (the contravariant form)
+runs on packed values instead (``pack``): Kronecker substitution, a
+polynomial P evaluated at v = 2^B as one integer (Harvey, J. Symbolic
+Comput. 44 (2009)), where a product is one integer product and a shift by
+v^k is a shift by B k bits.  A packed value is a triple (n, lo, N):
+n = P(2^B) 2^(-B lo) for an exponent lo at or below every exponent of P,
+and N >= ||P||_1, the sum of the absolute coefficients.  Integer sums and
+products of packed values are exact evaluations whatever the coefficients;
+the bound is what makes them decodable.  A product of two values bounds its
+l1 norm by the product of their bounds, so a sum of products adds the
+products of the bounds.  While N < 2^(B-1), every coefficient of P lies in
+[-2^(B-1), 2^(B-1)), so P is the unique expansion of n in balanced base-2^B
+digits (``unpack``), and n = 0 exactly when P = 0.  ``pdivexact`` divides
+one value by another and certifies the quotient as a polynomial quotient.
+A value or quotient that would not decode at width B raises
+``WidthError``; the caller widens B and recomputes, so a breach costs time,
+never a wrong answer.
+
 The module also provides the quantum combinatorial numbers [n], [n]!,
 Gaussian binomials, the bar involution v -> v^-1 and the symmetric
 truncation used by the basis orthogonalization.  It is exact arithmetic
@@ -19,11 +37,17 @@ does not load it.  The package has no fraction-free loop.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 
 class ExactDivisionError(ArithmeticError):
     """Division in Z[v,v^-1] left a remainder where none was expected."""
+
+
+class WidthError(ExactDivisionError):
+    """A packed value or quotient is not certified at its digit width; a
+    wider packing decides it."""
 
 
 class LaurentPoly:
@@ -237,6 +261,132 @@ def finish(out):
     r = LaurentPoly.__new__(LaurentPoly)
     r.c = c
     return r
+
+
+# -- Kronecker packing (see the module docstring) --------------------------
+
+PZERO = (0, 0, 0)
+PONE = (1, 0, 1)
+# memoryview formats of unsigned digits 8, 16, 32 and 64 bits wide
+_DIGIT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def pack(p, width):
+    """The packed value (n, lo, ||p||_1) of p at v = 2^width, lo the least
+    exponent of p."""
+    c = p.c
+    if len(c) == 1:
+        (lo, x), = c.items()
+        return x, lo, abs(x)
+    if not c:
+        return PZERO
+    lo = min(c)
+    n = bound = 0
+    for k, x in c.items():
+        n += x << width * (k - lo)
+        bound += abs(x)
+    return n, lo, bound
+
+
+def pdot(pairs, width):
+    """sum a b over the pairs (a, b) of packed values, packed.
+
+    Each product is one integer product; a term whose offset lies below
+    the running sum's shifts the sum up instead.  Raises WidthError when
+    the bound reaches 2^(width-1), so every value returned decodes."""
+    acc = lo = bound = 0
+    for (an, alo, abound), (bn, blo, bbound) in pairs:
+        if an and bn:
+            e = alo + blo
+            t = an * bn
+            if not acc:
+                acc, lo = t, e
+            elif e >= lo:
+                acc += t << width * (e - lo)
+            else:
+                acc, lo = (acc << width * (lo - e)) + t, e
+            bound += abound * bbound
+    if bound >> width - 1:
+        raise WidthError(f"bound {bound} at width {width}")
+    return (acc, lo, bound) if acc else PZERO
+
+
+@lru_cache(maxsize=None)
+def _halves(width, k):
+    """The integer whose k base-2^width digits are all 2^(width-1)."""
+    return ((1 << width * k) - 1) // ((1 << width) - 1) << width - 1
+
+
+def _digits(n, width):
+    """The balanced base-2^width digits of n, each in [-2^(width-1),
+    2^(width-1)), least significant first.
+
+    Adding 2^(width-1) to every digit (``_halves``) makes them the plain
+    base-2^width digits of a non-negative integer; at a width of 8, 16, 32
+    or 64 bits its bytes hold them.  k digits suffice: a top nonzero digit
+    at place t leaves |n| > 2^(width t - 2), so n has width t - 1 bits or
+    more."""
+    half = 1 << width - 1
+    if -half <= n < half:
+        return [n]
+    k = (n.bit_length() + 1) // width + 1
+    m = n + _halves(width, k)
+    fmt = _DIGIT_FORMATS.get(width)
+    if fmt:
+        digits = memoryview(m.to_bytes(k * width >> 3, sys.byteorder)).cast(fmt)
+    else:
+        mask = (1 << width) - 1
+        digits = (m >> width * i & mask for i in range(k))
+    return [x - half for x in digits]
+
+
+def unpack(n, lo, width):
+    """The polynomial of the packed value (n, lo, N); exact when N is below
+    2^(width-1)."""
+    if not n:
+        return ZERO
+    r = LaurentPoly.__new__(LaurentPoly)
+    r.c = {e: x for e, x in enumerate(_digits(n, width), lo) if x}
+    return r
+
+
+def pdivexact(x, d, width):
+    """The quotient Q = P / d of the packed values x = (n, lo, N) of P and
+    d, packed with the bound ||Q||_1; N must bound every coefficient of P,
+    and d's bound must be ||d||_1.
+
+    Three checks certify Q: the integer division leaves no remainder; the
+    quotient decodes to Q (``_digits``); and ||d||_1 max|Q| < 2^(width-1).
+    The last bounds every coefficient of d Q below 2^(width-1), so d Q and
+    P are both the balanced expansion of n, and d Q = P as polynomials.
+    The integer test alone is weaker: at width 4, 7 - 2v^2 + v^3 + 7v^4 is
+    divisible by 1 + v^2 at v = 16 but not as a polynomial.
+
+    A remainder means that d does not divide P, since a polynomial quotient
+    divides the integers too (ExactDivisionError).  A failed last check,
+    N at or above 2^(width-1), or ||Q||_1 as large, leaves the quotient open
+    at this width (WidthError).  When d is monic, as [n] is, a quotient
+    that is not a polynomial leaves a remainder at every large enough
+    width, so widening ends."""
+    n, lo, bound = x
+    dn, dlo, dbound = d
+    if bound >> width - 1:
+        raise WidthError(f"dividend bound {bound} at width {width}")
+    q, r = divmod(n, dn)
+    if r:
+        raise ExactDivisionError(f"{unpack(n, lo, width)} not divisible by "
+                                 f"{unpack(dn, dlo, width)}")
+    digits = _digits(q, width)
+    bound = sum(map(abs, digits))
+    if dbound * max(map(abs, digits)) >> width - 1 or bound >> width - 1:
+        raise WidthError(f"quotient not certified at width {width}")
+    return q, lo - dlo, bound
+
+
+@lru_cache(maxsize=None)
+def pqint(n, width):
+    """[n] packed at ``width``.  Cached like ``qint``."""
+    return pack(qint(n), width)
 
 
 def _schoolbook(a, b):

@@ -3,7 +3,9 @@
 Not a test module (pytest collects only ``test_*.py``).  Nothing here
 evaluates at a point of F_p or imports the package's elimination, so a
 check against these references shares no code with what it checks, apart
-from ``pair_words``, which the pairing rows below read.  The slotwise
+from ``pair_words``, which the pairing rows below read.  The pairing
+reference sums Laurent polynomials and takes no Kronecker packing helper
+from ``qarith``; it shares only the E action (``_e_word``).  The slotwise
 coproduct takes nothing from the path of ``coproduct.restriction_coproduct``;
 it shares only the Laurent accumulation and the Gaussian binomials.
 """
@@ -12,7 +14,7 @@ import itertools
 
 from qcanon import cartan
 from qcanon.crystalgraph import path_order, pi_arrow
-from qcanon.qarith import ONE, ZERO, addmul, finish
+from qcanon.qarith import ONE, ZERO, addmul, finish, qint
 from qcanon.coproduct import normalize_slots
 from qcanon.uminus import normalized_words, word_content
 
@@ -134,6 +136,55 @@ def transition_by_expansion(cb, graph, nu, order):
     items = path_order(cb, graph, nu, order)
     cols = [cb.expand(cb.module.monomial_vector(path)) for _, path in items]
     return [[col[pos] for col in cols] for pos, _ in items]
+
+
+class PairingOracle:
+    """The contravariant form of a module on Laurent polynomials: the
+    reference for ``pair_words``, ``form`` and ``self_pairing``, which sum
+    packed integers.
+
+    ``pair`` peels the leftmost divided power of w1:
+    (F_i^(n) x, y) = v/[n] (F_i^(n-1) x, K_i^- E_i y), the sum over the
+    words y of E_i y accumulated in one exponent map, times
+    v^(-1 - <wt w2, a_i^vee>), then divided by [n] (``divexact``)."""
+
+    def __init__(self, module):
+        self.module = module
+        self.memo = {}
+
+    def pair(self, w1, w2):
+        if not w1:
+            return ONE if not w2 else ZERO
+        key = (w1, w2)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        mod = self.module
+        (i, n), x = w1[0], w1[1:]
+        x1 = ((i, n - 1),) + x if n > 1 else x
+        p = mod.coroot_pairing(word_content(w2, mod.quiver.n), i)
+        out = {}
+        for y, c in mod._e_word(i, w2).items():
+            sub = self.pair(x1, y)
+            if sub:
+                addmul(out, c.c, sub.c, shift=-1 - p)
+        acc = finish(out)
+        if acc and n > 1:
+            acc = acc.divexact(qint(n))
+        self.memo[key] = acc
+        return acc
+
+    def form(self, u, w):
+        """sum c1 c2 (w1, w2) over the words of u and of w."""
+        if u.content != w.content:
+            return ZERO
+        out = {}
+        for w1, c1 in u.terms.items():
+            for w2, c2 in w.terms.items():
+                p = self.pair(w1, w2)
+                if p:
+                    addmul(out, (c1 * c2).c, p.c)
+        return finish(out)
 
 
 def pairing_row(module, u):

@@ -32,7 +32,10 @@ under the schedule order 3,1,2, the Kronecker (3,3) h=6 `basis` digest
 under the schedule order 2,1 and the 3-Kronecker h=9 `basis` digest before
 the path-monomial coordinates were read off the canonical-basis induction,
 and the D4 h=7 `verify` digest before the contravariance suite drew its
-vectors over weight-space bases instead of every normalized word;
+vectors over weight-space bases instead of every normalized word, and the
+affine A2 (7,7,7) h=7 `basis`, Kronecker-4 h=10 `dims` and 3-Kronecker
+h=8 `verify --suite serre` digests before the form values were carried as
+Kronecker-packed integers;
 every later change that is meant to keep the output must keep these bytes.  Every `dims` row must also agree with the
 multiplicity oracle.
 """
@@ -93,6 +96,9 @@ DATA = {
     "affine_a2_333": {"vertices": ["1", "2", "3"],
                       "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
                       "highest_weight": {"1": 3, "2": 3, "3": 3}},
+    "affine_a2_777": {"vertices": ["1", "2", "3"],
+                      "edges": [["1", "2"], ["2", "3"], ["3", "1"]],
+                      "highest_weight": {"1": 7, "2": 7, "3": 7}},
 }
 
 # (datum, max height, subcommand arguments) -> sha256 of stdout
@@ -181,8 +187,19 @@ GOLDEN = [
      "d340e88cb1b50545fa2060f2785699cbe9dc9b0ec7c46f7a67f7575c2d36421c"),
 ]
 
+# Pins of taller runs, one to two seconds each, checked for their bytes
+# only: the expansion oracles below take about 12 s on affine A2 (7,7,7).
+TALL = [
+    ("affine_a2_777", 7, ("basis",),
+     "123543b39a0ccf38a47b481b1929d7bb99fb4bc867bae3cac8f1db18aac2121d"),
+    ("kronecker4", 10, ("dims", "--format", "json"),
+     "7394fc14b13f8166a675d5f336262095b1448dd5c0b3eec8d303520fc4c677b1"),
+    ("kronecker3", 8, ("verify", "--suite", "serre", "--format", "json"),
+     "fcd620bf00afae0eae982707a6974f8d6f7ed9c228d124713c640eb244391ea2"),
+]
 
-@pytest.mark.parametrize("datum,height,command,digest", GOLDEN)
+
+@pytest.mark.parametrize("datum,height,command,digest", GOLDEN + TALL)
 def test_output_bytes_unchanged(tmp_path, capsys, datum, height, command, digest):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(DATA[datum]))

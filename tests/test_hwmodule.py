@@ -1,20 +1,23 @@
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcanon.qarith import LaurentPoly, ZERO, ONE, qint, qfact, qbinom
 from qcanon.cartan import (HighestWeight, contents_of_height, contents_up_to,
                            parse_quiver_dict)
-from qcanon import elimination, hwmodule
+from qcanon import cli, elimination, hwmodule
 from qcanon.hwmodule import HighestWeightModule
-from qcanon.uminus import UMinusElement, mono_mul, normalized_words
+from qcanon.uminus import UMinusElement, count_words, mono_mul, normalized_words
 from qcanon.coproduct import serre_element
 from qcanon.canonical import CanonicalBasis
 
-from oracles import greedy_prefix, lp_rank, pairing_row
+from oracles import PairingOracle, greedy_prefix, lp_rank, pairing_row
+from test_golden import DATA as GOLDEN_DATA, GOLDEN
 
 
 def vp(k):
@@ -640,3 +643,132 @@ def test_zero_test_refuses_non_laurent_coefficients(a2_adjoint):
     u = UMinusElement((1, 0), {((0, 1),): Fraction(1, 2)})
     with pytest.raises(hwmodule.InternalCheckError):
         m.is_zero_vector(u)
+
+
+# -- the packed form against the Laurent-polynomial oracle -------------------------
+
+# most word pairs one golden datum compares over every content up to a height
+PAIR_BUDGET = 12000
+
+
+def _golden_pairing_runs():
+    """(datum, height) of every golden dims or basis pin, its tallest."""
+    tallest = {}
+    for datum, height, command, _ in GOLDEN:
+        if command[0] in ("dims", "basis"):
+            tallest[datum] = max(tallest.get(datum, 0), height)
+    return sorted(tallest.items())
+
+
+def _compare_with_oracle(m, oracle, nu, words, rng):
+    """Every pairing of the words at nu, and the form, the self-pairing and
+    the zero test of three random vectors over them, against the oracle."""
+    for w1 in words:
+        for w2 in words:
+            assert m.pair_words(w1, w2) == oracle.pair(w1, w2), (w1, w2)
+    vectors = [UMinusElement(nu, {w: _random_laurent(rng)
+                                  for w in rng.sample(words, min(len(words), k))})
+               for k in (1, 2, 4)]
+    for u in vectors:
+        for w in vectors:
+            assert m.form(u, w) == oracle.form(u, w)
+        square = oracle.form(u, u)
+        assert m.self_pairing(u) == square
+        assert m.is_zero_vector(u) == (not square)
+
+
+@pytest.mark.parametrize("datum,height", _golden_pairing_runs())
+def test_packed_form_matches_the_laurent_oracle_on_golden_data(datum, height):
+    # every word pair at each height up to the pin's, while the pairs so far
+    # fit the budget: height 4 or more on every datum, 6 or more on the
+    # two-vertex ones
+    q, hw = parse_quiver_dict(GOLDEN_DATA[datum])
+    m = HighestWeightModule(q, hw)
+    oracle = PairingOracle(m)
+    rng = random.Random(20261021)
+    pairs = covered = 0
+    for h in range(height + 1):
+        pairs += sum(count_words(nu) ** 2 for nu in contents_of_height(q.n, h))
+        if pairs > PAIR_BUDGET:
+            break
+        for nu in contents_of_height(q.n, h):
+            _compare_with_oracle(m, oracle, nu, list(normalized_words(nu)), rng)
+        covered = h
+    assert covered >= 4
+
+
+@pytest.mark.parametrize("datum,height", [("kronecker3", 6), ("d4", 4)])
+def test_packed_form_matches_the_laurent_oracle_on_f_serre_images(datum, height):
+    # the images vanish in the module; their word pairs do not
+    q, hw = parse_quiver_dict(GOLDEN_DATA[datum])
+    m = HighestWeightModule(q, hw)
+    oracle = PairingOracle(m)
+    relators = [serre_element(q, i, j) for i in range(q.n) for j in range(q.n) if i != j]
+    images = 0
+    for nu in contents_up_to(q.n, height):
+        for w in m.weight_space(nu).basis:
+            for rel in relators:
+                image = mono_mul(rel, m.monomial_vector(w))
+                for w1, w2 in itertools.product(image.terms, repeat=2):
+                    assert m.pair_words(w1, w2) == oracle.pair(w1, w2), (w1, w2)
+                assert m.self_pairing(image) == oracle.form(image, image) == ZERO
+                assert m.is_zero_vector(image)
+                images += 1
+    assert images > 50
+
+
+@st.composite
+def small_quivers(draw):
+    """Quivers of at most 3 vertices, at most 3 arrows between two of them,
+    and a dominant weight of entries at most 3."""
+    names = [str(k) for k in range(1, draw(st.integers(1, 3)) + 1)]
+    edges = [[a, b] for k, a in enumerate(names) for b in names[k + 1:]
+             for _ in range(draw(st.integers(0, 3)))]
+    return {"vertices": names, "edges": edges,
+            "highest_weight": {a: draw(st.integers(0, 3)) for a in names}}
+
+
+@given(small_quivers(), st.integers(0, 4), st.sampled_from([8, 64]), st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_packed_form_matches_the_laurent_oracle_on_random_quivers(doc, height, width, seed):
+    # at width 8 most data widen on the way
+    q, hw = parse_quiver_dict(doc)
+    m = HighestWeightModule(q, hw)
+    m.width = width
+    oracle = PairingOracle(m)
+    rng = random.Random(seed)
+    for nu in contents_of_height(q.n, height):
+        _compare_with_oracle(m, oracle, nu, list(normalized_words(nu)), rng)
+
+
+@pytest.mark.parametrize("datum,height", [("kronecker3", 5), ("kronecker_33", 5)])
+def test_a_narrow_width_widens_to_the_same_pairings_and_bytes(
+        datum, height, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(GOLDEN_DATA[datum]))
+    q, hw = parse_quiver_dict(GOLDEN_DATA[datum])
+
+    def outputs():
+        out = []
+        for command in ("dims", "basis", "verify"):
+            assert cli.main([command, "--quiver", str(path), "--max-height", str(height)]) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    def pairings():
+        m = HighestWeightModule(q, hw)
+        return [m.pair_words(w1, w2) for nu in contents_up_to(q.n, height)
+                for w1 in m.weight_space(nu).spanning for w2 in normalized_words(nu)]
+
+    expect = outputs(), pairings()
+    widened = []
+    widen = HighestWeightModule._widen
+
+    def spy(self):
+        widened.append(self.width)
+        widen(self)
+
+    monkeypatch.setattr(HighestWeightModule, "_widen", spy)
+    monkeypatch.setattr(HighestWeightModule, "width", 8)
+    assert (outputs(), pairings()) == expect
+    assert 8 in widened

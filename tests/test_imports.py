@@ -3,8 +3,9 @@ function and class the package defines is used in the package, every
 parameter is read, the layers import one way only, no module imports
 rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]), the
 package re-exports every class and function under its own name, the
-tests' reference eliminations share no elimination with the package, and
-their reference coproduct takes nothing from the package's coproduct."""
+tests' reference eliminations share no elimination with the package,
+their reference coproduct takes nothing from the package's coproduct, and
+their reference form takes no Kronecker packing helper."""
 
 import ast
 import importlib
@@ -249,6 +250,20 @@ def test_detector_sees_qarith_names():
               "from qcanon import qarith as qa\nimport qcanon.qarith\n\n\n"
               "def f():\n    return qa.qint(2) + qcanon.qarith.ZERO\n")
     assert taken_names(source, "qcanon.qarith") == {"ONE", "addmul", "qint", "ZERO"}
+
+
+# the Kronecker packing of qarith: what the pairing oracle must not take
+PACKING_NAMES = {"pack", "unpack", "pdot", "pdivexact", "pqint", "PZERO", "PONE",
+                 "WidthError", "_digits", "_halves", "_DIGIT_FORMATS"}
+
+
+def test_the_pairing_oracle_takes_no_packing_helper():
+    assert PACKING_NAMES <= module_names((PACKAGE[0].parent / "qarith.py").read_text())
+    source = ORACLES.read_text()
+    assert "class PairingOracle" in source
+    assert taken_names(source, "qcanon.qarith") & PACKING_NAMES == set()
+    # nor the package's pairing, which it is the reference for
+    assert "_pair_packed" not in source
 
 
 MODULAR_NAMES = {"EVAL_PRIME", "EVAL_POINT"}

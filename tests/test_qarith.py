@@ -7,7 +7,8 @@ from qcanon import elimination, qarith
 from qcanon.cartan import parse_quiver_dict
 from qcanon.hwmodule import HighestWeightModule
 from qcanon.qarith import (LaurentPoly, ZERO, ONE, sym_truncate, qint,
-                           qfact, qbinom, addmul, finish, ExactDivisionError)
+                           qfact, qbinom, addmul, finish, ExactDivisionError,
+                           PZERO, WidthError, pack, pdivexact, pdot, pqint, unpack)
 from qcanon.elimination import (lp_sym_echelon, PivotBreakdown, UncertifiedRow,
                                 EVAL_POINT, EVAL_PRIME)
 
@@ -140,6 +141,93 @@ def test_addmul_finishes_a_full_cancellation_as_the_shared_zero():
     addmul(out, qint(3).c, p.c, -1)
     assert out and not any(out.values())
     assert finish(out) is ZERO
+
+
+# -- Kronecker packing ------------------------------------------------------------
+
+# coefficients whose absolute values reach 2^62 - 1, and exponents -40..40
+wide_coeffs = st.integers(1 - 2 ** 62, 2 ** 62 - 1) | st.sampled_from(
+    [2 ** 62 - 1, 1 - 2 ** 62, 2 ** 62 - 2, 2 - 2 ** 62, -1, 1])
+wide_polys = st.dictionaries(st.integers(-40, 40), wide_coeffs, max_size=12).map(LaurentPoly)
+# products of these stay far below 2^63 in l1 norm
+packable_polys = st.dictionaries(st.integers(-40, 40), st.integers(-10 ** 4, 10 ** 4),
+                                 max_size=8).map(LaurentPoly)
+
+
+@given(wide_polys)
+@settings(max_examples=120, deadline=None)
+def test_pack_round_trips(p):
+    n, lo, bound = pack(p, 64)
+    assert unpack(n, lo, 64) == p
+    assert bound == sum(abs(x) for x in p.c.values())
+    assert (n == 0) == (not p)
+    # a wider packing decodes the same polynomial, through the shift path
+    assert unpack(*pack(p, 128)[:2], 128) == p
+
+
+@given(st.dictionaries(st.integers(-40, 40), st.integers(-128, 127), max_size=12)
+       .map(LaurentPoly), st.sampled_from([8, 16, 32]))
+@settings(max_examples=100, deadline=None)
+def test_pack_round_trips_at_narrow_widths(p, width):
+    assert unpack(*pack(p, width)[:2], width) == p
+
+
+@given(st.lists(st.tuples(packable_polys, packable_polys), max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_packed_sum_of_products_matches_addmul(terms):
+    out = {}
+    for a, b in terms:
+        addmul(out, a.c, b.c)
+    expect = finish(out)
+    n, lo, bound = pdot([(pack(a, 64), pack(b, 64)) for a, b in terms], 64)
+    assert unpack(n, lo, 64) == expect
+    # the packed value is zero exactly when the polynomial is
+    assert (n == 0) == (not expect)
+    assert bound >= sum(abs(x) for x in expect.c.values())
+
+
+@given(packable_polys, packable_polys)
+@settings(max_examples=100, deadline=None)
+def test_a_cancelling_packed_sum_is_zero(a, b):
+    neg = pack(-a, 64)
+    assert pdot([(pack(a, 64), pack(b, 64)), (neg, pack(b, 64))], 64) == PZERO
+
+
+def test_a_packed_sum_past_the_width_raises():
+    p = pack(LaurentPoly({0: 100, 3: -100}), 8)
+    with pytest.raises(WidthError):
+        pdot([(p, p)], 8)
+
+
+@given(packable_polys, st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_packed_division_inverts_multiplication(a, n):
+    x = pdot([(pack(a, 64), pack(qint(n), 64))], 64)
+    q, lo, bound = pdivexact(x, pqint(n, 64), 64)
+    assert unpack(q, lo, 64) == a
+    assert bound == sum(abs(c) for c in a.c.values())
+
+
+def test_packed_division_refuses_a_remainder():
+    with pytest.raises(ExactDivisionError):
+        pdivexact(pack(qint(3), 64), pqint(2, 64), 64)
+
+
+def test_an_integer_quotient_that_is_no_polynomial_is_refused():
+    # at width 4 (v = 16), 7 - 2v^2 + v^3 + 7v^4 = 462343 = 257 * 1799, so
+    # 1 + v^2 divides it as an integer; 1799 decodes to 7 + 7v^2, but
+    # (1 + v^2)(7 + 7v^2) = 7 + 14v^2 + 7v^4: the coefficient check refuses
+    p = LaurentPoly({0: 7, 2: -2, 3: 1, 4: 7})
+    n, lo, _ = pack(p, 4)
+    d = pack(LaurentPoly({0: 1, 2: 1}), 4)
+    assert n % d[0] == 0 and unpack(n // d[0], 0, 4) == LaurentPoly({0: 7, 2: 7})
+    # 7 bounds every coefficient of p, so p decodes exactly at width 4
+    with pytest.raises(ExactDivisionError):
+        pdivexact((n, lo, 7), d, 4)
+    # at width 8 the remainder shows
+    with pytest.raises(ExactDivisionError) as err:
+        pdivexact(pack(p, 8), pack(LaurentPoly({0: 1, 2: 1}), 8), 8)
+    assert not isinstance(err.value, WidthError)
 
 
 # -- sym_truncate ----------------------------------------------------------------
