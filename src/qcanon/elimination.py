@@ -10,11 +10,11 @@ residual diagonal that is nonzero at that point is nonzero in Z[v, v^-1],
 so pivots need no Laurent arithmetic.  A row whose residual vanishes there
 is rejected only under an exact kernel relation: a combination of it and
 the earlier pivots with Laurent coefficients of span at most a Cramer
-bound, found modulo p, lifted to integers and checked to vanish in every
-column.  Anything else is refused, never retried: PivotBreakdown when the
-diagonal vanishes at the point over a row that no relation can reject (a
-true breakdown or an unlucky point), and UncertifiedRow when a row that
-vanishes there has no checked relation.
+bound, found modulo p by doubling probes of the span, lifted to integers
+and checked to vanish in every column.  Anything else is refused, never
+retried: PivotBreakdown when the diagonal vanishes at the point over a row
+that no relation can reject (a true breakdown or an unlucky point), and
+UncertifiedRow when a row that vanishes there has no checked relation.
 
 Only ``hwmodule.weight_space`` imports this module, on a cache miss, so the
 commands that build no weight space (``basis``, ``graph``) do not load it.
@@ -67,10 +67,11 @@ def lp_sym_echelon(rows):
       sum_k c_k rows[k] = 0 with Laurent c over the earlier pivots and s,
       c_s != 0, passes an exact check in every column, so row s lies in the
       span of the pivots.  The search tries span 0 (integer coefficients,
-      lifted from the multipliers by rational reconstruction), span 1, and
-      then probe spans 2, 4, 8, ... up to B, which bounds the span of every
-      primitive relation over those rows (``_cramer_span``); the first
-      probe past the minimal span reads it off its nullity (``_relations``);
+      lifted from the multipliers by rational reconstruction), then probe
+      spans 2, 4, 8, ... up to B, which bounds the span of every primitive
+      relation over those rows (``_cramer_span``), first on the support
+      columns and then on every column; the first probe past the minimal
+      span reads it off its nullity (``_relations``);
     - PivotBreakdown: the residual diagonal is 0 mod p over a row whose
       residual is nonzero mod p, or that no relation of span <= B over
       those rows admits even modulo p;
@@ -136,36 +137,39 @@ def _certify(rows, s, mult):
 
 def _relations(rows, support, mult):
     """Candidate relations {k: exponent -> int}, in order: span 0 from the
-    multipliers; span 1; the line of each probe span D = 2, 4, 8, ...
-    (capped at B = ``_cramer_span``) whose support-column equations leave
-    one free unknown; at the first probe that leaves N >= 2, the relation
-    of span D - N + 1 read off it; then spans D - N + 1, ..., B, one solve
-    over every column each.
+    multipliers, then the probes (``_probes``) on the support columns, then
+    the same probes on every column.
 
     The support rows other than s are pivots, so independent, and every
     relation over the support is a Laurent multiple g c of the primitive
-    relation c, of span d <= B.  The relations of span <= D are the g of
-    span <= D - d, so the equations of span D have nullity D - d + 1 when
-    D >= d and none below: a probe's line is c when D = d.  Fewer
-    equations or a prime can only add nullity, so a probe left with N >= 2
-    has D > d >= D - N + 1.  On the Gram matrix of an anisotropic form the
-    support block alone, of rank |support| - 1, fixes c, so d = D - N + 1,
-    and with the exponents above d set to 0 the probe's solutions are the
-    constant multiples of c: one line.  The last solves serve other
-    matrices."""
+    relation c, of span d <= B = ``_cramer_span``.  On the Gram matrix of
+    an anisotropic form the support block alone, of rank |support| - 1,
+    fixes c, so the probes on the support columns find it; the probes on
+    every column serve other matrices."""
     ints = _lift([mult[k] for k in support])
     if ints is not None:
         yield {k: {0: x} for k, x in zip(support, ints)}
     bound = _cramer_span(rows, support)
-    if bound < 1:
-        return
-    c = _span_relation(rows, support, 1)
-    if c is not None:
-        yield c
-    probe = 1
+    yield from _probes(rows, support, bound, support)
+    yield from _probes(rows, support, bound, None)
+
+
+def _probes(rows, support, bound, columns):
+    """The line of each probe span D = 2, 4, 8, ... (capped at ``bound``)
+    whose equations on ``columns`` (``_span_form``) leave one free unknown;
+    at the first probe that leaves N >= 2, the relation of span D - N + 1
+    read off it.
+
+    The relations of span <= D are the g c of span <= D - d, so the
+    equations of span D have nullity D - d + 1 when D >= d and none below:
+    a probe's line is c when D = d.  Fewer equations or a prime can only
+    add nullity, so a probe left with N >= 2 has D > d >= D - N + 1.  When
+    its equations fix c, d = D - N + 1, and with the exponents above d set
+    to 0 its solutions are the constant multiples of c: one line."""
+    probe = 0
     while probe < bound:
-        probe = min(2 * probe, bound)
-        form = _span_form(rows, support, probe, 1, support)
+        probe = min(max(2 * probe, 2), bound)
+        form = _span_form(rows, support, probe, 1, columns)
         if len(form.free) > 1:
             break
         c = _line(form, support, probe)
@@ -173,7 +177,7 @@ def _relations(rows, support, mult):
             yield c
     else:
         return
-    low = max(2, probe + 1 - len(form.free))
+    low = max(0, probe + 1 - len(form.free))
     width = probe + 1
     for j in range(len(support)):
         for e in range(low + 1, width):
@@ -182,10 +186,6 @@ def _relations(rows, support, mult):
             form.join(unit)
     if len(form.free) == 1:
         c = _line(form, support, probe)
-        if c is not None:
-            yield c
-    for d in range(low, bound + 1):
-        c = _span_relation(rows, support, d)
         if c is not None:
             yield c
 
@@ -260,19 +260,6 @@ def _span_form(rows, support, d, least, columns=None):
                     and len(form.free) == least:
                 return form
     return form
-
-
-def _span_relation(rows, support, d):
-    """The relation of span d over ``support`` that the coefficient
-    equations (``_span_form``) fix up to scale modulo EVAL_PRIME, lifted to
-    integers; None when they leave no line or the line does not lift.
-
-    The first time the equations leave one free unknown, the line they cut
-    contains every relation of this shape, so it is lifted then and the
-    remaining equations are never read: the exact check is the proof.
-    """
-    form = _span_form(rows, support, d, 1)
-    return _line(form, support, d) if len(form.free) == 1 else None
 
 
 def _line(form, support, d):

@@ -67,8 +67,8 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def v_power(k, coeff=1):
-        return LaurentPoly({k: coeff})
+    def v_power(k):
+        return LaurentPoly({k: 1})
 
     # -- basic structure ----------------------------------------------
 

@@ -33,10 +33,10 @@ V_INV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 
 
 class SuiteResult:
-    def __init__(self, name, checks=0, failures=None):
+    def __init__(self, name):
         self.name = name
-        self.checks = checks
-        self.failures = [] if failures is None else failures
+        self.checks = 0
+        self.failures = []
 
     @property
     def passed(self):

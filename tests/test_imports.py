@@ -1,11 +1,12 @@
 """Every name a qcanon module imports is used in that module, every
 function and class the package defines is used in the package, every
-parameter is read, the layers import one way only, no module imports
-rational or decimal arithmetic (all arithmetic is in Z[v, v^-1]), the
-package re-exports every class and function under its own name, the
-tests' reference eliminations share no elimination with the package,
-their reference coproduct takes nothing from the package's coproduct, and
-their reference form takes no Kronecker packing helper."""
+parameter is read, every default is overridden by some caller, the layers
+import one way only, no module imports rational or decimal arithmetic (all
+arithmetic is in Z[v, v^-1]), the package re-exports every class and
+function under its own name, the tests' reference eliminations share no
+elimination with the package, their reference coproduct takes nothing from
+the package's coproduct, and their reference form takes no Kronecker
+packing helper."""
 
 import ast
 import importlib
@@ -111,6 +112,69 @@ def test_detector_sees_an_unused_parameter():
               "key = lambda e: 0\n")
     assert unused_parameters(source) == [
         ("f", "b"), ("f", "c"), ("f", "rest"), ("h", "y"), ("<lambda>", "e")]
+
+
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def unset_defaults(defining, calling):
+    """(function, parameter) pairs of the ``defining`` sources where the
+    parameter has a default that no call in the ``calling`` sources sets,
+    by keyword or by position.  Calls match by name, as
+    ``unreferenced_definitions`` does: ``f(...)`` and ``x.f(...)`` both call
+    every ``f``, and a class call calls its ``__init__``.  A method's first
+    parameter, a static method's aside, is bound, not passed; a call with
+    ``*args`` or ``**kwargs`` sets every parameter it could reach."""
+    defaults = []  # (name, parameter, position or None)
+    for source in defining:
+        tree = ast.parse(source)
+        methods = {id(item): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            bound = id(node) in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            name = methods[id(node)] if node.name == "__init__" else node.name
+            first = len(positional) - len(a.defaults)
+            defaults += [(name, p.arg, i - bound)
+                         for i, p in enumerate(positional) if i >= first]
+            defaults += [(name, p.arg, None)
+                         for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    calls = {}  # name -> [(positional count, keywords)]
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                count = float("inf") if any(isinstance(x, ast.Starred) for x in node.args) \
+                    else len(node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((count, keywords))
+    return sorted((name, param) for name, param, pos in defaults
+                  if not any(param in kw or None in kw or pos is not None and pos < count
+                             for count, kw in calls.get(name, ())))
+
+
+def test_every_default_is_overridden_somewhere():
+    # a default no caller overrides is a constant spelled as a parameter
+    sources = [p.read_text() for p in PACKAGE]
+    assert unset_defaults(sources, sources + [p.read_text() for p in TESTS]) == []
+
+
+def test_detector_sees_a_default_no_caller_sets():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n\n"
+              "class K:\n    def __init__(self, x, y=0):\n        self.x = x\n\n"
+              "    def m(self, z=0, w=1):\n        return z\n\n"
+              "    @staticmethod\n    def s(u=0, t=1):\n        return u\n")
+    calls = "f(0, 1, d=2)\nK(1)\nK(1).m(2)\nK.s(5)\nf(*args)\n"
+    assert unset_defaults([source], [calls]) == [
+        ("K", "y"), ("f", "e"), ("m", "w"), ("s", "t")]
+    # **kwargs reaches every parameter
+    assert unset_defaults([source], [calls + "f(**kw)\nK(1, **kw)\nK.s(**kw)\n"]) == [
+        ("m", "w")]
 
 
 def package_imports(source):

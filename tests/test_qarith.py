@@ -530,11 +530,12 @@ def test_wide_relations_are_found_by_the_span_solve():
     assert expected == [0]
     relation = {0: {0: -1, 2: -2, 4: -2, 6: -1}, 2: {3: 1}}
     assert elimination._is_relation(gram, relation)
-    # a narrower candidate fails the exact check; span 6 finds this one
-    narrow = elimination._span_relation(gram, [0, 2], 5)
-    assert narrow is None or not elimination._is_relation(gram, narrow)
-    wide = elimination._span_relation(gram, [0, 2], 6)
-    assert wide in (relation, {k: {e: -x for e, x in c.items()} for k, c in relation.items()})
+    # probes capped at span 5 certify nothing; capped at 6 they find this one
+    narrow = list(elimination._probes(gram, [0, 2], 5, None))
+    assert not any(elimination._is_relation(gram, c) for c in narrow)
+    wide = list(elimination._probes(gram, [0, 2], 6, None))
+    assert [c for c in wide if elimination._is_relation(gram, c)] in (
+        [relation], [{k: {e: -x for e, x in c.items()} for k, c in relation.items()}])
     # the Cramer bound of those two rows admits span 6
     assert elimination._cramer_span(gram, [0, 2]) >= 6
     assert lp_sym_echelon(gram) == expected
@@ -542,9 +543,9 @@ def test_wide_relations_are_found_by_the_span_solve():
 
 def test_each_rejected_row_takes_logarithmically_many_solves(monkeypatch):
     # Kronecker (1,0) at (4, 6): rows 1 - 5 are rejected by relations of
-    # span 2 to 6.  A row whose minimal relation has span d takes the span-1
-    # solve and one probe per power of two up to the first >= d, where a
-    # span-by-span search takes d solves
+    # span 2 to 6.  A row whose minimal relation has span d takes one probe
+    # per power of two from 2 up to the first >= d, where a span-by-span
+    # search takes d solves
     _, gram = _kronecker_space(["1", "2"], (4, 6))
     rows = []
     solve, certify, is_relation = elimination._span_form, elimination._certify, elimination._is_relation
@@ -571,7 +572,7 @@ def test_each_rejected_row_takes_logarithmically_many_solves(monkeypatch):
     assert [r["row"] for r in rows] == [1, 2, 3, 4, 5]
     assert [r["span"] for r in rows] == [2, 6, 6, 4, 4]
     for r in rows:
-        assert r["solves"] <= 1 + (r["span"] - 1).bit_length(), r
+        assert r["solves"] <= max(1, (r["span"] - 1).bit_length()), r
     assert sum(r["solves"] for r in rows) < sum(r["span"] for r in rows)
 
 
@@ -579,13 +580,21 @@ def test_a_singular_support_block_falls_back_to_the_span_search():
     # an indefinite symmetric matrix: pivots 0, 1, 2 and row 3 = row 1 +
     # v^2 row 2.  Row 1 vanishes on the support columns 1, 2, 3, so the
     # probe there leaves four free unknowns at span 2 and reads no line;
-    # the search over every column at spans 2, 3, ... certifies the row
+    # the probes over every column certify the row
     a = [[ONE, V, ONE], [V, ZERO, ZERO], [ONE, ZERO, ONE]]
     t = [[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ONE], [ZERO, ZERO, ONE, V * V]]
     gram = [[sum((t[r][i] * a[r][k] * t[k][j] for r in range(3) for k in range(3)), ZERO)
              for j in range(4)] for i in range(4)]
-    assert len(elimination._span_form(gram, [1, 2, 3], 2, 1, [1, 2, 3]).free) == 4
-    assert elimination._span_relation(gram, [1, 2, 3], 2) == {1: {0: -1}, 2: {2: -1}, 3: {0: 1}}
+    support = [1, 2, 3]
+    assert len(elimination._span_form(gram, support, 2, 1, support).free) == 4
+    bound = elimination._cramer_span(gram, support)
+    assert not any(elimination._is_relation(gram, c)
+                   for c in elimination._probes(gram, support, bound, support))
+    relation = {1: {0: -1}, 2: {2: -1}, 3: {0: 1}}
+    found = [c for c in elimination._probes(gram, support, bound, None)
+             if elimination._is_relation(gram, c)]
+    assert found and all(c in (relation, {k: {e: -x for e, x in ck.items()}
+                                          for k, ck in relation.items()}) for c in found)
     assert lp_sym_echelon(gram) == greedy_prefix(gram) == [0, 1, 2]
 
 
