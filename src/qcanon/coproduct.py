@@ -1,6 +1,6 @@
 """The U^- structure that only ``verify`` reads: the restriction coproduct
-with its explicit shift, the four derivations, the Serre elements, and the
-slot normalization they share, over the words of ``uminus``.
+with its explicit shift, the four derivations and the Serre elements,
+over the words of ``uminus``.
 
 The coproduct of a word is built from that of its suffix, one slot at a
 time and memoized for the process (``_coproduct``); each slot adds its
@@ -19,30 +19,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qarith import LaurentPoly, ZERO, ONE, addmul, finish, qbinom
+from .qarith import LaurentPoly, ZERO, ONE, addmul, finish
 from .uminus import EMPTY_WORD, UMinusElement, concat_words
 from . import cartan
-
-
-def normalize_slots(slots):
-    """Drop zero-multiplicity slots and merge adjacent equal vertices.
-
-    Returns (word, scalar): the Gaussian-binomial scalar emitted by the
-    merges, so that the raw slot sequence equals scalar * word in the
-    Grothendieck-group model.
-    """
-    out = []
-    scalar = ONE
-    for i, a in slots:
-        if a == 0:
-            continue
-        if out and out[-1][0] == i:
-            b = out[-1][1]
-            scalar = scalar * qbinom(a + b, a)
-            out[-1] = (i, a + b)
-        else:
-            out.append((i, a))
-    return tuple(out), scalar
 
 
 # -- restriction coproduct -------------------------------------------------
@@ -121,7 +100,8 @@ def _extraction(quiver, x, i, right, twisted):
     of ``_coproduct`` that is M = 1 - a + 2 (A mu)_i - 2 mu_i, with mu
     the content of the slots right (right) or left (left) of slot l.  With
     ``twisted`` it also carries v^{-(A mu)_i}.  mu is kept as a running
-    weight sum over the slots passed.
+    weight sum over the slots passed.  The words of x are normalized, so
+    only a slot emptied to 0 can merge its two neighbours (``concat_words``).
     """
     top = x.content[i]
     if top == 0:
@@ -135,7 +115,10 @@ def _extraction(quiver, x, i, right, twisted):
         for l in slots:
             j, a = word[l]
             if j == i:
-                reduced, scal = normalize_slots(word[:l] + ((i, a - 1),) + word[l + 1:])
+                if a == 1:
+                    reduced, scal = concat_words(word[:l], word[l + 1:])
+                else:
+                    reduced, scal = word[:l] + ((i, a - 1),) + word[l + 1:], ONE
                 addmul(out.setdefault(reduced, {}), c.c, scal.c, shift=1 - a + passed)
             passed += weight[j] * a
     return UMinusElement(x.content[:i] + (top - 1,) + x.content[i + 1:],

@@ -25,6 +25,13 @@ A value or quotient that would not decode at width B raises
 ``WidthError``; the caller widens B and recomputes, so a breach costs time,
 never a wrong answer.
 
+It is the package's one exact division.  ``LaurentPoly.divexact`` packs
+both operands at a width fixed from them, W = max(64, bits(||P||_1
+||d||_1) + deg Q + 2) with deg Q = span(P) - span(d), which the Mignotte
+bound on the quotient makes wide enough for every check to pass when d
+divides P; so it makes one ``pdivexact`` call and never widens, and a
+``WidthError`` at W is a plain ``ExactDivisionError``.
+
 The module also provides the quantum combinatorial numbers [n], [n]!,
 Gaussian binomials, the bar involution v -> v^-1 and the symmetric
 truncation used by the basis orthogonalization.  It is exact arithmetic
@@ -85,10 +92,6 @@ class LaurentPoly:
     def degree(self):
         """Maximal exponent, or None for the zero polynomial."""
         return max(self.c) if self.c else None
-
-    def low(self):
-        """Minimal exponent, or None for the zero polynomial."""
-        return min(self.c) if self.c else None
 
     def coeff(self, k):
         return self.c.get(k, 0)
@@ -159,19 +162,28 @@ class LaurentPoly:
         return r
 
     def divexact(self, other):
-        """Exact division in Z[v,v^-1]; raises ExactDivisionError otherwise."""
+        """Exact division in Z[v,v^-1]; raises ExactDivisionError otherwise.
+
+        One ``pdivexact`` at a width fixed from the inputs: with deg Q =
+        span(P) - span(d), W = max(64, bits(||P||_1 ||d||_1) + deg Q + 2).
+        Any quotient Q has ||Q||_1 <= 2^deg Q ||P||_2 (Mignotte, Math.
+        Comp. 28 (1974)), so at W every check of ``pdivexact`` passes when d
+        divides P, and a ``WidthError`` there means that it does not."""
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.c:
             return ZERO
-        sh = self.low() - other.low()
-        num = _to_dense(self)
-        den = _to_dense(other)
-        quo, rem = _dense_divmod(num, den)
-        if quo is None or any(rem):
+        a, b = self.c, other.c
+        deg = max(a) - min(a) - max(b) + min(b)
+        if deg < 0:
             raise ExactDivisionError(f"{self} not divisible by {other}")
-        out = {i + sh: x for i, x in enumerate(quo) if x}
-        return LaurentPoly(out)
+        norms = sum(map(abs, a.values())) * sum(map(abs, b.values()))
+        width = max(64, norms.bit_length() + deg + 2)
+        try:
+            q, lo, _ = pdivexact(pack(self, width), pack(other, width), width)
+        except WidthError:
+            raise ExactDivisionError(f"{self} not divisible by {other}") from None
+        return unpack(q, lo, width)
 
     # -- involutions and specializations -------------------------------
 
@@ -401,44 +413,6 @@ def _schoolbook(a, b):
             else:
                 del out[k]
     return out
-
-
-# -- dense helpers for division (exponents shifted to >= 0) -------------
-
-
-def _to_dense(p):
-    lo, hi = p.low(), p.degree()
-    out = [0] * (hi - lo + 1)
-    for k, x in p.c.items():
-        out[k - lo] = x
-    return out
-
-
-def _dense_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _dense_divmod(num, den):
-    """Long division in Z[v]; returns (quotient, remainder) or (None, num)
-    when an integer coefficient division fails (so num is not divisible)."""
-    num = list(num)
-    den = _dense_trim(list(den))
-    dn = len(den) - 1
-    lead = den[-1]
-    quo = [0] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            return None, num
-        quo[i - dn] = q
-        for j, d in enumerate(den):
-            num[i - dn + j] -= q * d
-    return quo, _dense_trim(num)
 
 
 # -- symmetric truncation ------------------------------------------------

@@ -189,23 +189,26 @@ def suite_contravariance(ctx):
     """(F_i u, w) = v (u, K_i^-1 E_i w) on random vectors over weight-space
     bases.  Both sides are bilinear, so basis words test the same identity
     as all words of a content.  nu is drawn among the nonzero weight spaces
-    below the height bound, so u != 0, and i among the vertices with
-    L_{nu + alpha_i} != 0 when there is one, uniformly otherwise; the
-    check count stays CONTRAVARIANCE_PAIRS for every datum."""
+    below the height bound with a nonzero L_{nu + alpha_i}, and i among
+    those vertices, so u != 0 and w != 0; the check count is
+    CONTRAVARIANCE_PAIRS, or 0 when no such pair exists."""
     res = SuiteResult("contravariance")
     m, q = ctx.module, ctx.quiver
     rng = random.Random(RNG_SEED)
-    contents = [nu for nu in ctx.all_contents()
-                if cartan.height(nu) < ctx.max_height and m.weight_space(nu).rank]
-    if not contents:
-        return res  # nothing below the height bound to sample from
+    draws = []  # (nu, the vertices i with L_{nu + alpha_i} != 0)
+    for nu in ctx.all_contents():
+        if cartan.height(nu) < ctx.max_height and m.weight_space(nu).rank:
+            vertices = [i for i in range(q.n)
+                        if m.weight_space(vec_add(nu, unit_vector(q.n, i))).rank]
+            if vertices:
+                draws.append((nu, vertices))
+    if not draws:
+        return res  # no nonzero pair below the height bound to sample from
     for _ in range(CONTRAVARIANCE_PAIRS):
-        nu = contents[rng.randrange(len(contents))]
-        up = [vec_add(nu, unit_vector(q.n, i)) for i in range(q.n)]
-        vertices = [i for i in range(q.n) if m.weight_space(up[i]).rank] or range(q.n)
+        nu, vertices = draws[rng.randrange(len(draws))]
         i = vertices[rng.randrange(len(vertices))]
         u = _random_vector(m, nu, rng)
-        w = _random_vector(m, up[i], rng)
+        w = _random_vector(m, vec_add(nu, unit_vector(q.n, i)), rng)
         lhs = m.form(m.apply_F(i, 1, u), w)
         rhs = m.form(u, m.apply_K(i, -1, m.apply_E(i, w))).shift(1)
         if lhs == rhs:
@@ -216,8 +219,8 @@ def suite_contravariance(ctx):
 
 
 def _random_vector(m, nu, rng):
-    """A random Laurent combination of the basis words of L_nu, nonzero
-    when L_nu is."""
+    """A random nonzero Laurent combination of the basis words of L_nu,
+    a nonzero weight space."""
     words = m.weight_space(nu).basis
     terms = {}
     for w in words:
@@ -225,7 +228,7 @@ def _random_vector(m, nu, rng):
             c = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
             if c:
                 terms[w] = c
-    if not terms and words:
+    if not terms:
         terms[words[0]] = ONE
     return UMinusElement(nu, terms)
 

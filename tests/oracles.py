@@ -5,18 +5,47 @@ evaluates at a point of F_p or imports the package's elimination, so a
 check against these references shares no code with what it checks, apart
 from ``pair_words``, which the pairing rows below read.  The pairing
 reference sums Laurent polynomials and takes no Kronecker packing helper
-from ``qarith``; it shares only the E action (``_e_word``).  The slotwise
-coproduct takes nothing from the path of ``coproduct.restriction_coproduct``;
-it shares only the Laurent accumulation and the Gaussian binomials.
+from ``qarith``; it shares only the E action (``_e_word``).  The pairing
+reference and ``lp_rank`` divide with their own dense long division
+(``divexact``), not with the package's ``LaurentPoly.divexact``, which runs
+on the packing.  The slotwise coproduct imports nothing from
+``qcanon.coproduct``; it shares only the Laurent accumulation and the
+Gaussian binomials.
 """
 
 import itertools
 
 from qcanon import cartan
 from qcanon.crystalgraph import path_order, pi_arrow
-from qcanon.qarith import ONE, ZERO, addmul, finish, qint
-from qcanon.coproduct import normalize_slots
+from qcanon.qarith import (ONE, ZERO, ExactDivisionError, LaurentPoly, addmul, finish,
+                           qbinom, qint)
 from qcanon.uminus import normalized_words, word_content
+
+
+def divexact(p, d):
+    """p / d in Z[v, v^-1] by long division over Z on dense coefficient
+    lists, lowest exponent first; raises ExactDivisionError when an integer
+    coefficient division or the final remainder fails."""
+    if not d:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not p:
+        return ZERO
+    plo, dlo = min(p.c), min(d.c)
+    num = [p.coeff(k) for k in range(plo, max(p.c) + 1)]
+    den = [d.coeff(k) for k in range(dlo, max(d.c) + 1)]
+    top, lead = len(den) - 1, den[-1]
+    quo = {}
+    for i in range(len(num) - 1, top - 1, -1):
+        if num[i]:
+            q, r = divmod(num[i], lead)
+            if r:
+                raise ExactDivisionError(f"{p} not divisible by {d}")
+            quo[i - top + plo - dlo] = q
+            for j, x in enumerate(den):
+                num[i - top + j] -= q * x
+    if any(num):
+        raise ExactDivisionError(f"{p} not divisible by {d}")
+    return LaurentPoly(quo)
 
 
 def span(p):
@@ -58,7 +87,7 @@ def lp_rank(rows):
             fac = rows[i][c]
             # rows with fac = 0 still rescale by piv/prev (Sylvester identity)
             for j in range(c + 1, n):
-                rows[i][j] = (rows[i][j] * piv - fac * rows[r][j]).divexact(prev)
+                rows[i][j] = divexact(rows[i][j] * piv - fac * rows[r][j], prev)
             rows[i][c] = ZERO
         prev = piv
         r += 1
@@ -170,7 +199,7 @@ class PairingOracle:
                 addmul(out, c.c, sub.c, shift=-1 - p)
         acc = finish(out)
         if acc and n > 1:
-            acc = acc.divexact(qint(n))
+            acc = divexact(acc, qint(n))
         self.memo[key] = acc
         return acc
 
@@ -213,6 +242,27 @@ def element_key(module, elem):
     return tuple(sorted(
         (tuple((q.vertex_id(i), a) for i, a in w), tuple(sorted(p.c.items())))
         for w, p in zip(words, pairing_row(module, elem.vector)) if p))
+
+
+def normalize_slots(slots):
+    """Drop zero-multiplicity slots and merge adjacent equal vertices.
+
+    Returns (word, scalar): the Gaussian-binomial scalar emitted by the
+    merges, so that the raw slot sequence equals scalar * word in the
+    Grothendieck-group model.
+    """
+    out = []
+    scalar = ONE
+    for i, a in slots:
+        if a == 0:
+            continue
+        if out and out[-1][0] == i:
+            b = out[-1][1]
+            scalar = scalar * qbinom(a + b, a)
+            out[-1] = (i, a + b)
+        else:
+            out.append((i, a))
+    return tuple(out), scalar
 
 
 def shift_exponent(quiver, slots, bs):

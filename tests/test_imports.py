@@ -5,8 +5,9 @@ import one way only, no module imports rational or decimal arithmetic (all
 arithmetic is in Z[v, v^-1]), the package re-exports every class and
 function under its own name, the tests' reference eliminations share no
 elimination with the package, their reference coproduct takes nothing from
-the package's coproduct, and their reference form takes no Kronecker
-packing helper."""
+the package's coproduct, their reference form takes no Kronecker packing
+helper and no package division, and only the packed division calls
+``divmod``."""
 
 import ast
 import importlib
@@ -321,6 +322,13 @@ PACKING_NAMES = {"pack", "unpack", "pdot", "pdivexact", "pqint", "PZERO", "PONE"
                  "WidthError", "_digits", "_halves", "_DIGIT_FORMATS"}
 
 
+def method_calls(source, name):
+    """The lines of a source that call a method ``name`` (``x.name(...)``)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == name)
+
+
 def test_the_pairing_oracle_takes_no_packing_helper():
     assert PACKING_NAMES <= module_names((PACKAGE[0].parent / "qarith.py").read_text())
     source = ORACLES.read_text()
@@ -328,6 +336,44 @@ def test_the_pairing_oracle_takes_no_packing_helper():
     assert taken_names(source, "qcanon.qarith") & PACKING_NAMES == set()
     # nor the package's pairing, which it is the reference for
     assert "_pair_packed" not in source
+    # nor the package's division, which runs on the packing: the oracles
+    # divide with their own long division
+    assert "def divexact(" in source
+    assert method_calls(source, "divexact") == []
+
+
+def divmod_callers(source):
+    """The functions of a source (innermost enclosing definition, or
+    ``<module>``) that call the builtin ``divmod``."""
+    found = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "divmod"):
+                found.add(owner)
+            walk(child, owner)
+    walk(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_packed_division_calls_divmod():
+    # one exact division: LaurentPoly.divexact goes through pdivexact
+    found = {(p.name, f) for p in PACKAGE for f in divmod_callers(p.read_text())}
+    assert found == {("qarith.py", "pdivexact")}
+
+
+def test_detector_sees_divmod_callers():
+    source = ("q, r = divmod(7, 2)\n\n\nclass P:\n    def divexact(self, d):\n"
+              "        def inner(n):\n            return divmod(n, d)\n"
+              "        return inner(3)\n\n\ndef f(x):\n    return x.divmod(2)\n\n\n"
+              "def g(n):\n    return [divmod(n, k) for k in (2, 3)]\n")
+    assert divmod_callers(source) == {"<module>", "inner", "g"}
+    assert method_calls("x.divexact(y)\nz = divexact(x, y)\nx.bar().divexact(2)\n",
+                        "divexact") == [1, 3]
 
 
 MODULAR_NAMES = {"EVAL_PRIME", "EVAL_POINT"}

@@ -12,7 +12,7 @@ from qcanon.qarith import (LaurentPoly, ZERO, ONE, sym_truncate, qint,
 from qcanon.elimination import (lp_sym_echelon, PivotBreakdown, UncertifiedRow,
                                 EVAL_POINT, EVAL_PRIME)
 
-from oracles import greedy_prefix, lp_rank
+from oracles import divexact as oracle_divexact, greedy_prefix, lp_rank
 
 PRIME = 2147483647
 
@@ -105,8 +105,13 @@ def test_monomial_product_matches_the_schoolbook_loop(m, p):
     assert (m * p).c == expect and (p * m).c == expect
 
 
-@given(small_polys, small_polys)
-@settings(max_examples=100, deadline=None)
+# coefficients up to about 2^70 and leading coefficients other than +-1
+wide_polys = st.dictionaries(st.integers(-8, 8), st.integers(-2**70, 2**70),
+                             max_size=6).map(LaurentPoly)
+
+
+@given(small_polys | wide_polys, small_polys | wide_polys)
+@settings(max_examples=300, deadline=None)
 def test_exact_division_inverts_multiplication(a, b):
     if not b:
         return
@@ -116,6 +121,86 @@ def test_exact_division_inverts_multiplication(a, b):
 def test_divexact_raises_on_remainder():
     with pytest.raises(ExactDivisionError):
         qint(3).divexact(qint(2))
+
+
+@given(small_polys, small_polys.filter(bool), small_polys, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_divexact_raises_exactly_where_long_division_leaves_a_remainder(a, d, e, exact):
+    p = a * d if exact else a * d + e
+    try:
+        expect = oracle_divexact(p, d)
+    except ExactDivisionError:
+        expect = None
+    if expect is None:
+        with pytest.raises(ExactDivisionError) as err:
+            p.divexact(d)
+        assert not isinstance(err.value, WidthError)
+    else:
+        assert p.divexact(d) == expect
+
+
+def recorded_widths(monkeypatch):
+    """The widths of the ``pdivexact`` calls that ``divexact`` makes."""
+    widths = []
+
+    def recorded(x, d, width):
+        widths.append(width)
+        return pdivexact(x, d, width)
+    monkeypatch.setattr(qarith, "pdivexact", recorded)
+    return widths
+
+
+def test_divexact_refuses_a_non_monic_remainder_without_widening(monkeypatch):
+    # (2 + v) / 2 is 1 + v/2: at any width B the integer quotient
+    # 2^(B-1) + 1 exists and does not decode, so a loop that widened on
+    # the undecodable quotient would never end
+    widths = recorded_widths(monkeypatch)
+    with pytest.raises(ExactDivisionError) as err:
+        lp({0: 2, 1: 1}).divexact(lp({0: 2}))
+    assert not isinstance(err.value, WidthError)
+    assert widths == [64]
+
+
+def test_divexact_refuses_an_integer_quotient_that_is_no_polynomial(monkeypatch):
+    # divisible at v = 16 (see the packed test above), not as polynomials
+    widths = recorded_widths(monkeypatch)
+    with pytest.raises(ExactDivisionError) as err:
+        lp({0: 7, 2: -2, 3: 1, 4: 7}).divexact(lp({0: 1, 2: 1}))
+    assert not isinstance(err.value, WidthError)
+    assert widths == [64]
+
+
+def test_divexact_sizes_the_width_for_a_quotient_larger_than_the_dividend(monkeypatch):
+    # (1 - v^10)^6 has l1 norm 2^6 = 64; its quotient by (1 - v)^6 is
+    # (1 + v + ... + v^9)^6, of l1 norm 10^6
+    widths = recorded_widths(monkeypatch)
+    p = lp({0: 1, 10: -1})
+    d = lp({0: 1, 1: -1})
+    p6, d6 = ONE, ONE
+    for _ in range(6):
+        p6, d6 = p6 * p, d6 * d
+    q = p6.divexact(d6)
+    assert sum(map(abs, p6.c.values())) == 64
+    assert sum(map(abs, q.c.values())) == 10**6
+    assert q * d6 == p6
+    assert widths == [(64 * 64).bit_length() + 54 + 2]
+    assert (p6.shift(-7)).divexact(d6.shift(4)) == q.shift(-11)
+
+
+def test_divexact_by_a_divisor_of_larger_span_raises(monkeypatch):
+    widths = recorded_widths(monkeypatch)
+    with pytest.raises(ExactDivisionError) as err:
+        qint(2).divexact(qint(3))
+    assert not isinstance(err.value, WidthError)
+    assert ZERO.divexact(qint(3)) == ZERO
+    assert widths == []
+
+
+def test_divexact_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        qint(2).divexact(ZERO)
+    with pytest.raises(ZeroDivisionError):
+        ZERO.divexact(ZERO)
 
 
 @given(st.lists(st.tuples(small_polys, small_polys, st.integers(-3, 3),

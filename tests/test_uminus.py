@@ -10,11 +10,11 @@ from qcanon.cartan import contents_of_height, contents_up_to
 from qcanon.uminus import (UMinusElement, EMPTY_WORD, mono_mul, word_str,
                            word_content, count_words, normalized_words)
 from qcanon.coproduct import (restriction_coproduct, rbar, ibar, rbar_derivation,
-                              ibar_derivation, serre_element, normalize_slots)
+                              ibar_derivation, serre_element)
 from qcanon import coproduct, uminus, verify
 from qcanon.cartan import parse_quiver_dict
 
-from oracles import shift_exponent, slotwise_coproduct
+from oracles import normalize_slots, shift_exponent, slotwise_coproduct
 
 KRON3 = {"vertices": ["1", "2"], "edges": [["1", "2"]] * 3, "highest_weight": {"1": 1}}
 D4 = {"vertices": ["c", "1", "2", "3"], "edges": [["1", "c"], ["2", "c"], ["3", "c"]],
